@@ -197,11 +197,6 @@ def chern_form_component(i: int, conn: ChainConnection) -> DiffForm:
     return fiber_integrate(invariant_eval(P, conn.curvature()))
 
 
-def chern_character_component(conn: ChainConnection) -> DiffForm:
-    from .dgforms import chern_character
-    return fiber_integrate(chern_character(conn.curvature()))
-
-
 # -- Whitney product ---------------------------------------------------------
 
 

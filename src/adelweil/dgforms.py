@@ -40,6 +40,7 @@ from .exactalg import (
     ONE,
     format_rational,
     rat,
+    _perm_sign,
 )
 
 
@@ -630,7 +631,7 @@ class FormMatrix:
             term = self.ctx.one_form()
             for i in range(n):
                 term = term * self.rows[i][perm[i]]
-            sign = _perm_sign_cached(perm)
+            sign = _perm_sign(perm)
             acc = acc + (term if sign > 0 else -term)
         return acc
 
@@ -671,28 +672,6 @@ class FormMatrix:
 
     def __repr__(self):
         return f"FormMatrix({self.render()})"
-
-
-_SIGN_CACHE: dict = {}
-
-
-def _perm_sign_cached(perm) -> int:
-    sign = _SIGN_CACHE.get(perm)
-    if sign is None:
-        sign = 1
-        seen = [False] * len(perm)
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        _SIGN_CACHE[perm] = sign
-    return sign
 
 
 class InvariantPolynomial:

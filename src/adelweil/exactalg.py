@@ -12,9 +12,12 @@ with exact `fractions.Fraction` coefficients:
   along a chain; equality is decided by cross multiplication, so no
   multivariate gcd is ever required.
 
-`QMatrix` and `LinearSpan` provide dense and sparse exact linear
-algebra; `artinian_length` computes the colength of an ideal generated
-by a regular sequence by truncated row reduction.
+`LinearSpan` is the one exact elimination kernel: sparse rows keyed
+by column labels, reduced incrementally, with rank, membership,
+tracked solves, the reduced row echelon form and a kernel basis.
+`QMatrix` is the dense container that feeds its rows to that kernel;
+`artinian_length` computes the colength of an ideal generated by a
+regular sequence by truncated row reduction.
 
 All objects are immutable in practice (operations return new values),
 so every function in this module is safe to call from parallel workers.
@@ -33,8 +36,6 @@ from .errors import (
     ParseError,
     PrecisionExhausted,
 )
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -917,7 +918,12 @@ def _perm_sign(perm) -> int:
 
 
 class QMatrix:
-    """Dense matrix of Fractions with exact Gaussian elimination."""
+    """Dense matrix of Fractions: a container over the `LinearSpan` kernel.
+
+    Every elimination (`rref`, `rank`, `nullspace`, `solve`, `det`,
+    `inv`) feeds the rows to a `LinearSpan` with the column index as
+    label order and reads the answer out of it.
+    """
 
     __slots__ = ("rows",)
 
@@ -928,48 +934,28 @@ class QMatrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
+    def _span(self) -> "LinearSpan":
+        span = LinearSpan()
+        for row in self.rows:
+            span.add({j: x for j, x in enumerate(row) if x})
+        return span
+
     def rref(self) -> tuple["QMatrix", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        rows = [row[:] for row in self.rows]
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        pivots = []
-        r = 0
-        for col in range(n):
-            pivot = next((i for i in range(r, m) if rows[i][col]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            lead = rows[r][col]
-            rows[r] = [x / lead for x in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-            if r == m:
-                break
-        return QMatrix(rows), pivots
+        m, n = self.shape
+        red = self._span().reduced_rows()
+        rows = [[row.get(j, ZERO) for j in range(n)] for row in red.values()]
+        rows += [[ZERO] * n for _ in range(m - len(rows))]
+        return QMatrix(rows), list(red)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self._span().rank
 
     def nullspace(self) -> list[list[Fraction]]:
         """Deterministic basis of the kernel (one vector per free column)."""
-        m, n = self.shape
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(n):
-            if free in pivot_set:
-                continue
-            vec = [ZERO] * n
-            vec[free] = ONE
-            for r, col in enumerate(pivots):
-                vec[col] = -red.rows[r][free]
-            basis.append(vec)
-        return basis
+        n = self.shape[1]
+        return [[vec.get(j, ZERO) for j in range(n)]
+                for _, vec in self._span().kernel(range(n))]
 
     def solve(self, b: list) -> list[Fraction] | None:
         """One solution of A x = b, or None if inconsistent."""
@@ -984,24 +970,16 @@ class QMatrix:
         return x
 
     def det(self) -> Fraction:
+        """Signed product of the pivots the kernel divides by."""
         m, n = self.shape
         if m != n:
             raise DimensionMismatch("determinant of a non-square matrix")
-        rows = [row[:] for row in self.rows]
-        det = ONE
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if rows[i][col]), None)
-            if pivot is None:
-                return ZERO
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for i in range(col + 1, n):
-                if rows[i][col]:
-                    f = rows[i][col] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+        span = self._span()
+        if span.rank < n:
+            return ZERO
+        det = Fraction(_perm_sign(list(span.pivots)))
+        for lead in span.divisors:
+            det *= lead
         return det
 
     def inv(self) -> "QMatrix":
@@ -1016,32 +994,35 @@ class QMatrix:
         return QMatrix([row[n:] for row in red.rows])
 
 
-def solve_linear(rows, rhs) -> list[Fraction] | None:
-    """Solve A x = b over the rationals; None when inconsistent.
-
-    Example
-    -------
-    >>> solve_linear([[1, 1], [1, 1]], [1, 2]) is None
-    True
-    """
-    return QMatrix(rows).solve(list(rhs))
+def _sub_scaled(target: dict, factor, source: dict) -> None:
+    """target -= factor * source in place, dropping entries that cancel."""
+    for c, v in source.items():
+        s = target.get(c, ZERO) - factor * v
+        if s:
+            target[c] = s
+        else:
+            target.pop(c, None)
 
 
 class LinearSpan:
-    """Incremental sparse row echelon over the rationals.
+    """The exact elimination kernel: incremental sparse row echelon form.
 
-    Vectors are dicts keyed by hashable column labels; a total order on
-    labels (``key``) makes pivot choice deterministic.  Optionally each
-    inserted vector can carry a tag; `reduce` then also returns the
+    Every row reduction in the package runs here.  Vectors are dicts
+    keyed by hashable column labels; a total order on labels (``key``)
+    makes pivot choice deterministic.  Each stored row is scaled to 1
+    at its pivot, the least label it touches.  With ``track`` each
+    inserted vector carries a tag; `reduce` then also returns the
     combination of tags expressing the residual-free part.
+    `reduced_rows` and `kernel` read out the reduced row echelon form,
+    which is unique for a fixed label order.
     """
 
     def __init__(self, key=None, track: bool = False):
         self.key = key or (lambda c: c)
         self.track = track
-        self.pivots: dict = {}       # column -> echelon row (dict)
+        self.pivots: dict = {}       # column -> echelon row, insertion order
         self.combos: dict = {}       # column -> {tag: Fraction}
-        self._order: list = []       # insertion-ordered pivot columns
+        self.divisors: list = []     # entry each new row was divided by
 
     @property
     def rank(self) -> int:
@@ -1049,26 +1030,16 @@ class LinearSpan:
 
     def _reduce(self, vec: dict, combo: dict | None):
         vec = {c: Fraction(v) for c, v in vec.items() if v}
+        pivots, key = self.pivots, self.key
         while True:
-            cols = sorted(vec, key=self.key)
-            hit = next((c for c in cols if c in self.pivots), None)
+            # eliminating a pivot only brings in labels above it
+            hit = min((c for c in vec if c in pivots), key=key, default=None)
             if hit is None:
                 return vec, combo
             factor = vec[hit]
-            row = self.pivots[hit]
-            for c, v in row.items():
-                s = vec.get(c, ZERO) - factor * v
-                if s:
-                    vec[c] = s
-                else:
-                    vec.pop(c, None)
+            _sub_scaled(vec, factor, pivots[hit])
             if combo is not None:
-                for tag, v in self.combos[hit].items():
-                    s = combo.get(tag, ZERO) - factor * v
-                    if s:
-                        combo[tag] = s
-                    else:
-                        combo.pop(tag, None)
+                _sub_scaled(combo, factor, self.combos[hit])
 
     def reduce(self, vec: dict):
         """Residual of vec against the span (no insertion)."""
@@ -1088,11 +1059,10 @@ class LinearSpan:
             return False
         lead = min(residual, key=self.key)
         factor = residual[lead]
-        row = {c: v / factor for c, v in residual.items()}
-        self.pivots[lead] = row
+        self.pivots[lead] = {c: v / factor for c, v in residual.items()}
         if self.track:
             self.combos[lead] = {t: v / factor for t, v in combo.items()}
-        self._order.append(lead)
+        self.divisors.append(factor)
         return True
 
     def solve(self, vec: dict) -> dict | None:
@@ -1103,6 +1073,36 @@ class LinearSpan:
         if residual:
             return None
         return {t: -v for t, v in combo.items()}
+
+    def reduced_rows(self) -> dict:
+        """Back-substituted rows, {pivot: row}, in label order.
+
+        Each row is 1 at its own pivot and 0 at every other pivot.
+        """
+        order = sorted(self.pivots, key=self.key)
+        done: dict = {}
+        for p in reversed(order):
+            row = dict(self.pivots[p])
+            # the other pivots in row lie above p and are already reduced
+            for c in [c for c in row if c != p and c in self.pivots]:
+                _sub_scaled(row, row[c], done[c])
+            done[p] = row
+        return {p: done[p] for p in order}
+
+    def kernel(self, labels) -> list:
+        """Solutions of the stored rows read as equations over `labels`.
+
+        Returns one (free label, vector) pair per label that is not a
+        pivot, in the order of `labels`; the vector is 1 at its own free
+        label and 0 at every other free label.
+        """
+        rows = self.reduced_rows()
+        basis = {lab: {lab: ONE} for lab in labels if lab not in rows}
+        for p in self.pivots:
+            for c, v in rows[p].items():
+                if c != p:
+                    basis[c][p] = -v
+        return list(basis.items())
 
 
 def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
@@ -1123,14 +1123,9 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
     >>> artinian_length([f1**2 - f2**3, f2**2])
     4
     """
-    gens = []
-    for g in generators:
-        if isinstance(g, TruncatedSeries):
-            gens.append(g)
-        elif isinstance(g, MultiPoly):
-            gens.append(None)  # placeholder, exact
-            gens[-1] = g
-        else:
+    gens = list(generators)
+    for g in gens:
+        if not isinstance(g, (TruncatedSeries, MultiPoly)):
             raise ParseError(f"bad ideal generator {g!r}")
     if not gens:
         raise DimensionMismatch("empty generator list")
@@ -1138,11 +1133,8 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
     n = len(vars)
     if any(g.vars != vars for g in gens):
         raise DimensionMismatch("generators over different variables")
-    for g in gens:
-        const = (g.constant_term() if isinstance(g, TruncatedSeries)
-                 else g.constant_term())
-        if const:
-            return 0
+    if any(g.constant_term() for g in gens):
+        return 0
 
     def truncated(g, bound):
         if isinstance(g, TruncatedSeries):
@@ -1180,7 +1172,8 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
         f"colength did not stabilise below truncation {cap} (history {history})")
 
 
-def _unit_exp(n: int, i: int, power: int) -> tuple[int, ...]:
+def _unit_exp(n: int, i: int, power: int = 1) -> tuple[int, ...]:
+    """Exponent tuple of the monomial f_i^power in n variables."""
     exp = [0] * n
     exp[i] = power
     return tuple(exp)

@@ -27,13 +27,16 @@ from .errors import (
     PrecisionExhausted,
 )
 from .exactalg import (
+    LinearSpan,
     MultiPoly,
     QMatrix,
     RingMatrix,
     TruncatedSeries,
     artinian_length,
+    grlex_key,
     _monomials_below,
     _perm_sign,
+    _unit_exp,
 )
 from .dgforms import InvariantPolynomial, invariant_eval_ring
 
@@ -156,48 +159,27 @@ def _ideal_membership(target: MultiPoly, gens: list, T: int):
     Returns the list of polynomial multipliers M_j, or None.
     """
     vars = target.vars
-    n = len(vars)
-    monos = _monomials_below(n, T)
-    index = {m: i for i, m in enumerate(monos)}
-    columns = []
-    tags = []
+    monos = _monomials_below(len(vars), T)
+    span = LinearSpan(key=grlex_key, track=True)
     for j, g in enumerate(gens):
         gt = _window(g, T)
         ordg = gt.min_degree() if not gt.is_zero() else T
         for mu in monos:
             if sum(mu) + ordg >= T:
                 continue
-            col = [Fraction(0)] * len(monos)
-            nonzero = False
+            shifted = {}
             for exp, c in gt.coeffs.items():
                 tot = tuple(a + b for a, b in zip(exp, mu))
                 if sum(tot) < T:
-                    col[index[tot]] += c
-                    nonzero = True
-            if nonzero:
-                columns.append(col)
-                tags.append((j, mu))
-    if not columns:
-        return None
-    mat = QMatrix([[columns[c][r] for c in range(len(columns))]
-                   for r in range(len(monos))])
-    rhs = [Fraction(0)] * len(monos)
-    for exp, c in target.truncate(T).coeffs.items():
-        rhs[index[exp]] = c
-    sol = mat.solve(rhs)
+                    shifted[tot] = c
+            span.add(shifted, tag=(j, mu))
+    sol = span.solve(target.truncate(T).coeffs)
     if sol is None:
         return None
     out = [MultiPoly.zero(vars) for _ in gens]
-    for value, (j, mu) in zip(sol, tags):
-        if value:
-            out[j] = out[j] + MultiPoly(vars, {mu: value})
+    for (j, mu), value in sol.items():
+        out[j] = out[j] + MultiPoly(vars, {mu: value})
     return out
-
-
-def _power_target(vars, i: int, N: int) -> MultiPoly:
-    exp = [0] * len(vars)
-    exp[i] = N
-    return MultiPoly(vars, {tuple(exp): Fraction(1)})
 
 
 def _transformed_residue(gf: GeneralizedFraction, N: int, l: int,
@@ -209,8 +191,8 @@ def _transformed_residue(gf: GeneralizedFraction, N: int, l: int,
         T = max(T, precision)
     rows = []
     for i in range(n):
-        sol = _ideal_membership(_power_target(gf.vars, i, N),
-                                list(gf.denominators), T)
+        power = MultiPoly(gf.vars, {_unit_exp(n, i, N): Fraction(1)})
+        sol = _ideal_membership(power, list(gf.denominators), T)
         if sol is None:
             return None
         rows.append(sol)
@@ -345,7 +327,7 @@ def simple_zero_invariant(P: InvariantPolynomial,
             f"invariant of degree {P.degree} against dimension {n}")
     if artinian_length(list(zd.a)) != 1:
         raise NotSimple("zero is not reduced")
-    jac = [[-_coefficient(zd.a[j], _unit_tuple(n, i)) for j in range(n)]
+    jac = [[-_coefficient(zd.a[j], _unit_exp(n, i)) for j in range(n)]
            for i in range(n)]
     det = QMatrix(jac).det()
     if not det:
@@ -354,12 +336,6 @@ def simple_zero_invariant(P: InvariantPolynomial,
                       for row in zd.lift.rows])
     value = invariant_eval_ring(P, lam, Fraction(1))
     return value / det
-
-
-def _unit_tuple(n: int, i: int) -> tuple[int, ...]:
-    exp = [0] * n
-    exp[i] = 1
-    return tuple(exp)
 
 
 def _const_term(x) -> Fraction:
@@ -406,7 +382,7 @@ def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
         if img.constant_term():
             raise NotInvertibleChange(f"substitution moves the origin ({v})")
         images[v] = img
-    linear = QMatrix([[images[vars[i]].coeffs.get(_unit_tuple(n, j),
+    linear = QMatrix([[images[vars[i]].coeffs.get(_unit_exp(n, j),
                                                   Fraction(0))
                        for j in range(n)] for i in range(n)])
     if linear.rank() != n:

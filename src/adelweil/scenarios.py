@@ -10,6 +10,7 @@ component over chains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .exactalg import (
     TruncatedSeries,
     format_rational,
     rat,
+    _unit_exp,
 )
 from .dgforms import InvariantPolynomial, polynomial_context
 from .adelic import Chain, ChartModel, chern_form_component, mixed_connection
@@ -83,7 +85,7 @@ def projective_space_scenario(n: int, weights, bundle,
     vars = ("f",) if n == 1 else tuple(f"y{i}" for i in range(1, n + 1))
 
     def lin(values) -> tuple:
-        return tuple(MultiPoly(vars, {_unit(len(vars), k): c})
+        return tuple(MultiPoly(vars, {_unit_exp(len(vars), k): c})
                      for k, c in enumerate(values))
 
     zeros: dict[str, LocalZeroData] = {}
@@ -130,12 +132,6 @@ def projective_space_scenario(n: int, weights, bundle,
             scn.curve = {"degree": d, "section": f ** d if d else
                          MultiPoly.const(("f",), 1)}
     return scn
-
-
-def _unit(n: int, k: int) -> tuple[int, ...]:
-    exp = [0] * n
-    exp[k] = 1
-    return tuple(exp)
 
 
 def _curve_chart(weights, bundle, degenerate_variant) -> ChartModel:
@@ -266,7 +262,7 @@ def rational_roots(p: MultiPoly) -> tuple[list[tuple[Fraction, int]], int]:
             z = None
             scale = 1
             for c in coeffs:
-                scale = scale * c.denominator // _gcd(scale, c.denominator)
+                scale = scale * c.denominator // math.gcd(scale, c.denominator)
             ints = [int(c * scale) for c in coeffs]
             lead, const = ints[-1], ints[0]
             for q in _divisors(abs(lead)):
@@ -284,12 +280,6 @@ def rational_roots(p: MultiPoly) -> tuple[list[tuple[Fraction, int]], int]:
         coeffs = _divide_root(coeffs, z)
         roots[z] = roots.get(z, 0) + 1
     return sorted(roots.items()), len(coeffs) - 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

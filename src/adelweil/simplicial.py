@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,7 +22,7 @@ from .errors import (
     Incomposable,
     ParseError,
 )
-from .dgforms import DGContext, DiffForm, simplex_context
+from .dgforms import DGContext, DiffForm
 from .exactalg import rat
 
 
@@ -124,29 +124,6 @@ def compose(sigma: DeltaMorphism, tau: DeltaMorphism) -> DeltaMorphism:
 
 
 # -- forms on simplices ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimplexForms:
-    """The algebra of polynomial forms on one standard simplex."""
-
-    n: int
-    ctx: DGContext = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ctx", simplex_context(self.n))
-
-    def t(self, i: int) -> DiffForm:
-        return self.ctx.t(i)
-
-    def dt(self, i: int) -> DiffForm:
-        return self.ctx.dt(i)
-
-    def zero(self) -> DiffForm:
-        return self.ctx.zero_form()
-
-    def one(self) -> DiffForm:
-        return self.ctx.one_form()
 
 
 def pullback_along(sigma: DeltaMorphism, form: DiffForm) -> DiffForm:

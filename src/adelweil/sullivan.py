@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     DimensionMismatch,
     NotAComplex,
 )
-from .exactalg import ONE, QMatrix, ZERO
+from .exactalg import LinearSpan, ONE, QMatrix, ZERO
 from .dgforms import DiffForm, simplex_context
 from .simplicial import (
     Cochain,
@@ -118,52 +117,10 @@ def sparse_nullspace(rows: list, order: dict) -> list:
     free label, in label order; the vector is 1 at its own free label
     and 0 at every other free label.
     """
-    pivots: dict = {}
+    span = LinearSpan(key=order.__getitem__)
     for row in rows:
-        row = {lab: Fraction(v) for lab, v in row.items() if v}
-        while row:
-            hit = min((lab for lab in row if lab in pivots),
-                      key=order.__getitem__, default=None)
-            if hit is None:
-                break
-            c = row.pop(hit)
-            for l2, v in pivots[hit].items():
-                if l2 == hit:
-                    continue
-                s = row.get(l2, ZERO) - c * v
-                if s:
-                    row[l2] = s
-                else:
-                    row.pop(l2, None)
-        if not row:
-            continue
-        lab = min(row, key=order.__getitem__)
-        inv = 1 / row[lab]
-        row = {l2: v * inv for l2, v in row.items()}
-        for prow in pivots.values():
-            c = prow.get(lab)
-            if c is not None:
-                prow.pop(lab)
-                for l2, v in row.items():
-                    if l2 == lab:
-                        continue
-                    s = prow.get(l2, ZERO) - c * v
-                    if s:
-                        prow[l2] = s
-                    else:
-                        prow.pop(l2, None)
-        pivots[lab] = row
-    basis = []
-    for flab in sorted(order, key=order.__getitem__):
-        if flab in pivots:
-            continue
-        vec = {flab: ONE}
-        for plab, prow in pivots.items():
-            c = prow.get(flab)
-            if c:
-                vec[plab] = -c
-        basis.append((flab, vec))
-    return basis
+        span.add(row)
+    return span.kernel(sorted(order, key=order.__getitem__))
 
 
 # -- compatible families -----------------------------------------------------
@@ -431,11 +388,16 @@ class CochainComplexView:
                 continue
             if a.shape[0] != b.shape[1]:
                 raise DimensionMismatch("coboundary shapes do not chain")
-            for j in range(a.shape[1]):
-                col = [a.rows[i][j] for i in range(a.shape[0])]
-                out = [sum(b.rows[r][i] * col[i] for i in range(len(col)))
-                       for r in range(b.shape[0])]
-                if any(out):
+            # every row of b a, summed over the nonzero entries only
+            a_rows = [{j: x for j, x in enumerate(row) if x}
+                      for row in a.rows]
+            for b_row in b.rows:
+                out: dict = {}
+                for i, v in enumerate(b_row):
+                    if v:
+                        for j, x in a_rows[i].items():
+                            out[j] = out.get(j, ZERO) + v * x
+                if any(out.values()):
                     raise NotAComplex(
                         f"coboundary squared nonzero in degree {q}")
 
@@ -450,9 +412,18 @@ class CochainComplexView:
             prev_rank = r
         return out
 
+    def image_span(self, q: int) -> LinearSpan:
+        """Span of the degree-q coboundaries, the columns of mats[q-1]."""
+        span = LinearSpan()
+        if q > 0:
+            prev = self.mats[q - 1]
+            for j in range(prev.shape[1]):
+                span.add({i: row[j] for i, row in enumerate(prev.rows)
+                          if row[j]})
+        return span
+
     def representatives(self, q: int) -> list:
         """Cocycle coordinate vectors spanning degree-q cohomology."""
-        from .exactalg import LinearSpan
         n = len(self.labels[q])
         if q < len(self.mats) and self.mats[q].shape[1] == n and n:
             kernel = self.mats[q].nullspace()
@@ -460,13 +431,7 @@ class CochainComplexView:
             # zero or absent coboundary: everything is a cocycle
             kernel = [[ONE if i == j else ZERO for i in range(n)]
                       for j in range(n)]
-        span = LinearSpan()
-        if q > 0:
-            prev = self.mats[q - 1]
-            for j in range(prev.shape[1]):
-                col = {i: prev.rows[i][j]
-                       for i in range(prev.shape[0]) if prev.rows[i][j]}
-                span.add(col)
+        span = self.image_span(q)
         reps = []
         for vec in kernel:
             if span.add({i: v for i, v in enumerate(vec) if v}):
@@ -593,10 +558,19 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     cohomology ranks, checks the integration map induces an isomorphism
     on the computed range, and solves for the coboundary that absorbs
     each sampled multiplicativity defect.  Raises CapInsufficient when
-    raising the weight cap by 2 changes any rank.
+    raising the weight cap by 2 changes any rank, and CapExceeded up
+    front for a cap below 0 or, off the standard simplices, one whose
+    cap + 2 passes the hard cap.
     """
     L = S.dimension
     cap = (L + 4) if weight_cap is None else weight_cap
+    # the weight-graded fast path on a standard simplex never builds a
+    # SullivanComplex, so only the general path is held to the hard cap
+    if cap < 0 or (cap + 2 > HARD_WEIGHT_CAP
+                   and _is_standard_simplex(S) is None):
+        raise CapExceeded(
+            f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP - 2}: the "
+            f"stability check needs cap + 2 <= {HARD_WEIGHT_CAP}")
 
     per_weight = [_sullivan_ranks(S, w) for w in range(cap + 1)]
     sull_ranks = per_weight[-1]
@@ -611,17 +585,11 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     ranks_match = sull_ranks == coch_ranks
 
     # induced map on cohomology: inject family classes into cochain classes
-    from .exactalg import LinearSpan
     reps = _sullivan_representatives(S, cap)
     induced_ok = True
     induced_details = []
     for q in range(L + 2):
-        span = LinearSpan()
-        if q > 0:
-            prev = cview.mats[q - 1]
-            for j in range(prev.shape[1]):
-                span.add({i: prev.rows[i][j]
-                          for i in range(prev.shape[0]) if prev.rows[i][j]})
+        span = cview.image_span(q)
         order = {sid: i for i, sid in enumerate(cview.labels[q])}
         injected = 0
         for rep in reps[q]:

@@ -125,6 +125,14 @@ def test_failed_expectation_exits_2(capsys, tmp_path):
     assert "[FAIL]" in out and "status: FAIL" in out
 
 
+@pytest.mark.parametrize("cap", ["-1", "30"])
+def test_out_of_range_weight_cap_exits_5(capsys, cap):
+    code, _, err = run(capsys, ["derham", "boundary-delta2.json",
+                                "--weight-cap", cap])
+    assert code == 5
+    assert f"weight cap {cap} " in err and "Traceback" not in err
+
+
 def test_packaged_data_resolves_by_bare_name():
     path = resolve_input("p1-o1.json")
     assert Path(path).is_file()

@@ -9,7 +9,7 @@ from adelweil.errors import (
 )
 from adelweil.exactalg import (
     LinearSpan, MultiPoly, QMatrix, RatFunc, RingMatrix, TruncatedSeries,
-    artinian_length, format_rational, grlex_key, parse_rational, solve_linear,
+    artinian_length, format_rational, grlex_key, parse_rational,
 )
 
 from strategies import fractions, polys
@@ -144,10 +144,37 @@ def test_qmatrix_nullspace_vectors_are_killed():
                    for row in A.rows)
 
 
-def test_solve_linear_round_trip():
-    rows = [[Q(1), Q(2)], [Q(0), Q(1)]]
-    sol = solve_linear(rows, [Q(5), Q(2)])
-    assert sol == [Q(1), Q(2)]
+def test_qmatrix_solve_round_trip():
+    A = QMatrix([[Q(1), Q(2)], [Q(0), Q(1)]])
+    assert A.solve([Q(5), Q(2)]) == [Q(1), Q(2)]
+
+
+def _mat_vec(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                          min_size=n, max_size=n), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=n, max_size=n))))
+def test_elimination_kernel_against_independent_oracles(case):
+    raw, x0 = case
+    A = QMatrix(raw)
+    m, n = A.shape
+    rank = A.rank()
+    null = A.nullspace()
+    for vec in null:
+        assert _mat_vec(A.rows, vec) == [0] * m
+    assert rank + len(null) == n
+    At = QMatrix([[A.rows[i][j] for i in range(m)] for j in range(n)])
+    assert At.rank() == rank
+    if m == n:
+        assert (A.det() != 0) == (rank == n)
+    b = _mat_vec(A.rows, x0)
+    x = A.solve(b)
+    assert x is not None and _mat_vec(A.rows, x) == b
 
 
 def test_ring_matrix_inverse_over_rational_functions():

@@ -1,15 +1,17 @@
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil.errors import NotAComplex
 from adelweil.exactalg import QMatrix
 from adelweil.simplicial import (
     boundary_simplex_sset, disjoint_points, standard_simplex_sset,
 )
 from adelweil.sullivan import (
-    cochain_complex, cohomology, integrate_map, sparse_nullspace,
-    sullivan_basis, verify_de_rham,
+    CochainComplexView, cochain_complex, cohomology, integrate_map,
+    sparse_nullspace, sullivan_basis, verify_de_rham,
 )
 
 
@@ -63,6 +65,15 @@ def test_integration_commutes_with_the_differential():
 def test_cochain_cohomology_of_the_circle_model():
     ranks = cohomology(cochain_complex(boundary_simplex_sset(2)))
     assert ranks == [1, 1, 0]
+
+
+def test_d_squared_check_rejects_a_non_complex():
+    # d1 d0 = [[1]] on a one-dimensional chain of spaces
+    d0, d1 = QMatrix([[1]]), QMatrix([[1]])
+    with pytest.raises(NotAComplex):
+        CochainComplexView([[0], [1], [2]], [d0, d1])
+    C = cochain_complex(boundary_simplex_sset(2))
+    assert CochainComplexView(C.labels, C.mats).ranks() == [1, 1, 0]
 
 
 def test_cochain_cohomology_of_two_points():
