@@ -13,12 +13,21 @@ vertex evaluations, so the family spaces are filtered, not graded, by
 weight: sullivan_basis(S, q, w) is the space of families all of whose
 terms have weight at most w.  On a single standard simplex the weight
 does split the complex, which gives a fast path.
+
+Face pullbacks and d never raise weight (d keeps it).  The compatibility
+solve lists the labels of each degree by weight first, so the families
+of weight <= w are exactly the leading free labels, the cap-w complex is
+the leading block of every higher-cap one, and d is block upper
+triangular.  verify_de_rham therefore builds one complex, at cap + 2,
+and reads every lower cap off its leading blocks.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -47,6 +56,10 @@ HARD_WEIGHT_CAP = 24
 
 
 # -- per-simplex monomial coordinates ----------------------------------------
+#
+# A monomial label (exp, mono) stands for t^exp dt_mono on the simplex of
+# dimension len(exp).  The per-label caches below hand out tuples of
+# (label, coefficient) pairs, so no caller can change a cached value.
 
 
 def _exponents_of_degree(nvars: int, degree: int):
@@ -59,20 +72,25 @@ def _exponents_of_degree(nvars: int, degree: int):
             yield (head,) + tail
 
 
-@lru_cache(maxsize=None)
-def _simplex_labels(m: int, q: int, cap: int) -> tuple:
-    """Monomial labels (exp, odd) on the m-simplex, degree q, weight <= cap.
+def _weight(lab) -> int:
+    exp, mono = lab
+    return sum(exp) + len(mono)
 
-    The weight of t^a dt_I is |a| + q.
-    """
-    if q > m:
+
+@lru_cache(maxsize=None)
+def _simplex_weight_block(m: int, q: int, w: int) -> tuple:
+    """Monomial labels on the m-simplex of degree q and weight exactly w."""
+    if q > m or w < q:
         return ()
-    labels = []
-    for w in range(q, cap + 1):
-        for mono in itertools.combinations(range(m), q):
-            for exp in _exponents_of_degree(m, w - q):
-                labels.append((exp, mono))
-    return tuple(labels)
+    return tuple((exp, mono)
+                 for mono in itertools.combinations(range(m), q)
+                 for exp in _exponents_of_degree(m, w - q))
+
+
+def _simplex_labels(m: int, q: int, cap: int) -> tuple:
+    """Monomial labels on the m-simplex, degree q, weight-ascending to cap."""
+    return tuple(lab for w in range(q, cap + 1)
+                 for lab in _simplex_weight_block(m, q, w))
 
 
 def _monomial_form(ctx, exp, mono) -> DiffForm:
@@ -92,18 +110,27 @@ def _form_coords(form: DiffForm) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _face_matrix(m: int, i: int, q: int, cap: int) -> dict:
-    """Pullback along face(m, i) in monomial coordinates.
+def _face_image(m: int, i: int, lab) -> tuple:
+    """Pullback of one monomial along face(m, i), as (label, coeff) pairs."""
+    image = pullback_along(face(m, i), _monomial_form(simplex_context(m), *lab))
+    return tuple(_form_coords(image).items())
 
-    Returns {target label: {source label: coefficient}}.
+
+@lru_cache(maxsize=None)
+def _monomial_d(lab) -> tuple:
+    """d(t^a dt_I) = sum_j a_j t^(a - e_j) dt_j dt_I, as (label, coeff) pairs.
+
+    Moving dt_j past the generators of I below j gives the sign.
     """
-    src_ctx = simplex_context(m)
-    out: dict = {}
-    for lab in _simplex_labels(m, q, cap):
-        image = pullback_along(face(m, i), _monomial_form(src_ctx, *lab))
-        for tl, v in _form_coords(image).items():
-            out.setdefault(tl, {})[lab] = v
-    return out
+    exp, mono = lab
+    out = []
+    for j, a in enumerate(exp):
+        if a and j not in mono:
+            below = bisect.bisect(mono, j)
+            dexp = exp[:j] + (a - 1,) + exp[j + 1:]
+            dmono = mono[:below] + (j,) + mono[below:]
+            out.append(((dexp, dmono), Fraction(-a if below % 2 else a)))
+    return tuple(out)
 
 
 # -- sparse kernel solver ----------------------------------------------------
@@ -294,22 +321,25 @@ class SullivanComplex:
             self._coords[q] = labels
             self._vectors[q] = [{lab: ONE} for lab in labels]
             return
-        labels = []
-        for sid in sorted(sset.simplices):
-            dim = sset.dim_of(sid)
-            for lab in _simplex_labels(dim, q, cap):
-                labels.append((sid, lab))
+        # weight first: the weight <= w families are the leading free labels
+        sids = sorted(sset.simplices)
+        labels = [(sid, lab) for w in range(q, cap + 1) for sid in sids
+                  for lab in _simplex_weight_block(sset.dim_of(sid), q, w)]
         order = {lab: k for k, lab in enumerate(labels)}
         rows = []
-        for sid in sorted(sset.simplices):
+        for sid in sids:
             dim = sset.dim_of(sid)
             if dim == 0 or dim - 1 < q:
                 continue
             for i in range(dim + 1):
                 fsid = sset.face(sid, i)
-                for tl, srcs in _face_matrix(dim, i, q, cap).items():
-                    row = {(sid, sl): -v for sl, v in srcs.items()}
-                    row[(fsid, tl)] = row.get((fsid, tl), ZERO) + ONE
+                # one equation per target label: face value = pullback
+                pulled: dict = {}
+                for sl in _simplex_labels(dim, q, cap):
+                    for tl, v in _face_image(dim, i, sl):
+                        pulled.setdefault(tl, {})[(sid, sl)] = -v
+                for tl, row in pulled.items():
+                    row[(fsid, tl)] = ONE
                     rows.append(row)
         basis = sparse_nullspace(rows, order)
         self._coords[q] = [flab for flab, _ in basis]
@@ -317,6 +347,14 @@ class SullivanComplex:
 
     def dim(self, q: int) -> int:
         return len(self._vectors.get(q, ()))
+
+    def leading_dims(self, w: int) -> list:
+        """Per degree, the number of basis families of weight <= w.
+
+        Those families are the first ones of each degree.
+        """
+        return [sum(1 for _, lab in self._coords[q] if _weight(lab) <= w)
+                for q in range(self.L + 2)]
 
     def element(self, q: int, vec_or_index) -> SullivanElement:
         if isinstance(vec_or_index, int):
@@ -342,22 +380,22 @@ class SullivanComplex:
             return _family_from_top(self.sset, n, q, top_form)
         return _family_from_vector(self.sset, q, vec)
 
-    def coords_of(self, u: SullivanElement) -> list:
-        """Coordinates of a compatible family in the degree basis."""
-        q = u.degree
-        out = []
-        for sid, lab in self._coords[q]:
-            coeffs = _form_coords(u.form_on(sid))
-            out.append(coeffs.get(lab, ZERO))
-        return out
-
     def d_matrix(self, q: int) -> QMatrix:
-        cols = []
-        for k in range(self.dim(q)):
-            du = self.element(q, k).d()
-            cols.append(self.coords_of(du))
-        rows_n = self.dim(q + 1)
-        return QMatrix([[col[r] for col in cols] for r in range(rows_n)])
+        """d from degree q to q + 1 in the family bases.
+
+        d acts label by label on the stored vectors.  A family of degree
+        q + 1 is the sum of its values at the free labels times the basis
+        families, so column k is d of family k read at those labels.
+        """
+        index = {lab: r for r, lab in enumerate(self._coords[q + 1])}
+        rows = [[ZERO] * self.dim(q) for _ in index]
+        for k, vec in enumerate(self._vectors[q]):
+            for (sid, lab), c in vec.items():
+                for tl, v in _monomial_d(lab):
+                    r = index.get((sid, tl))
+                    if r is not None:
+                        rows[r][k] += c * v
+        return QMatrix(rows)
 
 
 def sullivan_basis(S: FiniteSimplicialSet, q: int, w: int) -> list:
@@ -411,6 +449,16 @@ class CochainComplexView:
             out.append(n - r - prev_rank)
             prev_rank = r
         return out
+
+    def leading(self, dims: list) -> "CochainComplexView":
+        """The first dims[q] labels of each degree with their coboundaries.
+
+        A subcomplex only when d maps each leading block into the next.
+        """
+        labels = [list(lab[:k]) for lab, k in zip(self.labels, dims)]
+        mats = [QMatrix([row[:dims[q]] for row in mat.rows[:dims[q + 1]]])
+                for q, mat in enumerate(self.mats)]
+        return CochainComplexView(labels, mats)
 
     def image_span(self, q: int) -> LinearSpan:
         """Span of the degree-q coboundaries, the columns of mats[q-1]."""
@@ -473,40 +521,18 @@ def sullivan_view(cx: SullivanComplex) -> CochainComplexView:
 # -- standard-simplex weight-graded fast path --------------------------------
 
 
-def _simplex_weight_block(n: int, q: int, w: int) -> list:
-    """Monomial labels on the n-simplex with exact weight w."""
-    if q > n or w < q:
-        return []
-    return [(exp, mono)
-            for mono in itertools.combinations(range(n), q)
-            for exp in _exponents_of_degree(n, w - q)]
-
-
 @lru_cache(maxsize=None)
 def _simplex_block_view(n: int, w: int) -> CochainComplexView:
-    ctx = simplex_context(n)
     labels = [_simplex_weight_block(n, q, w) for q in range(n + 2)]
     mats = []
     for q in range(n + 1):
         index = {lab: i for i, lab in enumerate(labels[q + 1])}
-        cols = []
-        for lab in labels[q]:
-            coeffs = _form_coords(_monomial_form(ctx, *lab).d())
-            col = [ZERO] * len(labels[q + 1])
-            for tl, v in coeffs.items():
-                col[index[tl]] = v
-            cols.append(col)
-        mats.append(QMatrix([[col[r] for col in cols]
-                             for r in range(len(labels[q + 1]))]))
+        rows = [[ZERO] * len(labels[q]) for _ in index]
+        for k, lab in enumerate(labels[q]):
+            for tl, v in _monomial_d(lab):
+                rows[index[tl]][k] = v
+        mats.append(QMatrix(rows))
     return CochainComplexView(labels, mats)
-
-
-def _standard_ranks(n: int, cap: int) -> list:
-    total = [0] * (n + 2)
-    for w in range(cap + 1):
-        for q, r in enumerate(_simplex_block_view(n, w).ranks()):
-            total[q] += r
-    return total
 
 
 def _standard_representatives(sset, n: int, cap: int, q: int) -> list:
@@ -527,28 +553,34 @@ def _standard_representatives(sset, n: int, cap: int, q: int) -> list:
 # -- the comparison report ---------------------------------------------------
 
 
-def _sullivan_ranks(S, cap: int):
-    n = _is_standard_simplex(S)
-    if n is not None:
-        return _standard_ranks(n, cap)[:S.dimension + 2]
-    cx = SullivanComplex(S, cap)
-    return sullivan_view(cx).ranks()
+def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
+    """Family cohomology ranks at every weight cap w <= cx.cap.
 
-
-def _sullivan_representatives(S, cap: int):
-    """Per degree, cohomology representatives as families."""
-    n = _is_standard_simplex(S)
-    reps = []
-    if n is not None:
-        for q in range(S.dimension + 2):
-            reps.append(_standard_representatives(S, n, cap, q))
-        return reps
-    cx = SullivanComplex(S, cap)
-    view = sullivan_view(cx)
-    for q in range(S.dimension + 2):
-        reps.append([cx.element(q, list(vec))
-                     for vec in view.representatives(q)])
-    return reps
+    The cap-w complex is the leading block of each degree, and d keeps
+    it there (checked entry by entry), so the rank of its coboundary is
+    the rank of the first columns of the full one.  That is the number
+    of pivot columns before the block: a column is a pivot of the row
+    echelon form exactly when it is independent of the columns before it.
+    """
+    pivots = []
+    for q, mat in enumerate(view.mats):
+        col_w = [_weight(lab) for _, lab in view.labels[q]]
+        row_w = [_weight(lab) for _, lab in view.labels[q + 1]]
+        span = LinearSpan()
+        for i, row in enumerate(mat.rows):
+            vec = {j: x for j, x in enumerate(row) if x}
+            if any(col_w[j] < row_w[i] for j in vec):
+                raise NotAComplex(f"coboundary raises weight in degree {q}")
+            span.add(vec)
+        pivots.append(list(span.pivots))
+    out = []
+    for w in range(cx.cap + 1):
+        dims = cx.leading_dims(w)
+        r = [sum(1 for p in piv if p < dims[q])
+             for q, piv in enumerate(pivots)] + [0]
+        out.append([dims[q] - r[q] - (r[q - 1] if q else 0)
+                    for q in range(len(dims))])
+    return out
 
 
 def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dict:
@@ -559,22 +591,30 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     on the computed range, and solves for the coboundary that absorbs
     each sampled multiplicativity defect.  Raises CapInsufficient when
     raising the weight cap by 2 changes any rank, and CapExceeded up
-    front for a cap below 0 or, off the standard simplices, one whose
-    cap + 2 passes the hard cap.
+    front for a cap below 0 or one whose cap + 2 passes the hard cap.
+
+    One family complex at cap + 2 serves every lower cap through its
+    leading blocks; a standard simplex sums its weight-graded blocks.
     """
     L = S.dimension
     cap = (L + 4) if weight_cap is None else weight_cap
-    # the weight-graded fast path on a standard simplex never builds a
-    # SullivanComplex, so only the general path is held to the hard cap
-    if cap < 0 or (cap + 2 > HARD_WEIGHT_CAP
-                   and _is_standard_simplex(S) is None):
+    if cap < 0 or cap + 2 > HARD_WEIGHT_CAP:
         raise CapExceeded(
             f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP - 2}: the "
             f"stability check needs cap + 2 <= {HARD_WEIGHT_CAP}")
 
-    per_weight = [_sullivan_ranks(S, w) for w in range(cap + 1)]
+    n = _is_standard_simplex(S)
+    if n is not None:
+        by_weight = list(itertools.accumulate(
+            (_simplex_block_view(n, w).ranks() for w in range(cap + 3)),
+            lambda total, r: [a + b for a, b in zip(total, r)]))
+    else:
+        cx = SullivanComplex(S, cap + 2)
+        view = sullivan_view(cx)    # d∘d checked on every block at once
+        by_weight = _weight_ranks(cx, view)
+    per_weight = by_weight[:cap + 1]
     sull_ranks = per_weight[-1]
-    stable_ranks = _sullivan_ranks(S, cap + 2)
+    stable_ranks = by_weight[cap + 2]
     if stable_ranks != sull_ranks:
         raise CapInsufficient(
             f"ranks moved from {sull_ranks} to {stable_ranks} "
@@ -585,7 +625,12 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     ranks_match = sull_ranks == coch_ranks
 
     # induced map on cohomology: inject family classes into cochain classes
-    reps = _sullivan_representatives(S, cap)
+    if n is not None:
+        reps = [_standard_representatives(S, n, cap, q) for q in range(L + 2)]
+    else:
+        sub = view.leading(cx.leading_dims(cap))
+        reps = [[cx.element(q, list(vec)) for vec in sub.representatives(q)]
+                for q in range(L + 2)]
     induced_ok = True
     induced_details = []
     for q in range(L + 2):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -125,10 +126,16 @@ def test_failed_expectation_exits_2(capsys, tmp_path):
     assert "[FAIL]" in out and "status: FAIL" in out
 
 
-@pytest.mark.parametrize("cap", ["-1", "30"])
-def test_out_of_range_weight_cap_exits_5(capsys, cap):
-    code, _, err = run(capsys, ["derham", "boundary-delta2.json",
-                                "--weight-cap", cap])
+@pytest.mark.parametrize("space, cap", [
+    ("boundary-delta2.json", "-1"),
+    ("boundary-delta2.json", "30"),
+    # the standard-simplex fast path is held to the same cap
+    ("delta3.json", "30"),
+], ids=["-1", "30", "delta3-30"])
+def test_out_of_range_weight_cap_exits_5(capsys, space, cap):
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["derham", space, "--weight-cap", cap])
+    assert time.perf_counter() - started < 5
     assert code == 5
     assert f"weight cap {cap} " in err and "Traceback" not in err
 

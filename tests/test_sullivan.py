@@ -10,9 +10,15 @@ from adelweil.simplicial import (
     boundary_simplex_sset, disjoint_points, standard_simplex_sset,
 )
 from adelweil.sullivan import (
-    CochainComplexView, cochain_complex, cohomology, integrate_map,
-    sparse_nullspace, sullivan_basis, verify_de_rham,
+    CochainComplexView, SullivanComplex, _face_image, _monomial_d,
+    _simplex_weight_block, cochain_complex, cohomology, integrate_map,
+    sparse_nullspace, sullivan_basis, sullivan_view, verify_de_rham,
 )
+
+# spaces off the standard-simplex fast path
+GENERAL = {"boundary-2": boundary_simplex_sset(2),
+           "points-2": disjoint_points(2),
+           "boundary-3": boundary_simplex_sset(3)}
 
 
 @settings(max_examples=20)
@@ -93,3 +99,38 @@ def test_multiplicativity_defects_are_solved_coboundaries():
     res = verify_de_rham(boundary_simplex_sset(2))
     assert res["multiplicativity_ok"]
     assert res["multiplicativity_pairs"] > 0
+
+
+@pytest.mark.parametrize("name", GENERAL)
+def test_per_weight_ranks_match_separate_builds(name):
+    # verify_de_rham reads every lower cap off one complex at cap + 2
+    S, cap = GENERAL[name], 2
+    res = verify_de_rham(S, cap)
+    for w in range(cap + 1):
+        assert res["per_weight"][w] == \
+            sullivan_view(SullivanComplex(S, w)).ranks()
+        for q in range(S.dimension + 1):
+            basis = sullivan_basis(S, q, w)
+            assert basis == sullivan_basis(S, q, w + 2)[:len(basis)]
+
+
+@pytest.mark.parametrize("name", [*GENERAL, "simplex-2"])
+def test_d_matrix_columns_are_the_differentials(name):
+    S = GENERAL.get(name) or standard_simplex_sset(2)
+    cx = SullivanComplex(S, 3)
+    for q in range(S.dimension + 1):
+        mat = cx.d_matrix(q)
+        for k in range(cx.dim(q)):
+            column = [row[k] for row in mat.rows]
+            assert cx.element(q + 1, column) == cx.element(q, k).d()
+
+
+def test_cached_label_values_are_read_only():
+    lab = ((1, 0), (1,))
+    for value in (_face_image(2, 0, lab), _monomial_d(lab),
+                  _simplex_weight_block(2, 1, 2)):
+        assert value
+        with pytest.raises(TypeError):
+            value[0] = value[0]
+        with pytest.raises(TypeError):
+            value[0][0] = value[0][0]
