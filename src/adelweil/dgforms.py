@@ -14,9 +14,14 @@ with d_base acting as (-1)^q d on a term of simplex odd-degree q.  The
 Koszul sign rule is implemented once, in `_merge_odd`, and everything
 else (wedge, curvature, transgression, contraction) rides on it.
 
-`FormMatrix` is a matrix of forms; `InvariantPolynomial` is a
-polynomial in the elementary invariants P_1 = trace .. P_r = det, the
-coefficients of the characteristic polynomial det(1 + tau M).
+`FormMatrix` is the ring-matrix algebra of `exactalg.RingMatrix` over
+even-commuting forms (one determinant, one principal-minor sum) plus
+the form operations: d, bidegree parts, contraction, trace and the
+odd decomposition.  `InvariantPolynomial` is a polynomial in the
+elementary invariants P_1 = trace .. P_r = det, the coefficients of
+the characteristic polynomial det(1 + tau M); `invariant_eval` and
+`polarize` evaluate it on a matrix over any commutative ring, forms
+included.
 """
 
 from __future__ import annotations
@@ -36,11 +41,9 @@ from .exactalg import (
     MultiPoly,
     RatFunc,
     RingMatrix,
-    ZERO,
     ONE,
     format_rational,
     rat,
-    _perm_sign,
 )
 
 
@@ -502,25 +505,25 @@ class DiffForm:
         return f"DiffForm({self.render()!r})"
 
 
-class FormMatrix:
-    """Matrix with DiffForm entries over one context."""
+class FormMatrix(RingMatrix):
+    """Matrix with DiffForm entries over one context.
 
-    __slots__ = ("ctx", "rows")
+    The matrix algebra (+, -, @, det, principal minor sums) is
+    `RingMatrix`'s: even forms commute, so the commutative-ring code
+    holds for them.  `det` and `invariant` add the even-entry guard.
+    """
+
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: DGContext, rows):
         self.ctx = ctx
-        self.rows = []
-        for row in rows:
-            out = []
-            for x in row:
-                if not isinstance(x, DiffForm):
-                    x = ctx.form_scalar(x)
-                elif x.ctx != ctx:
-                    raise ContextMismatch("matrix entry from another context")
-                out.append(x)
-            self.rows.append(out)
-        if len({len(r) for r in self.rows}) > 1:
-            raise DimensionMismatch("ragged matrix")
+        rows = [[ctx.form_scalar(x) for x in row] for row in rows]
+        if any(x.ctx != ctx for row in rows for x in row):
+            raise ContextMismatch("matrix entry from another context")
+        super().__init__(rows)
+
+    def _new(self, rows) -> "FormMatrix":
+        return FormMatrix(self.ctx, rows)
 
     @classmethod
     def identity(cls, ctx: DGContext, r: int) -> "FormMatrix":
@@ -539,66 +542,27 @@ class FormMatrix:
         """Matrix of scalars (ring elements, polynomials, rationals)."""
         if isinstance(rows, RingMatrix):
             rows = rows.rows
-        return cls(ctx, [[ctx.form_scalar(x) for x in row] for row in rows])
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def entrywise(self, fn) -> "FormMatrix":
-        return FormMatrix(self.ctx, [[fn(x) for x in row] for row in self.rows])
-
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return FormMatrix(self.ctx,
-                          [[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.entrywise(lambda x: -x)
+        return cls(ctx, rows)
 
     def scale(self, c) -> "FormMatrix":
-        c = self.ctx.form_scalar(c) if not isinstance(c, DiffForm) else c
-        return self.entrywise(lambda x: c * x)
-
-    def __matmul__(self, other):
-        m, k = self.shape
-        k2, n = other.shape
-        if k != k2:
-            raise DimensionMismatch("matrix product shape mismatch")
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(n):
-                acc = self.ctx.zero_form()
-                for t in range(k):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(self.ctx, out)
+        """Multiply every entry by the form c from the left."""
+        c = self.ctx.form_scalar(c)
+        return self.map(lambda x: c * x)
 
     def d(self) -> "FormMatrix":
-        return self.entrywise(lambda x: x.d())
+        return self.map(lambda x: x.d())
 
     def d_simplex(self) -> "FormMatrix":
-        return self.entrywise(lambda x: x.d_simplex())
+        return self.map(lambda x: x.d_simplex())
 
     def d_base(self) -> "FormMatrix":
-        return self.entrywise(lambda x: x.d_base())
+        return self.map(lambda x: x.d_base())
 
     def bidegree_component(self, p: int, q: int) -> "FormMatrix":
-        return self.entrywise(lambda x: x.bidegree_component(p, q))
+        return self.map(lambda x: x.bidegree_component(p, q))
 
     def contract(self, components: dict) -> "FormMatrix":
-        return self.entrywise(lambda x: x.contract(components))
+        return self.map(lambda x: x.contract(components))
 
     def trace(self) -> DiffForm:
         m, n = self.shape
@@ -622,34 +586,22 @@ class FormMatrix:
             raise OddEntries(f"{what} needs even-degree entries")
 
     def det(self) -> DiffForm:
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("determinant of a non-square matrix")
         self._require_even("determinant")
-        acc = self.ctx.zero_form()
-        for perm in itertools.permutations(range(n)):
-            term = self.ctx.one_form()
-            for i in range(n):
-                term = term * self.rows[i][perm[i]]
-            sign = _perm_sign(perm)
-            acc = acc + (term if sign > 0 else -term)
-        return acc
+        return super().det()
 
     def invariant(self, k: int) -> DiffForm:
-        """k-th elementary invariant: sum of principal k x k minors."""
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("invariants of a non-square matrix")
+        """k-th elementary invariant: sum of principal k x k minors.
+
+        The 0-th invariant is the one form.
+        """
         if k == 0:
             return self.ctx.one_form()
         self._require_even("invariant")
-        acc = self.ctx.zero_form()
-        for subset in itertools.combinations(range(n), k):
-            sub = FormMatrix(self.ctx,
-                             [[self.rows[i][j] for j in subset]
-                              for i in subset])
-            acc = acc + sub.det()
-        return acc
+        return super().principal_minor_sum(k)
+
+    def principal_minor_sum(self, k: int) -> DiffForm:
+        """The `RingMatrix` name, routed through the guarded `invariant`."""
+        return self.invariant(k)
 
     def odd_decomposition(self) -> dict:
         """Write the matrix as sum of odd monomials times ring matrices."""
@@ -664,14 +616,6 @@ class FormMatrix:
                 [[self.rows[i][j].terms.get(mono, zero) for j in range(n)]
                  for i in range(m)])
         return out
-
-    def render(self) -> str:
-        return "[" + ", ".join(
-            "[" + ", ".join(x.render() for x in row) + "]"
-            for row in self.rows) + "]"
-
-    def __repr__(self):
-        return f"FormMatrix({self.render()})"
 
 
 class InvariantPolynomial:
@@ -743,37 +687,21 @@ class InvariantPolynomial:
         return f"InvariantPolynomial({self.render()!r})"
 
 
-def invariant_eval(P: InvariantPolynomial, M: FormMatrix) -> DiffForm:
-    """Evaluate an invariant polynomial on an even-entried matrix.
+def invariant_eval(P: InvariantPolynomial, M: RingMatrix, one=None):
+    """Evaluate an invariant polynomial on a matrix over a commutative ring.
+
+    P_i becomes the sum of the principal i x i minors of M.  `one` is
+    the unit of the entries' ring; a FormMatrix, whose entries must be
+    even, defaults to the one form of its context.
 
     Example: P_1^2 on M is (trace M)^2; P_2 on a 2x2 matrix is det M.
     """
     if M.shape[0] != P.r:
         raise DimensionMismatch(
             f"rank-{P.r} invariant on a {M.shape[0]}x{M.shape[1]} matrix")
-    cache: dict[int, DiffForm] = {}
-
-    def elem(i: int) -> DiffForm:
-        if i not in cache:
-            cache[i] = M.invariant(i)
-        return cache[i]
-
-    acc = M.ctx.zero_form()
-    for exp, c in sorted(P.terms.items()):
-        term = M.ctx.form_scalar(c)
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                term = term * elem(i + 1)
-        acc = acc + term
-    return acc
-
-
-def invariant_eval_ring(P: InvariantPolynomial, M: RingMatrix, one):
-    """Same as invariant_eval but over a plain commutative ring."""
-    if M.shape[0] != P.r:
-        raise DimensionMismatch(
-            f"rank-{P.r} invariant on a {M.shape[0]}x{M.shape[1]} matrix")
-    cache: dict[int, object] = {}
+    if one is None:
+        one = M.ctx.one_form()
+    cache: dict = {}
 
     def elem(i: int):
         if i not in cache:
@@ -798,8 +726,10 @@ def matrix_curvature(theta: FormMatrix) -> FormMatrix:
     return theta.d() - (theta @ theta)
 
 
-def polarize(P: InvariantPolynomial, Ms: list[FormMatrix]) -> DiffForm:
-    """Full polarization of P on even matrices, by inclusion-exclusion.
+def polarize(P: InvariantPolynomial, Ms: list[RingMatrix], one=None):
+    """Full polarization of P by inclusion-exclusion.
+
+    `one` is the ring's unit, as in `invariant_eval`.
 
     P~(M_1..M_m) = (1/m!) sum over nonempty S of (-1)^(m-|S|) P(sum_S M_i);
     it is symmetric, multilinear, and restores P on the diagonal.
@@ -807,10 +737,7 @@ def polarize(P: InvariantPolynomial, Ms: list[FormMatrix]) -> DiffForm:
     m = P.degree
     if len(Ms) != m:
         raise DegreeError(f"polarization of degree {m} needs {m} arguments")
-    for M in Ms:
-        M._require_even("polarization")
-    ctx = Ms[0].ctx
-    acc = ctx.zero_form()
+    acc = None
     for picks in itertools.product((0, 1), repeat=m):
         size = sum(picks)
         if not size:
@@ -819,30 +746,10 @@ def polarize(P: InvariantPolynomial, Ms: list[FormMatrix]) -> DiffForm:
         for flag, M in zip(picks, Ms):
             if flag:
                 total = M if total is None else total + M
-        value = invariant_eval(P, total)
+        value = invariant_eval(P, total, one)
         if (m - size) % 2:
             value = -value
-        acc = acc + value
-    return acc.map_coefficients(lambda c: c * Fraction(1, math.factorial(m)))
-
-
-def _polarize_ring(P: InvariantPolynomial, Cs: list[RingMatrix], ctx: DGContext):
-    """Inclusion-exclusion polarization on coefficient matrices."""
-    m = len(Cs)
-    one = ctx.ring_const(1)
-    acc = ctx.ring_const(0)
-    for picks in itertools.product((0, 1), repeat=m):
-        size = sum(picks)
-        if not size:
-            continue
-        total = None
-        for flag, C in zip(picks, Cs):
-            if flag:
-                total = C if total is None else total + C
-        value = invariant_eval_ring(P, total, one)
-        if (m - size) % 2:
-            value = -value
-        acc = acc + value
+        acc = value if acc is None else acc + value
     return acc * Fraction(1, math.factorial(m))
 
 
@@ -859,6 +766,7 @@ def polarize_mixed(P: InvariantPolynomial, args: list[FormMatrix]) -> DiffForm:
     if len(args) != m:
         raise DegreeError(f"polarization of degree {m} needs {m} arguments")
     ctx = args[0].ctx
+    one = ctx.ring_const(1)
     decomps = [A.odd_decomposition() for A in args]
     acc = ctx.zero_form()
     for combo in itertools.product(*[sorted(d, key=lambda mo: (len(mo), mo))
@@ -872,7 +780,7 @@ def polarize_mixed(P: InvariantPolynomial, args: list[FormMatrix]) -> DiffForm:
             sign *= s
         if mono is None:
             continue
-        coeff = _polarize_ring(P, [d[mu] for d, mu in zip(decomps, combo)], ctx)
+        coeff = polarize(P, [d[mu] for d, mu in zip(decomps, combo)], one)
         if coeff.is_zero():
             continue
         if sign < 0:

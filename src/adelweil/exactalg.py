@@ -713,46 +713,50 @@ class RatFunc:
         return f"RatFunc({self.render()!r})"
 
 
+def _to_dense(p: MultiPoly, idx: int) -> list[Fraction]:
+    """Coefficients of p in variable `idx`, constant term first."""
+    deg = max((exp[idx] for exp in p.coeffs), default=0)
+    out = [ZERO] * (deg + 1)
+    for exp, c in p.coeffs.items():
+        out[exp[idx]] = c
+    return out
+
+
+def _trim(u: list) -> list:
+    """Drop trailing zero coefficients in place (the zero polynomial is [])."""
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _divmod_dense(u: list, v: list) -> tuple[list, list]:
+    """Quotient and trimmed remainder of u by v (v trimmed, nonzero).
+
+    Dividing by [-z, 1] gives the value at z as the remainder and the
+    deflated polynomial as the quotient.
+    """
+    u = u[:]
+    q = [ZERO] * max(len(u) - len(v) + 1, 0)
+    while len(u) >= len(v) and _trim(u):
+        shift = len(u) - len(v)
+        factor = u[-1] / v[-1]
+        q[shift] = factor
+        for i, cv in enumerate(v):
+            u[shift + i] -= factor * cv
+        _trim(u)
+    return q, _trim(u)
+
+
 def _cancel_univariate(num: MultiPoly, den: MultiPoly, idx: int):
     """Divide out the polynomial gcd in the single active variable."""
-    name = num.vars[idx]
-
-    def to_dense(p: MultiPoly) -> list[Fraction]:
-        deg = max((exp[idx] for exp in p.coeffs), default=0)
-        out = [ZERO] * (deg + 1)
-        for exp, c in p.coeffs.items():
-            out[exp[idx]] = c
-        return out
-
-    def trim(u):
-        while u and not u[-1]:
-            u.pop()
-        return u
-
-    def divmod_dense(u, v):
-        u = u[:]
-        q = [ZERO] * max(len(u) - len(v) + 1, 0)
-        while len(u) >= len(v) and trim(u):
-            shift = len(u) - len(v)
-            factor = u[-1] / v[-1]
-            q[shift] = factor
-            for i, cv in enumerate(v):
-                u[shift + i] -= factor * cv
-            trim(u)
-        return q, u
-
-    a, b = to_dense(num), to_dense(den)
-    x, y = a[:], b[:]
-    while trim(y[:]):
-        _, r = divmod_dense(x, y)
-        x, y = y, trim(r)
-        if not y:
-            break
-    g = trim(x)
+    a, b = _to_dense(num, idx), _to_dense(den, idx)
+    g, y = a, b
+    while y:
+        g, y = y, _divmod_dense(g, y)[1]
     if len(g) <= 1:
         return num, den
-    qn, _ = divmod_dense(a, g)
-    qd, _ = divmod_dense(b, g)
+    qn, _ = _divmod_dense(a, g)
+    qd, _ = _divmod_dense(b, g)
 
     def from_dense(cs) -> MultiPoly:
         coeffs = {}
@@ -772,7 +776,8 @@ class RingMatrix:
     Entries only need +, -, * among themselves; `inv` additionally
     needs `invert` on the determinant (Fraction and RatFunc have it).
     Determinants use the permutation expansion, which is fine for the
-    ranks (<= 4) this package works with.
+    ranks (<= 4) this package works with.  Every result matrix is built
+    by `_new`, so a subclass (`dgforms.FormMatrix`) keeps its own type.
     """
 
     __slots__ = ("rows",)
@@ -783,6 +788,9 @@ class RingMatrix:
         if len(width) > 1:
             raise DimensionMismatch("ragged matrix")
 
+    def _new(self, rows) -> "RingMatrix":
+        return RingMatrix(rows)
+
     @property
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
@@ -791,29 +799,25 @@ class RingMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def entries(self):
-        for row in self.rows:
-            yield from row
-
     def map(self, fn) -> "RingMatrix":
-        return RingMatrix([[fn(x) for x in row] for row in self.rows])
+        return self._new([[fn(x) for x in row] for row in self.rows])
 
     def transpose(self) -> "RingMatrix":
         m, n = self.shape
-        return RingMatrix([[self.rows[i][j] for i in range(m)]
-                           for j in range(n)])
+        return self._new([[self.rows[i][j] for i in range(m)]
+                          for j in range(n)])
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch("matrix addition shape mismatch")
-        return RingMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
+        return self._new([[a + b for a, b in zip(r1, r2)]
+                          for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch("matrix subtraction shape mismatch")
-        return RingMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
+        return self._new([[a - b for a, b in zip(r1, r2)]
+                          for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return self.map(lambda x: -x)
@@ -835,12 +839,14 @@ class RingMatrix:
                     acc = acc + self.rows[i][t] * other.rows[t][j]
                 row.append(acc)
             out.append(row)
-        return RingMatrix(out)
+        return self._new(out)
 
     def det(self):
         m, n = self.shape
         if m != n:
             raise DimensionMismatch("determinant of a non-square matrix")
+        if not n:
+            raise DimensionMismatch("determinant of an empty matrix")
         acc = None
         for perm in itertools.permutations(range(n)):
             term = self.rows[0][perm[0]]
@@ -856,11 +862,12 @@ class RingMatrix:
         m, n = self.shape
         if m != n:
             raise DimensionMismatch("invariants of a non-square matrix")
+        if not 1 <= k <= n:
+            raise DimensionMismatch(f"invariant {k} of a {n}x{n} matrix")
         acc = None
         for subset in itertools.combinations(range(n), k):
-            sub = RingMatrix([[self.rows[i][j] for j in subset]
-                              for i in subset])
-            d = sub.det()
+            d = self._new([[self.rows[i][j] for j in subset]
+                           for i in subset]).det()
             acc = d if acc is None else acc + d
         return acc
 
@@ -871,21 +878,20 @@ class RingMatrix:
         d = self.det()
         dinv = d.invert() if hasattr(d, "invert") else 1 / d
         if n == 1:
-            return RingMatrix([[dinv]])
+            return self._new([[dinv]])
         cof = []
         for i in range(n):
             row = []
             for j in range(n):
-                sub = RingMatrix([[self.rows[a][b]
-                                   for b in range(n) if b != j]
-                                  for a in range(n) if a != i])
+                sub = self._new([[self.rows[a][b]
+                                  for b in range(n) if b != j]
+                                 for a in range(n) if a != i])
                 c = sub.det()
                 if (i + j) % 2:
                     c = -c
                 row.append(c)
             cof.append(row)
-        adj = RingMatrix(cof).transpose()
-        return adj.map(lambda x: x * dinv)
+        return self._new(cof).transpose().scale(dinv)
 
     def __eq__(self, other):
         return isinstance(other, RingMatrix) and self.rows == other.rows
@@ -898,7 +904,7 @@ class RingMatrix:
             for row in self.rows) + "]"
 
     def __repr__(self):
-        return f"RingMatrix({self.render()})"
+        return f"{type(self).__name__}({self.render()})"
 
 
 def _perm_sign(perm) -> int:
@@ -928,7 +934,8 @@ class QMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
+        self.rows = [[x if isinstance(x, Fraction) else Fraction(x)
+                      for x in row] for row in rows]
 
     @property
     def shape(self):

@@ -38,7 +38,7 @@ from .exactalg import (
     _perm_sign,
     _unit_exp,
 )
-from .dgforms import InvariantPolynomial, invariant_eval_ring
+from .dgforms import InvariantPolynomial, invariant_eval
 
 DEFAULT_CAP = 12
 
@@ -309,7 +309,7 @@ def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
     if P.degree != n:
         raise DegreeError(
             f"invariant of degree {P.degree} against dimension {n}")
-    numerator = invariant_eval_ring(P, zd.lift, _ring_one(zd))
+    numerator = invariant_eval(P, zd.lift, _ring_one(zd))
     gf = GeneralizedFraction(zd.vars, numerator, zd.a)
     value = residue_general(gf, cap=cap, precision=precision,
                             stability=stability)
@@ -334,7 +334,7 @@ def simple_zero_invariant(P: InvariantPolynomial,
         raise NotSimple("degenerate linearization at a reduced zero")
     lam = RingMatrix([[Fraction(_const_term(x)) for x in row]
                       for row in zd.lift.rows])
-    value = invariant_eval_ring(P, lam, Fraction(1))
+    value = invariant_eval(P, lam, Fraction(1))
     return value / det
 
 

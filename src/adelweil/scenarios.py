@@ -26,11 +26,15 @@ from .exactalg import (
     RatFunc,
     RingMatrix,
     TruncatedSeries,
+    ONE,
     format_rational,
     rat,
+    _divmod_dense,
+    _to_dense,
+    _trim,
     _unit_exp,
 )
-from .dgforms import InvariantPolynomial, polynomial_context
+from .dgforms import InvariantPolynomial
 from .adelic import Chain, ChartModel, chern_form_component, mixed_connection
 from .residues import DEFAULT_CAP, LocalZeroData, local_invariant
 
@@ -224,69 +228,40 @@ def bott_sum(scn: Scenario, P: InvariantPolynomial | None = None,
 # -- curve-level adelic integral ---------------------------------------------
 
 
-def _dense_coeffs(p: MultiPoly) -> list[Fraction]:
-    deg = max((e[0] for e in p.coeffs), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.coeffs.items():
-        out[e[0]] = c
-    return out
-
-
-def _eval_at(coeffs: list[Fraction], z: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _divide_root(coeffs: list[Fraction], z: Fraction) -> list[Fraction]:
-    m = len(coeffs) - 1
-    out = [Fraction(0)] * m
-    acc = Fraction(0)
-    for k in range(m - 1, -1, -1):
-        acc = coeffs[k + 1] + acc * z
-        out[k] = acc
-    return out
-
-
 def rational_roots(p: MultiPoly) -> tuple[list[tuple[Fraction, int]], int]:
     """All rational roots with multiplicity, plus the leftover degree."""
-    coeffs = _dense_coeffs(p)
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
+    coeffs = _trim(_to_dense(p, 0))
     roots: dict[Fraction, int] = {}
     while len(coeffs) > 1:
-        if not coeffs[0]:
-            z = Fraction(0)
-        else:
-            z = None
-            scale = 1
-            for c in coeffs:
-                scale = scale * c.denominator // math.gcd(scale, c.denominator)
-            ints = [int(c * scale) for c in coeffs]
-            lead, const = ints[-1], ints[0]
-            for q in _divisors(abs(lead)):
-                for pnum in _divisors(abs(const)):
-                    for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
-                        if not _eval_at(coeffs, cand):
-                            z = cand
-                            break
-                    if z is not None:
-                        break
-                if z is not None:
-                    break
-            if z is None:
+        for z in _root_candidates(coeffs):
+            deflated, value = _divmod_dense(coeffs, [-z, ONE])
+            if not value:
                 break
-        coeffs = _divide_root(coeffs, z)
+        else:
+            break
+        coeffs = deflated
         roots[z] = roots.get(z, 0) + 1
-    return sorted(roots.items()), len(coeffs) - 1
+    return sorted(roots.items()), max(len(coeffs) - 1, 0)
+
+
+def _root_candidates(coeffs: list[Fraction]):
+    """Rational root test: +-p/q with p | constant and q | leading term."""
+    if not coeffs[0]:
+        yield Fraction(0)
+        return
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    nums = _divisors(int(coeffs[0] * scale))
+    for q in _divisors(int(coeffs[-1] * scale)):
+        for pnum in nums:
+            yield Fraction(pnum, q)
+            yield Fraction(-pnum, q)
 
 
 def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = [k for k in range(1, abs(n) + 1) if n % k == 0]
-    return out
+    """Positive divisors of |n| (n != 0) in increasing order."""
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
 
 
 def residue_at(g: RatFunc, z: Fraction) -> Fraction:
@@ -352,7 +327,7 @@ def curve_chain_rows(scn: Scenario) -> list[dict]:
             raise PoleAtInfinityUnhandled(
                 "section vanishes at infinity but the scenario ships no "
                 "chart there")
-        dense = _dense_coeffs(section)
+        dense = _to_dense(section, 0)
         flipped = MultiPoly(("u",), {
             (d - k,): c for k, c in enumerate(dense) if c})
         coeff, rendered = _component_form(flipped, "u", "inf")

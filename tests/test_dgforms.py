@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from adelweil.dgforms import (
     DGContext, DiffForm, FormMatrix, InvariantPolynomial, chain_context,
-    chern_character, invariant_eval, invariant_eval_ring, matrix_curvature,
+    chern_character, invariant_eval, matrix_curvature,
     polarize, polarize_mixed, polynomial_context, transgression,
 )
-from adelweil.errors import DegreeError, DimensionMismatch
+from adelweil.errors import DegreeError, DimensionMismatch, OddEntries
 from adelweil.exactalg import MultiPoly, RingMatrix
 
 from strategies import fractions, polys
@@ -162,8 +162,7 @@ def test_invariant_eval_matches_trace_and_det():
 def test_ring_and_form_invariant_eval_agree(i, rows):
     P = InvariantPolynomial.elementary(2, i)
     ring_rows = [[CTX.ring_poly(p) for p in row] for row in rows]
-    via_ring = invariant_eval_ring(P, RingMatrix(ring_rows),
-                                   CTX.ring_const(1))
+    via_ring = invariant_eval(P, RingMatrix(ring_rows), CTX.ring_const(1))
     M = FormMatrix.from_ring(CTX, RingMatrix(ring_rows))
     assert CTX.form_scalar(via_ring) == invariant_eval(P, M)
 
@@ -183,6 +182,26 @@ def test_chern_forms_are_closed_rank_three(theta):
     R = matrix_curvature(theta)
     P = InvariantPolynomial.elementary(3, 3)
     assert invariant_eval(P, R).d().is_zero()
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off"])
+def test_even_entry_guard(where):
+    rows = [[CTX.form_scalar(CTX.ring_var("f")), CTX.form_scalar(1)],
+            [CTX.form_scalar(2), CTX.form_scalar(CTX.ring_var("t1"))]]
+    rows[where[0]][where[1]] = CTX.df("f")
+    M = FormMatrix(CTX, rows)
+    P11 = InvariantPolynomial.power_of_trace(2, 2)
+    with pytest.raises(OddEntries):
+        M.det()
+    for k in (1, 2):
+        with pytest.raises(OddEntries):
+            M.invariant(k)
+    for P in (P11, InvariantPolynomial.elementary(2, 2)):
+        with pytest.raises(OddEntries):
+            invariant_eval(P, M)
+        with pytest.raises(OddEntries):
+            polarize(P, [M, FormMatrix.identity(CTX, 2)])
+    assert M.invariant(0) == CTX.one_form()
 
 
 def _even_matrix(rows):

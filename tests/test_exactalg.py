@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil.dgforms import FormMatrix, polynomial_context
 from adelweil.errors import (
     DimensionMismatch, NotAUnit, NotFinite, ParseError, PrecisionExhausted,
 )
@@ -191,6 +192,25 @@ def test_ring_matrix_det_on_triangular_blocks():
     assert m.det() == f1 * f1
     with pytest.raises(DimensionMismatch):
         RingMatrix([[f1, f2]]).det()
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-4, max_value=4),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_permutation_det_against_elimination_kernel(A):
+    n = len(A)
+    M = RingMatrix(A)
+    assert M.det() == QMatrix(A).det()
+    for tau in range(n + 1):
+        shifted = QMatrix([[int(i == j) + tau * A[i][j] for j in range(n)]
+                           for i in range(n)])
+        char = 1 + sum(tau ** k * M.principal_minor_sum(k)
+                       for k in range(1, n + 1))
+        assert char == shifted.det()
+    ctx = polynomial_context(("f",))
+    assert FormMatrix.from_ring(ctx, A).det() == \
+        ctx.form_scalar(QMatrix(A).det())
 
 
 def test_linear_span_solve_recovers_combination():

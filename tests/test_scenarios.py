@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -90,6 +91,27 @@ def test_rational_root_extraction():
     assert roots == [(Q(2), 3)] and leftover == 0
     roots, leftover = rational_roots(f * f + MultiPoly.const(V, 1))
     assert roots == [] and leftover == 2
+
+
+def test_rational_roots_of_a_large_prime_constant_term():
+    start = time.perf_counter()
+    roots = rational_roots(f - MultiPoly.const(V, 999999937))
+    assert roots == ([(Q(999999937), 1)], 0)
+    assert time.perf_counter() - start < 2.0
+
+
+@given(st.lists(st.builds(Q, st.integers(min_value=-6, max_value=6),
+                          st.integers(min_value=1, max_value=4)),
+                min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2))
+def test_rational_roots_recover_a_product_of_linear_factors(picks, repeat):
+    roots = picks + picks[:repeat]
+    p = MultiPoly.const(V, 1)
+    for r in roots:
+        p = p * (f - MultiPoly.const(V, r))
+    expected = sorted((r, roots.count(r)) for r in set(roots))
+    assert rational_roots(p) == (expected, 0)
+    assert rational_roots(p * (f * f + MultiPoly.const(V, 1))) == (expected, 2)
 
 
 def test_classical_residues_at_points():
