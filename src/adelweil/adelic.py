@@ -277,13 +277,6 @@ def whitney_check(sub: ChartModel, quot: ChartModel, mixing: dict,
 # -- the projector and localization ------------------------------------------
 
 
-def _value_at(r: RatFunc, point: dict | None):
-    """Evaluate at a closed point; None means the generic point."""
-    if point is None:
-        return None
-    return r.evaluate(point)
-
-
 def projector(model: ChartModel, label: str) -> DiffForm:
     """The 1-form pi at one point: zero on the zero locus, else the
     inverse of the first nonvanishing component times its coordinate

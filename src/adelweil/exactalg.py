@@ -615,9 +615,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def as_poly(self) -> MultiPoly:
         if not self.den.is_constant():
             raise DimensionMismatch(f"{self.render()} is not a polynomial")
@@ -943,8 +940,8 @@ class QMatrix:
 
     def _span(self) -> "LinearSpan":
         span = LinearSpan()
-        for row in self.rows:
-            span.add({j: x for j, x in enumerate(row) if x})
+        span.extend({j: x for j, x in enumerate(row) if x}
+                    for row in self.rows)
         return span
 
     def rref(self) -> tuple["QMatrix", list[int]]:
@@ -981,7 +978,9 @@ class QMatrix:
         m, n = self.shape
         if m != n:
             raise DimensionMismatch("determinant of a non-square matrix")
-        span = self._span()
+        span = LinearSpan()
+        for row in self.rows:   # in row order: the sign reads pivot order
+            span.add({j: x for j, x in enumerate(row) if x})
         if span.rank < n:
             return ZERO
         det = Fraction(_perm_sign(list(span.pivots)))
@@ -1022,6 +1021,12 @@ class LinearSpan:
     combination of tags expressing the residual-free part.
     `reduced_rows` and `kernel` read out the reduced row echelon form,
     which is unique for a fixed label order.
+
+    The pivots are the least labels of the nonzero vectors of the span
+    (reduction only brings in labels above the pivot it clears, so a
+    least label that is no pivot would survive it).  So the pivot set,
+    `rank`, `reduced_rows` and `kernel` never depend on insertion order;
+    only the order of `pivots`, `divisors` and `combos` does.
     """
 
     def __init__(self, key=None, track: bool = False):
@@ -1071,6 +1076,14 @@ class LinearSpan:
             self.combos[lead] = {t: v / factor for t, v in combo.items()}
         self.divisors.append(factor)
         return True
+
+    def extend(self, vectors) -> None:
+        """Insert untagged vectors, fewest nonzeros first (stable sort).
+
+        That is the classic fill-reducing order (Markowitz 1957).
+        """
+        for vec in sorted(vectors, key=len):
+            self.add(vec)
 
     def solve(self, vec: dict) -> dict | None:
         """Tags combination with sum(tag_i * gen_i) = vec, or None."""

@@ -108,7 +108,10 @@ def parse_polynomial(text: str, vars) -> MultiPoly:
     parser = _Parser(_tokenize(text), vars)
     if not parser.toks:
         raise ParseError("empty expression")
-    out = parser.expr()
+    try:
+        out = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.pos != len(parser.toks):
         raise ParseError(f"trailing input at {parser.toks[parser.pos]!r}")
     return out
@@ -182,7 +185,11 @@ def scenario_from_json(data: dict) -> Scenario:
     if not isinstance(n, int) or not isinstance(r, int):
         raise ParseError("scenario: n and r must be integers")
     zeros = {}
-    for k, z in enumerate(_require(data, "zeros", "scenario")):
+    raw_zeros = _require(data, "zeros", "scenario")
+    if not isinstance(raw_zeros, list) or \
+            not all(isinstance(z, dict) for z in raw_zeros):
+        raise ParseError("scenario: zeros must be a list of objects")
+    for k, z in enumerate(raw_zeros):
         label = z.get("label", f"p{k}")
         vars = _var_tuple(_require(z, "coords", f"zero {label}"),
                           f"zero {label}")

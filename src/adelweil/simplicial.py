@@ -51,12 +51,6 @@ class DeltaMorphism:
     def __call__(self, i: int) -> int:
         return self.values[i]
 
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
-
-    def is_surjective(self) -> bool:
-        return set(self.values) == set(range(self.target + 1))
-
     def preimage(self, j: int) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v == j)
 

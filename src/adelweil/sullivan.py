@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +39,7 @@ from .errors import (
     DimensionMismatch,
     NotAComplex,
 )
-from .exactalg import LinearSpan, ONE, QMatrix, ZERO
+from .exactalg import LinearSpan, MultiPoly, ONE, QMatrix, ZERO
 from .dgforms import DiffForm, simplex_context
 from .simplicial import (
     Cochain,
@@ -93,27 +94,49 @@ def _simplex_labels(m: int, q: int, cap: int) -> tuple:
                  for lab in _simplex_weight_block(m, q, w))
 
 
-def _monomial_form(ctx, exp, mono) -> DiffForm:
-    from .exactalg import MultiPoly
-    poly = MultiPoly(ctx.even_vars, {tuple(exp): ONE})
-    return DiffForm(ctx, {tuple(mono): ctx.ring_poly(poly)})
-
-
-def _form_coords(form: DiffForm) -> dict:
-    """Coordinates of a polynomial-coefficient form, monomial-labelled."""
-    out = {}
-    for mono, c in form.terms.items():
-        poly = c.as_poly()
-        for exp, v in poly.coeffs.items():
-            out[(exp, mono)] = v
-    return out
+def _form_of(ctx, pairs) -> DiffForm:
+    """The form sum of c t^exp dt_mono over ((exp, mono), c) pairs."""
+    terms: dict = {}
+    for (exp, mono), c in pairs:
+        terms.setdefault(mono, {})[exp] = c
+    return DiffForm(ctx, {mono: ctx.ring_poly(MultiPoly(ctx.even_vars, cs))
+                          for mono, cs in terms.items()})
 
 
 @lru_cache(maxsize=None)
 def _face_image(m: int, i: int, lab) -> tuple:
-    """Pullback of one monomial along face(m, i), as (label, coeff) pairs."""
-    image = pullback_along(face(m, i), _monomial_form(simplex_context(m), *lab))
-    return tuple(_form_coords(image).items())
+    """Pullback of t^a dt_I along face(m, i), as (label, coeff) pairs.
+
+    face(m, i) skips vertex i; the face has coordinates s_1..s_(m-1).
+    - i >= 1: t_i, dt_i go to 0 and t_j, dt_j to s_(j-1) for j > i.  A
+      label with t_i or dt_i has no image; any other drops position
+      i - 1, shifts the dt indices above it down by one, coefficient 1.
+    - i = 0: t_1 goes to s_0 = 1 - sum_k s_k, expanded by the multinomial
+      theorem, and t_j to s_(j-1); dt_1 goes to -sum_k ds_k, each ds_k
+      wedged past the ds of I below it (the sign `_monomial_d` takes).
+    """
+    exp, mono = lab
+    if i:
+        k = i - 1
+        if exp[k] or k in mono:
+            return ()
+        return (((exp[:k] + exp[k + 1:], tuple(j - (j > k) for j in mono)),
+                 ONE),)
+    rest = tuple(j - 1 for j in mono if j)
+    dts = [(rest, 1)]
+    if mono[:1] == (0,):
+        dts = [(rest[:pos] + (k,) + rest[pos:], 1 if pos % 2 else -1)
+               for k in range(m - 1) if k not in rest
+               for pos in [bisect.bisect(rest, k)]]
+    a = exp[0]
+    out = []
+    for deg in range(a + 1):
+        for b in _exponents_of_degree(m - 1, deg):
+            c = (-1) ** deg * math.factorial(a) // math.prod(
+                map(math.factorial, b + (a - deg,)))
+            image = tuple(x + y for x, y in zip(exp[1:], b))
+            out += [((image, dm), Fraction(sign * c)) for dm, sign in dts]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +168,7 @@ def sparse_nullspace(rows: list, order: dict) -> list:
     and 0 at every other free label.
     """
     span = LinearSpan(key=order.__getitem__)
-    for row in rows:
-        span.add(row)
+    span.extend(rows)
     return span.kernel(sorted(order, key=order.__getitem__))
 
 
@@ -190,13 +212,6 @@ class SullivanElement:
                 if pulled != self.form_on(self.sset.face(sid, i)):
                     return False
         return True
-
-    def weight(self) -> int:
-        best = 0
-        for form in self.forms.values():
-            for mono, c in form.terms.items():
-                best = max(best, len(mono) + c.as_poly().total_degree())
-        return best
 
     def __add__(self, other: "SullivanElement") -> "SullivanElement":
         if self.sset != other.sset:
@@ -269,15 +284,10 @@ def _is_standard_simplex(sset: FiniteSimplicialSet):
 def _family_from_vector(sset, q, vec) -> SullivanElement:
     per_sid: dict = {}
     for (sid, lab), c in vec.items():
-        per_sid.setdefault(sid, {})[lab] = c
-    forms = {}
-    for sid, coeffs in per_sid.items():
-        ctx = simplex_context(sset.dim_of(sid))
-        form = ctx.zero_form()
-        for lab, c in coeffs.items():
-            form = form + _monomial_form(ctx, *lab) * c
-        forms[sid] = form
-    return SullivanElement(sset, q, forms)
+        per_sid.setdefault(sid, []).append((lab, c))
+    return SullivanElement(sset, q, {
+        sid: _form_of(simplex_context(sset.dim_of(sid)), pairs)
+        for sid, pairs in per_sid.items()})
 
 
 def _family_from_top(sset, n, q, top_form) -> SullivanElement:
@@ -373,10 +383,8 @@ class SullivanComplex:
                         vec.pop(lab, None)
         if self.standard_n is not None:
             n = self.standard_n
-            ctx = simplex_context(n)
-            top_form = ctx.zero_form()
-            for (_, lab), c in vec.items():
-                top_form = top_form + _monomial_form(ctx, *lab) * c
+            top_form = _form_of(simplex_context(n),
+                                ((lab, c) for (_, lab), c in vec.items()))
             return _family_from_top(self.sset, n, q, top_form)
         return _family_from_vector(self.sset, q, vec)
 
@@ -465,9 +473,8 @@ class CochainComplexView:
         span = LinearSpan()
         if q > 0:
             prev = self.mats[q - 1]
-            for j in range(prev.shape[1]):
-                span.add({i: row[j] for i, row in enumerate(prev.rows)
-                          if row[j]})
+            span.extend({i: row[j] for i, row in enumerate(prev.rows)
+                         if row[j]} for j in range(prev.shape[1]))
         return span
 
     def representatives(self, q: int) -> list:
@@ -493,16 +500,11 @@ def cochain_complex(S: FiniteSimplicialSet) -> CochainComplexView:
     labels = [S.simplices_of(q) for q in range(L + 2)]
     mats = []
     for q in range(L + 1):
-        rows = []
-        for tid in labels[q + 1]:
-            row = []
-            for sid in labels[q]:
-                total = ZERO
-                for i in range(q + 2):
-                    if S.face(tid, i) == sid:
-                        total += ONE if i % 2 == 0 else -ONE
-                row.append(total)
-            rows.append(row)
+        col = {sid: j for j, sid in enumerate(labels[q])}
+        rows = [[ZERO] * len(labels[q]) for _ in labels[q + 1]]
+        for row, tid in zip(rows, labels[q + 1]):
+            for i in range(q + 2):
+                row[col[S.face(tid, i)]] += (-1) ** i
         mats.append(QMatrix(rows))
     return CochainComplexView(labels, mats)
 
@@ -539,13 +541,8 @@ def _standard_representatives(sset, n: int, cap: int, q: int) -> list:
     reps = []
     for w in range(cap + 1):
         view = _simplex_block_view(n, w)
-        block = view.labels[q]
         for vec in view.representatives(q):
-            ctx = simplex_context(n)
-            form = ctx.zero_form()
-            for lab, c in zip(block, vec):
-                if c:
-                    form = form + _monomial_form(ctx, *lab) * c
+            form = _form_of(simplex_context(n), zip(view.labels[q], vec))
             reps.append(_family_from_top(sset, n, q, form))
     return reps
 
@@ -566,12 +563,12 @@ def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
     for q, mat in enumerate(view.mats):
         col_w = [_weight(lab) for _, lab in view.labels[q]]
         row_w = [_weight(lab) for _, lab in view.labels[q + 1]]
-        span = LinearSpan()
-        for i, row in enumerate(mat.rows):
-            vec = {j: x for j, x in enumerate(row) if x}
+        vecs = [{j: x for j, x in enumerate(row) if x} for row in mat.rows]
+        for i, vec in enumerate(vecs):
             if any(col_w[j] < row_w[i] for j in vec):
                 raise NotAComplex(f"coboundary raises weight in degree {q}")
-            span.add(vec)
+        span = LinearSpan()
+        span.extend(vecs)
         pivots.append(list(span.pivots))
     out = []
     for w in range(cx.cap + 1):
@@ -639,11 +636,8 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
         injected = 0
         for rep in reps[q]:
             coch = integrate_map(rep)
-            if not coch.coboundary().is_zero():
-                induced_ok = False
-                continue
             vec = {order[sid]: v for sid, v in coch.values.items()}
-            if span.add(vec):
+            if coch.coboundary().is_zero() and span.add(vec):
                 injected += 1
             else:
                 induced_ok = False
@@ -665,16 +659,10 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
         defect = integrate_map(u * v) - aw_product(integrate_map(u),
                                                   integrate_map(v))
         if p + q == 0:
-            if not defect.is_zero():
-                mult_ok = False
+            mult_ok &= defect.is_zero()
             continue
-        mat = cview.mats[p + q - 1]
-        order = {sid: i for i, sid in enumerate(cview.labels[p + q])}
-        target = [ZERO] * len(cview.labels[p + q])
-        for sid, val in defect.values.items():
-            target[order[sid]] = val
-        if mat.solve(target) is None:
-            mult_ok = False
+        target = [defect(sid) for sid in cview.labels[p + q]]
+        mult_ok &= cview.mats[p + q - 1].solve(target) is not None
 
     ok = ranks_match and induced_ok and mult_ok
     return {

@@ -126,6 +126,21 @@ def test_failed_expectation_exits_2(capsys, tmp_path):
     assert "[FAIL]" in out and "status: FAIL" in out
 
 
+@pytest.mark.parametrize("command, data", [
+    ("bott", {"name": "bad", "n": 1, "r": 1, "zeros": [1, 2]}),
+    ("residue", {"vars": ["f"], "numerator": "(" * 5000 + "f" + ")" * 5000,
+                 "denominators": ["f"]}),
+], ids=["non-object-zeros", "deep-nesting"])
+def test_hostile_input_exits_3(capsys, tmp_path, command, data):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    started = time.perf_counter()
+    code, _, err = run(capsys, [command, str(path)])
+    assert time.perf_counter() - started < 5
+    assert code == 3
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("space, cap", [
     ("boundary-delta2.json", "-1"),
     ("boundary-delta2.json", "30"),

@@ -213,6 +213,36 @@ def test_permutation_det_against_elimination_kernel(A):
         ctx.form_scalar(QMatrix(A).det())
 
 
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                          min_size=n, max_size=n),
+                 min_size=n, max_size=n + 2),
+        st.randoms(use_true_random=False))))
+def test_insertion_order_leaves_the_echelon_form_unchanged(case):
+    A, rnd = case
+    n = len(A[0])
+    perm = list(range(len(A)))
+    rnd.shuffle(perm)
+    rows = [{j: Q(x) for j, x in enumerate(row) if x} for row in A]
+    spans = []
+    for order in (range(len(A)), perm):
+        span = LinearSpan()
+        for k in order:
+            span.add(rows[k])
+        spans.append(span)
+    spans.append(LinearSpan())
+    spans[-1].extend(rows[k] for k in perm)
+    first = spans[0]
+    for span in spans[1:]:
+        assert set(span.pivots) == set(first.pivots)
+        assert span.reduced_rows() == first.reduced_rows()
+        assert span.kernel(range(n)) == first.kernel(range(n))
+    # det keeps row order: its sign is read off the pivot order
+    square = [A[k] for k in perm[:n]]
+    assert QMatrix(square).det() == RingMatrix(square).det()
+
+
 def test_linear_span_solve_recovers_combination():
     span = LinearSpan(track=True)
     span.add({0: Q(1), 1: Q(1)}, tag="u")
