@@ -15,9 +15,10 @@ with exact `fractions.Fraction` coefficients:
 `LinearSpan` is the one exact elimination kernel: sparse rows keyed
 by column labels, reduced incrementally, with rank, membership,
 tracked solves, the reduced row echelon form and a kernel basis.
-`QMatrix` is the dense container that feeds its rows to that kernel;
-`artinian_length` computes the colength of an ideal generated by a
-regular sequence by truncated row reduction.
+`QMatrix` is the dense container that feeds its rows to that kernel.
+`macaulay_span` builds every truncated ideal span: the shifted
+generators below a degree T.  `artinian_length` reads the colength of
+a regular sequence off those spans.
 
 All objects are immutable in practice (operations return new values),
 so every function in this module is safe to call from parallel workers.
@@ -26,10 +27,12 @@ so every function in this module is safe to call from parallel workers.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
 from .errors import (
+    CapExceeded,
     DimensionMismatch,
     NotAUnit,
     NotFinite,
@@ -59,6 +62,8 @@ _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional sign.  Decimals are rejected."""
+    if not isinstance(text, str):
+        raise ParseError(f"bad rational {text!r}: expected a string")
     text = text.strip()
     if not _RATIONAL.match(text):
         raise ParseError(f"bad rational {text!r}")
@@ -239,8 +244,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -1125,14 +1131,60 @@ class LinearSpan:
         return list(basis.items())
 
 
+# Macaulay spans are sized by the monomials below their truncation T;
+# past this count a span is refused before it is built (two variables
+# admit T <= 99, three T <= 30, four T <= 17)
+MACAULAY_MONOMIAL_CAP = 5000
+
+
+def _window(x, bound: int) -> MultiPoly:
+    """Truncation of a series-like entry below total degree `bound`."""
+    if isinstance(x, TruncatedSeries):
+        if x.prec < bound:
+            raise PrecisionExhausted(
+                f"series precision {x.prec} below required window {bound}")
+        return MultiPoly(x.vars, dict(x.coeffs)).truncate(bound)
+    return x.truncate(bound)
+
+
+def macaulay_span(generators, T: int, track: bool = False) -> "LinearSpan":
+    """Span of the shifted generators x^mu * g_j truncated below degree T.
+
+    These are the rows of the Macaulay matrix of the ideal modulo m^T
+    (Lazard, EUROCAL '83), inserted generator by generator and each in
+    graded-lex order of mu; with `track` row (j, mu) carries that tag,
+    so `solve` returns the multipliers of a membership.  Raises
+    CapExceeded, before any row is built, when more than
+    MACAULAY_MONOMIAL_CAP monomials lie below T.
+    """
+    n = len(generators[0].vars)
+    count = math.comb(n + T - 1, n)
+    if count > MACAULAY_MONOMIAL_CAP:
+        raise CapExceeded(
+            f"truncation {T} has {count} monomials below it in {n} "
+            f"variables, past the cap of {MACAULAY_MONOMIAL_CAP}")
+    monos = _monomials_below(n, T)
+    span = LinearSpan(key=grlex_key, track=track)
+    for j, g in enumerate(generators):
+        terms = [(exp, sum(exp), c) for exp, c in _window(g, T).coeffs.items()]
+        order = min((d for _, d, _ in terms), default=T)
+        for mu in monos:
+            shift = sum(mu)
+            if shift + order >= T:
+                break       # monos ascend in degree: every later row is empty
+            span.add({tuple(a + b for a, b in zip(exp, mu)): c
+                      for exp, d, c in terms if d + shift < T}, tag=(j, mu))
+    return span
+
+
 def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
     """Colength of the ideal generated by a regular sequence at the origin.
 
-    The quotient by (generators) + m^T is computed by row reduction for
-    increasing truncation T; the answer is accepted once it is stable
-    across two consecutive increments and every coordinate power f_i^s
-    for some s < T lies in the truncated ideal (which certifies that
-    m^T is already inside the ideal, so the truncation is exact).
+    The quotient by (generators) + m^T is computed from the Macaulay
+    span for increasing truncation T; the answer is accepted once it is
+    stable across two consecutive increments and every coordinate power
+    f_i^s for some s < T lies in the truncated ideal (which certifies
+    that m^T is already inside the ideal, so the truncation is exact).
 
     Raises NotFinite when the cap is reached without stabilising, which
     is what happens when the sequence is not regular.
@@ -1156,30 +1208,11 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
     if any(g.constant_term() for g in gens):
         return 0
 
-    def truncated(g, bound):
-        if isinstance(g, TruncatedSeries):
-            if g.prec < bound:
-                raise PrecisionExhausted(
-                    f"generator precision {g.prec} < required truncation {bound}")
-            return MultiPoly(g.vars, g.coeffs).truncate(bound)
-        return g.truncate(bound)
-
     history: list[int] = []
     T = start or 2
     while T <= cap:
-        monos = _monomials_below(n, T)
-        span = LinearSpan(key=grlex_key)
-        for g in gens:
-            gt = truncated(g, T)
-            for alpha in monos:
-                shifted = {}
-                for exp, c in gt.coeffs.items():
-                    tot = tuple(a + b for a, b in zip(exp, alpha))
-                    if sum(tot) < T:
-                        shifted[tot] = shifted.get(tot, ZERO) + c
-                if shifted:
-                    span.add(shifted)
-        dim = len(monos) - span.rank
+        span = macaulay_span(gens, T)
+        dim = math.comb(n + T - 1, n) - span.rank
         history.append(dim)
         powers_in = all(
             any(span.contains({_unit_exp(n, i, s): ONE}) for s in range(1, T))

@@ -12,13 +12,16 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 from .exactalg import MultiPoly, RingMatrix, parse_rational
 from .dgforms import InvariantPolynomial
 from .adelic import Chain, ChartModel
 from .residues import GeneralizedFraction, LocalZeroData
 from .scenarios import Scenario
 from .simplicial import FiniteSimplicialSet
+
+# hard cap on the degree of each power and product (shipped data: 3)
+MAX_EXPRESSION_DEGREE = 32
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)"
                     r"|(?P<op>[-+*^()])")
@@ -70,7 +73,9 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            acc = acc * self.factor()
+            other = self.factor()
+            _degree_guard(acc.total_degree() + other.total_degree())
+            acc = acc * other
         return acc
 
     def factor(self) -> MultiPoly:
@@ -83,6 +88,7 @@ class _Parser:
             e = self.take()
             if not isinstance(e, Fraction) or e.denominator != 1 or e < 0:
                 raise ParseError(f"exponent must be a natural number, got {e}")
+            _degree_guard(base.total_degree() * int(e))
             return base ** int(e)
         return base
 
@@ -103,7 +109,16 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
+def _degree_guard(degree: int) -> None:
+    """Refuse to expand a power or product past the hard degree cap."""
+    if degree > MAX_EXPRESSION_DEGREE:
+        raise CapExceeded(f"expression of degree {degree} is past the "
+                          f"cap of {MAX_EXPRESSION_DEGREE}")
+
+
 def parse_polynomial(text: str, vars) -> MultiPoly:
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {text!r}")
     vars = tuple(vars)
     parser = _Parser(_tokenize(text), vars)
     if not parser.toks:
@@ -134,9 +149,15 @@ def load_json(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _require(data: dict, key: str, where: str):
+_JSON_NAMES = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _require(data: dict, key: str, where: str, kind=None):
+    """data[key]; it must be present and, given `kind`, of that type."""
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"missing key {key!r} in {where}")
+    if kind is not None and not isinstance(data[key], kind):
+        raise ParseError(f"{where}: {key!r} must be {_JSON_NAMES[kind]}")
     return data[key]
 
 
@@ -151,27 +172,32 @@ def fraction_from_json(data: dict) -> GeneralizedFraction:
     vars = _var_tuple(_require(data, "vars", "fraction"), "fraction")
     num = parse_polynomial(_require(data, "numerator", "fraction"), vars)
     dens = [parse_polynomial(d, vars)
-            for d in _require(data, "denominators", "fraction")]
+            for d in _require(data, "denominators", "fraction", list)]
     return GeneralizedFraction(vars, num, tuple(dens))
 
 
 def _matrix_from_json(rows, vars) -> RingMatrix:
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, list) for row in rows):
+        raise ParseError("a matrix must be a list of rows")
     return RingMatrix([[parse_polynomial(x, vars) for x in row]
                        for row in rows])
 
 
 def chart_from_json(data: dict) -> ChartModel:
     vars = _var_tuple(_require(data, "vars", "chart"), "chart")
-    rank = _require(data, "rank", "chart")
-    frames = {lab: _matrix_from_json(rows, vars)
-              for lab, rows in _require(data, "frames", "chart").items()}
-    points = {}
-    for lab, pt in _require(data, "points", "chart").items():
-        points[lab] = (None if pt is None else
-                       {v: parse_rational(c) for v, c in pt.items()})
+    rank = _require(data, "rank", "chart", int)
+    frames = {lab: _matrix_from_json(rows, vars) for lab, rows in
+              _require(data, "frames", "chart", dict).items()}
+    raw = _require(data, "points", "chart", dict)
+    points = {lab: None if raw[lab] is None else
+              {v: parse_rational(c) for v, c in
+               _require(raw, lab, "chart points", dict).items()}
+              for lab in raw}
     a = data.get("a")
     if a is not None:
-        a = [parse_polynomial(x, vars) for x in a]
+        a = [parse_polynomial(x, vars)
+             for x in _require(data, "a", "chart", list)]
     lift = data.get("lift")
     if lift is not None:
         lift = _matrix_from_json(lift, vars)
@@ -180,21 +206,20 @@ def chart_from_json(data: dict) -> ChartModel:
 
 def scenario_from_json(data: dict) -> Scenario:
     name = _require(data, "name", "scenario")
-    n = _require(data, "n", "scenario")
-    r = _require(data, "r", "scenario")
-    if not isinstance(n, int) or not isinstance(r, int):
-        raise ParseError("scenario: n and r must be integers")
+    n = _require(data, "n", "scenario", int)
+    r = _require(data, "r", "scenario", int)
     zeros = {}
-    raw_zeros = _require(data, "zeros", "scenario")
-    if not isinstance(raw_zeros, list) or \
-            not all(isinstance(z, dict) for z in raw_zeros):
-        raise ParseError("scenario: zeros must be a list of objects")
+    raw_zeros = _require(data, "zeros", "scenario", list)
     for k, z in enumerate(raw_zeros):
+        if not isinstance(z, dict):
+            raise ParseError("scenario: zeros must be a list of objects")
         label = z.get("label", f"p{k}")
+        if not isinstance(label, str):
+            raise ParseError(f"zero {k}: 'label' must be a string")
         vars = _var_tuple(_require(z, "coords", f"zero {label}"),
                           f"zero {label}")
         a = tuple(parse_polynomial(x, vars)
-                  for x in _require(z, "a", f"zero {label}"))
+                  for x in _require(z, "a", f"zero {label}", list))
         lift = _matrix_from_json(_require(z, "lambda", f"zero {label}"), vars)
         zeros[label] = LocalZeroData(vars, r, a, lift)
     scn = Scenario(
@@ -219,9 +244,9 @@ def scenario_from_json(data: dict) -> Scenario:
         w = data["whitney"]
         sub = chart_from_json(_require(w, "sub", "whitney"))
         quot = chart_from_json(_require(w, "quot", "whitney"))
-        mixing = {lab: _matrix_from_json(rows, sub.base_vars)
-                  for lab, rows in _require(w, "mixing", "whitney").items()}
-        chain = Chain(tuple(_require(w, "chain", "whitney")))
+        mixing = {lab: _matrix_from_json(rows, sub.base_vars) for lab, rows in
+                  _require(w, "mixing", "whitney", dict).items()}
+        chain = Chain(tuple(_require(w, "chain", "whitney", list)))
         scn.whitney = (sub, quot, mixing, chain)
     return scn
 

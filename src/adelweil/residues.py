@@ -24,19 +24,18 @@ from .errors import (
     NotInvertibleChange,
     NotSimple,
     ParseError,
-    PrecisionExhausted,
 )
 from .exactalg import (
-    LinearSpan,
+    ONE,
     MultiPoly,
     QMatrix,
     RingMatrix,
     TruncatedSeries,
     artinian_length,
-    grlex_key,
-    _monomials_below,
+    macaulay_span,
     _perm_sign,
     _unit_exp,
+    _window,
 )
 from .dgforms import InvariantPolynomial, invariant_eval
 
@@ -86,47 +85,6 @@ class GeneralizedFraction:
         return f"[ {self.numerator.render()} {wedge} / {dens} ]"
 
 
-def _coefficient(x, exp: tuple[int, ...]) -> Fraction:
-    if isinstance(x, TruncatedSeries):
-        if sum(exp) >= x.prec:
-            raise PrecisionExhausted(
-                f"numerator known below degree {x.prec}, "
-                f"coefficient at degree {sum(exp)} requested")
-        return x.coeffs.get(exp, Fraction(0))
-    return x.coeffs.get(exp, Fraction(0))
-
-
-def _window(x, bound: int) -> MultiPoly:
-    """Truncation of a series-like entry below total degree `bound`."""
-    if isinstance(x, TruncatedSeries):
-        if x.prec < bound:
-            raise PrecisionExhausted(
-                f"series precision {x.prec} below required window {bound}")
-        return MultiPoly(x.vars, dict(x.coeffs)).truncate(bound)
-    return x.truncate(bound)
-
-
-def residue_monomial(gf: GeneralizedFraction) -> Fraction:
-    """Residue with denominators f_1^k1, .., f_n^kn in slot order.
-
-    Equals the numerator coefficient at (k1-1, .., kn-1).
-    """
-    n = len(gf.vars)
-    exps = []
-    for i, d in enumerate(gf.denominators):
-        if isinstance(d, TruncatedSeries):
-            d = MultiPoly(d.vars, dict(d.coeffs))
-        if len(d.coeffs) != 1:
-            raise DegreeError(
-                f"denominator {d.render()} is not a coordinate power")
-        (exp, c), = d.coeffs.items()
-        if c != 1 or sum(exp) != exp[i]:
-            raise DegreeError(
-                f"denominator slot {i} must be a power of {gf.vars[i]}")
-        exps.append(exp[i])
-    return _coefficient(gf.numerator, tuple(k - 1 for k in exps))
-
-
 def _unit_monomial_split(d):
     """Write d = unit * monomial if the least monomial divides d.
 
@@ -153,49 +111,30 @@ def _unit_monomial_split(d):
     return base, unit
 
 
-def _ideal_membership(target: MultiPoly, gens: list, T: int):
-    """Solve target = sum_j M_j * gens_j modulo degrees >= T.
-
-    Returns the list of polynomial multipliers M_j, or None.
-    """
-    vars = target.vars
-    monos = _monomials_below(len(vars), T)
-    span = LinearSpan(key=grlex_key, track=True)
-    for j, g in enumerate(gens):
-        gt = _window(g, T)
-        ordg = gt.min_degree() if not gt.is_zero() else T
-        for mu in monos:
-            if sum(mu) + ordg >= T:
-                continue
-            shifted = {}
-            for exp, c in gt.coeffs.items():
-                tot = tuple(a + b for a, b in zip(exp, mu))
-                if sum(tot) < T:
-                    shifted[tot] = c
-            span.add(shifted, tag=(j, mu))
-    sol = span.solve(target.truncate(T).coeffs)
-    if sol is None:
-        return None
-    out = [MultiPoly.zero(vars) for _ in gens]
-    for (j, mu), value in sol.items():
-        out[j] = out[j] + MultiPoly(vars, {mu: value})
-    return out
-
-
 def _transformed_residue(gf: GeneralizedFraction, N: int, l: int,
-                         precision: int | None) -> Fraction | None:
-    """One attempt of the transformation law at exponent N."""
+                         precision: int | None,
+                         spans: dict) -> Fraction | None:
+    """One attempt of the transformation law at exponent N.
+
+    All n coordinate powers f_i^N are solved against one tracked
+    Macaulay span per truncation T; `spans` keeps them by T, so
+    exponents that share T share one elimination.
+    """
     n = len(gf.vars)
     T = n * (N - 1) + l + 2
     if precision is not None:
         T = max(T, precision)
+    if T not in spans:
+        spans[T] = macaulay_span(gf.denominators, T, track=True)
     rows = []
     for i in range(n):
-        power = MultiPoly(gf.vars, {_unit_exp(n, i, N): Fraction(1)})
-        sol = _ideal_membership(power, list(gf.denominators), T)
+        sol = spans[T].solve({_unit_exp(n, i, N): ONE})
         if sol is None:
             return None
-        rows.append(sol)
+        multipliers = [{} for _ in range(n)]
+        for (j, mu), value in sol.items():
+            multipliers[j][mu] = value
+        rows.append([MultiPoly(gf.vars, m) for m in multipliers])
     window = n * (N - 1) + 1
     det = RingMatrix(rows).det().truncate(window)
     numerator = (_window(gf.numerator, window) * det).truncate(window)
@@ -235,9 +174,10 @@ def residue_general(gf: GeneralizedFraction, cap: int = DEFAULT_CAP,
     l = artinian_length(list(gf.denominators), cap=max(16, 2 * cap))
     if l == 0:
         return Fraction(0)
+    spans: dict = {}
     first = None
     for N in range(1, min(cap, l) + 1):
-        value = _transformed_residue(gf, N, l, precision)
+        value = _transformed_residue(gf, N, l, precision, spans)
         if value is not None:
             first = (N, value)
             break
@@ -247,7 +187,7 @@ def residue_general(gf: GeneralizedFraction, cap: int = DEFAULT_CAP,
             "in the denominator ideal")
     N, value = first
     if stability:
-        again = _transformed_residue(gf, N + 1, l, precision)
+        again = _transformed_residue(gf, N + 1, l, precision, spans)
         if again is None or again != value:
             raise IdentityFailed(
                 f"residue changed between exponents {N} and {N + 1}: "
@@ -327,8 +267,9 @@ def simple_zero_invariant(P: InvariantPolynomial,
             f"invariant of degree {P.degree} against dimension {n}")
     if artinian_length(list(zd.a)) != 1:
         raise NotSimple("zero is not reduced")
-    jac = [[-_coefficient(zd.a[j], _unit_exp(n, i)) for j in range(n)]
-           for i in range(n)]
+    # artinian_length has read every a_j to degree 3, so these exist
+    jac = [[-zd.a[j].coeffs.get(_unit_exp(n, i), Fraction(0))
+            for j in range(n)] for i in range(n)]
     det = QMatrix(jac).det()
     if not det:
         raise NotSimple("degenerate linearization at a reduced zero")

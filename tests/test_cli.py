@@ -126,11 +126,21 @@ def test_failed_expectation_exits_2(capsys, tmp_path):
     assert "[FAIL]" in out and "status: FAIL" in out
 
 
+CHART = {"vars": ["f"], "rank": 1, "frames": {"x0": [["1"]]},
+         "points": {"x0": None}}
+NO_ZEROS = {"name": "bad", "n": 1, "r": 1, "zeros": []}
+
+
 @pytest.mark.parametrize("command, data", [
     ("bott", {"name": "bad", "n": 1, "r": 1, "zeros": [1, 2]}),
     ("residue", {"vars": ["f"], "numerator": "(" * 5000 + "f" + ")" * 5000,
                  "denominators": ["f"]}),
-], ids=["non-object-zeros", "deep-nesting"])
+    ("chern", dict(NO_ZEROS, chart=dict(CHART, frames=[]))),
+    ("bott", dict(NO_ZEROS, chart=dict(CHART, points=[]))),
+    ("chern", dict(NO_ZEROS, r=2, whitney={
+        "sub": CHART, "quot": CHART, "mixing": [], "chain": ["x0"]})),
+], ids=["non-object-zeros", "deep-nesting", "list-frames", "list-points",
+        "list-mixing"])
 def test_hostile_input_exits_3(capsys, tmp_path, command, data):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
@@ -139,6 +149,28 @@ def test_hostile_input_exits_3(capsys, tmp_path, command, data):
     assert time.perf_counter() - started < 5
     assert code == 3
     assert "error:" in err and "Traceback" not in err
+
+
+def _fraction(numerator):
+    return {"vars": ["f1", "f2"], "numerator": numerator,
+            "denominators": ["f1", "f2"]}
+
+
+@pytest.mark.parametrize("data, flags, message", [
+    (None, ["--precision", "100000"], "truncation 100000 has 5000050000 "),
+    (_fraction("(f1 + f2 + 1)^300"), [], "degree 300 "),
+    (_fraction("(f1 + f2 + 1)^30 * (f1 + f2 + 1)^30"), [], "degree 60 "),
+], ids=["precision", "power", "product"])
+def test_resource_caps_exit_5(capsys, tmp_path, data, flags, message):
+    path = "fraction-cusp.json"
+    if data is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["residue", str(path)] + flags)
+    assert time.perf_counter() - started < 5
+    assert code == 5
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("space, cap", [

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from adelweil.dgforms import FormMatrix, polynomial_context
 from adelweil.errors import (
-    DimensionMismatch, NotAUnit, NotFinite, ParseError, PrecisionExhausted,
+    CapExceeded, DimensionMismatch, NotAUnit, NotFinite, ParseError,
+    PrecisionExhausted,
 )
 from adelweil.exactalg import (
-    LinearSpan, MultiPoly, QMatrix, RatFunc, RingMatrix, TruncatedSeries,
-    artinian_length, format_rational, grlex_key, parse_rational,
+    MACAULAY_MONOMIAL_CAP, LinearSpan, MultiPoly, QMatrix, RatFunc,
+    RingMatrix, TruncatedSeries, artinian_length, format_rational, grlex_key,
+    macaulay_span, parse_rational,
 )
 
 from strategies import fractions, polys
@@ -28,6 +30,8 @@ def test_rational_round_trip():
         parse_rational("1.5")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+    with pytest.raises(ParseError):
+        parse_rational(7)
 
 
 def test_grlex_orders_by_total_degree_first():
@@ -259,6 +263,32 @@ def test_artinian_length_anchors():
     assert artinian_length((f1, f2)) == 1
     assert artinian_length((f1 ** 2, f2 ** 3)) == 6
     assert artinian_length((f1 ** 2 - f2 ** 3, f2 ** 2)) == 4
+
+
+@settings(max_examples=15)
+@given(*[polys(V2, max_degree=3, max_terms=3, min_degree=m)
+         for m in (1, 1, 0, 0)], st.integers(min_value=2, max_value=7))
+def test_macaulay_span_solves_memberships(a, b, p, q, T):
+    gens = (a, b)
+    target = (p * a + q * b).truncate(T)
+    span = macaulay_span(gens, T, track=True)
+    assert span.rank == macaulay_span(gens, T).rank
+    sol = span.solve(target.coeffs)
+    assert sol is not None
+    multipliers = [MultiPoly.zero(V2), MultiPoly.zero(V2)]
+    for (j, mu), value in sol.items():
+        assert sum(mu) < T
+        multipliers[j] = multipliers[j] + MultiPoly(V2, {mu: value})
+    rebuilt = multipliers[0] * a + multipliers[1] * b
+    assert rebuilt.truncate(T) == target
+
+
+def test_macaulay_span_refuses_past_the_monomial_cap():
+    # 99 is the largest truncation admitted in two variables
+    assert macaulay_span((f1, f2), 99).rank == 99 * 100 // 2 - 1
+    with pytest.raises(CapExceeded, match="truncation 100 has 5050 "):
+        macaulay_span((f1, f2), 100)
+    assert MACAULAY_MONOMIAL_CAP < 5050
 
 
 def test_artinian_length_rejects_positive_dimension():

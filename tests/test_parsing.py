@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from adelweil.adelic import Chain, localization_check, whitney_check
-from adelweil.errors import DegreeError, ParseError
+from adelweil.errors import CapExceeded, DegreeError, ParseError
 from adelweil.parsing import (
-    chart_from_json, fraction_from_json, parse_invariant_text,
-    parse_polynomial, scenario_from_json, sset_from_json,
+    MAX_EXPRESSION_DEGREE, chart_from_json, fraction_from_json,
+    parse_invariant_text, parse_polynomial, scenario_from_json,
+    sset_from_json,
 )
 from adelweil.residues import residue_general
 from adelweil.scenarios import (
@@ -44,6 +45,23 @@ def test_parser_rejects_malformed_input(bad):
         parse_polynomial(bad, V2)
 
 
+def test_degree_cap_bounds_powers_and_products():
+    cap = MAX_EXPRESSION_DEGREE
+    assert parse_polynomial(f"f1^{cap}", V2).total_degree() == cap
+    assert parse_polynomial(f"f1^{cap - 1}*f2", V2).total_degree() == cap
+    assert parse_polynomial(f"7^{cap + 1}", V2) == 7 ** (cap + 1)
+    for text in (f"f1^{cap + 1}", f"(f1*f2)^{cap // 2 + 1}",
+                 f"f1^{cap}*f2", f"f1*" * cap + "f2"):
+        with pytest.raises(CapExceeded):
+            parse_polynomial(text, V2)
+
+
+@pytest.mark.parametrize("bad", [3, None, ["f1"]])
+def test_parser_rejects_non_string_expressions(bad):
+    with pytest.raises(ParseError):
+        parse_polynomial(bad, V2)
+
+
 def test_invariant_text_round_trip():
     P = parse_invariant_text("c1^2 - 2*c2", 2)
     assert P.degree == 2
@@ -69,6 +87,8 @@ def test_fraction_files_compute():
     {"vars": ["f"], "numerator": "1", "denominators": ["f", "f"]},
     {"vars": ["f"], "numerator": "1", "denominators": ["1 + f"]},
     {"vars": "f", "numerator": "1", "denominators": ["f"]},
+    {"vars": ["f"], "numerator": 3, "denominators": ["f"]},
+    {"vars": ["f"], "numerator": "1", "denominators": None},
 ])
 def test_fraction_schema_guards(bad):
     with pytest.raises(ParseError):
@@ -112,8 +132,39 @@ def test_simplicial_set_parses_and_verifies():
     assert verify_de_rham(back, weight_cap=6)["ok"]
 
 
+CHART = {"vars": ["f"], "rank": 1, "frames": {"x0": [["1"]]},
+         "points": {"x0": {"f": "0"}}}
+ZERO = {"coords": ["f"], "a": ["f"], "lambda": [["1"]]}
+
+
+def _scenario(**fields):
+    return dict({"name": "x", "n": 1, "r": 1, "zeros": []}, **fields)
+
+
 def test_scenario_schema_guards():
     with pytest.raises(ParseError):
         scenario_from_json({"name": "x", "n": 1, "r": 1})
     with pytest.raises(ParseError):
         scenario_from_json([1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [
+    _scenario(zeros=[dict(ZERO, label=["p0"])]),
+    _scenario(zeros=[dict(ZERO, a=5)]),
+    _scenario(chart=dict(CHART, rank=[1])),
+    _scenario(chart=dict(CHART, frames={"x0": 5})),
+    _scenario(chart=dict(CHART, points={"x0": {"f": 0}})),
+    _scenario(chart=dict(CHART, a=5)),
+    _scenario(whitney={"sub": CHART, "quot": CHART, "mixing": {},
+                       "chain": 5}),
+], ids=["label", "zero-a", "rank", "frame-rows", "point-value", "chart-a",
+        "chain"])
+def test_scenario_values_of_the_wrong_type(bad):
+    assert scenario_from_json(_scenario(zeros=[ZERO], chart=CHART))
+    with pytest.raises(ParseError):
+        scenario_from_json(bad)
+
+
+def test_simplicial_schema_guard():
+    with pytest.raises(ParseError):
+        sset_from_json({"name": "x", "simplices": {"0": 0}, "vertices": "v"})

@@ -12,7 +12,7 @@ from adelweil.errors import (
 from adelweil.exactalg import MultiPoly, RingMatrix, TruncatedSeries
 from adelweil.residues import (
     GeneralizedFraction, LocalZeroData, coordinate_change_check,
-    gauss_bonnet_local, local_invariant, residue_general, residue_monomial,
+    gauss_bonnet_local, local_invariant, residue_general,
     simple_zero_invariant,
 )
 
@@ -39,9 +39,9 @@ def test_fraction_construction_guards():
 def test_monomial_residue_reads_one_coefficient():
     gf = GeneralizedFraction(V2, f1 * 3 + f1 * f2 ** 2 * 5,
                              (f1 ** 2, f2 ** 3))
-    assert residue_monomial(gf) == 5
-    assert residue_monomial(GeneralizedFraction(V2, one2, (f1, f2))) == 1
-    assert residue_monomial(GeneralizedFraction(V1, -f, (f ** 2,))) == -1
+    assert residue_general(gf) == 5
+    assert residue_general(GeneralizedFraction(V2, one2, (f1, f2))) == 1
+    assert residue_general(GeneralizedFraction(V1, -f, (f ** 2,))) == -1
 
 
 def test_permuted_slots_flip_the_sign():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 from fractions import Fraction as Q
 
@@ -10,7 +12,9 @@ from adelweil.dgforms import InvariantPolynomial
 from adelweil.errors import (
     DegreeMismatch, ParseError, PoleAtInfinityUnhandled, RepeatedWeights,
 )
-from adelweil.exactalg import MultiPoly, RatFunc
+from adelweil import residues
+from adelweil.exactalg import MultiPoly, QMatrix, RatFunc, RingMatrix
+from adelweil.residues import LocalZeroData, local_invariant
 from adelweil.scenarios import (
     bott_sum, canonical_invariant, curve_adelic_integral, curve_chain_rows,
     projective_space_scenario, rational_roots, residue_at, scenario_to_json,
@@ -58,6 +62,113 @@ def test_fixed_point_sums_match_chern_numbers():
 def test_totals_do_not_depend_on_the_weights(ws):
     weights = tuple(Q(w) for w in ws)
     assert bott_sum(projective_space_scenario(1, weights, 3))["total"] == 3
+
+
+def _monomials_of_weight(n: int):
+    """Exponents a of c1^a1 .. cn^an with sum i*ai = n."""
+    return [a for a in itertools.product(*(range(n // i + 1)
+                                           for i in range(1, n + 1)))
+            if sum(i * k for i, k in enumerate(a, 1)) == n]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.integers(min_value=-6, max_value=6),
+                       min_size=n + 1, max_size=n + 1, unique=True)))
+def test_chern_numbers_of_projective_space(ws):
+    # c(TP^n) = (1 + h)^(n+1) and c1(O(d)) = d h, with h^n = 1
+    n = len(ws) - 1
+    weights = tuple(Q(w) for w in ws)
+    tangent = projective_space_scenario(n, weights, "tangent")
+    for a in _monomials_of_weight(n):
+        expect = math.prod(math.comb(n + 1, i) ** k
+                           for i, k in enumerate(a, 1))
+        P = InvariantPolynomial(n, {a: 1})
+        assert bott_sum(tangent, P)["total"] == expect, a
+    for d in (1, 2, 3):
+        line = projective_space_scenario(n, weights, d)
+        P = InvariantPolynomial(1, {(n,): 1})
+        assert bott_sum(line, P)["total"] == d ** n
+
+
+def _jordan_zeros(blocks, change):
+    """Zeros on P^n of the field induced by x' = A x, A = S J S^-1.
+
+    J has one Jordan block per (eigenvalue, size) in `blocks`, and S is
+    `change`.  A block's eigenvector S e_s is an isolated zero whose
+    colength is the block size.  In the chart x_j = 1 through it, with
+    y the other coordinates, the field is a_i = (Ax)_i - x_i (Ax)_j and
+    the tangent lift is minus the transposed Jacobian of a.
+    """
+    size = sum(k for _, k in blocks)
+    n = size - 1
+    J = [[Q(0)] * size for _ in range(size)]
+    starts, s = [], 0
+    for lam, k in blocks:
+        starts.append(s)
+        for i in range(s, s + k):
+            J[i][i] = Q(lam)
+            if i + 1 < s + k:
+                J[i][i + 1] = Q(1)
+        s += k
+    S = QMatrix(change)
+    A = (RingMatrix(change) @ RingMatrix(J) @ RingMatrix(S.inv().rows)).rows
+    vars = tuple(f"y{i}" for i in range(1, n + 1))
+    ys = MultiPoly.variables(vars)
+    zeros = []
+    for s in starts:
+        v = [row[s] for row in change]
+        j = next(i for i, c in enumerate(v) if c)
+        others = [i for i in range(size) if i != j]
+        x = [MultiPoly.const(vars, Q(c, v[j])) for c in v]
+        for y, i in zip(ys, others):
+            x[i] = x[i] + y
+        Ax = [sum((x[m] * A[i][m] for m in range(size)),
+                  MultiPoly.zero(vars)) for i in range(size)]
+        a = [Ax[i] - x[i] * Ax[j] for i in others]
+        lift = RingMatrix([[-a[m].diff(vars[k]) for m in range(n)]
+                           for k in range(n)])
+        zeros.append(LocalZeroData(vars, n, tuple(a), lift))
+    return zeros
+
+
+def _jordan_totals(blocks, change):
+    zeros = _jordan_zeros(blocks, change)
+    n = zeros[0].n
+    return [sum(local_invariant(InvariantPolynomial(n, {a: 1}), zd)
+                for zd in zeros) for a in _monomials_of_weight(n)]
+
+
+DENSE_CHANGE = [[1, 2, 0], [-1, 1, 1], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("blocks", [((2, 2), (-1, 1)), ((3, 3),)],
+                         ids=["blocks-2-1", "block-3"])
+def test_degenerate_zeros_on_the_projective_plane(monkeypatch, blocks):
+    tracked = []
+    original = residues.macaulay_span
+
+    def counting(gens, T, track=False):
+        tracked.append(track)
+        return original(gens, T, track)
+
+    monkeypatch.setattr(residues, "macaulay_span", counting)
+    # c1^2 = 9 and c2 = 3, now at zeros of colength 2 + 1 or 3
+    assert _jordan_totals(blocks, DENSE_CHANGE) == [3, 9]
+    assert any(tracked)     # the sums ran the transformation law
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([(2, 1), (3,)]),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=2,
+                max_size=2, unique=True),
+       st.lists(st.integers(min_value=-2, max_value=2), min_size=9,
+                max_size=9).filter(
+           lambda e: QMatrix([e[0:3], e[3:6], e[6:9]]).det() != 0))
+def test_degenerate_zeros_in_any_coordinates(sizes, eigenvalues, entries):
+    blocks = tuple(zip(eigenvalues, sizes))
+    change = [entries[0:3], entries[3:6], entries[6:9]]
+    assert _jordan_totals(blocks, change) == [3, 9]
 
 
 def test_weight_scaling_leaves_the_sum_fixed():
