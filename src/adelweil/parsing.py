@@ -9,18 +9,22 @@ surfaces as ParseError uniformly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
 from .errors import CapExceeded, ParseError
-from .exactalg import MultiPoly, RingMatrix, parse_rational
+from .exactalg import (
+    MACAULAY_MONOMIAL_CAP, MultiPoly, RingMatrix, parse_rational,
+)
 from .dgforms import InvariantPolynomial
 from .adelic import Chain, ChartModel
 from .residues import GeneralizedFraction, LocalZeroData
 from .scenarios import Scenario
 from .simplicial import FiniteSimplicialSet
 
-# hard cap on the degree of each power and product (shipped data: 3)
+# hard cap on the degree of each power and product (shipped data: 3);
+# their dense term count is held to exactalg.MACAULAY_MONOMIAL_CAP
 MAX_EXPRESSION_DEGREE = 32
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)"
@@ -61,6 +65,22 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def guard(self, degree: int) -> None:
+        """Refuse to expand a power or product past the hard caps.
+
+        Its degree must be at most MAX_EXPRESSION_DEGREE, and its dense
+        term count C(nvars + degree, nvars) at most MACAULAY_MONOMIAL_CAP.
+        """
+        if degree > MAX_EXPRESSION_DEGREE:
+            raise CapExceeded(f"expression of degree {degree} is past the "
+                              f"cap of {MAX_EXPRESSION_DEGREE}")
+        n = len(self.vars)
+        terms = math.comb(n + max(degree, 0), n)
+        if terms > MACAULAY_MONOMIAL_CAP:
+            raise CapExceeded(
+                f"expression of degree {degree} has up to {terms} terms in "
+                f"{n} variables, past the cap of {MACAULAY_MONOMIAL_CAP}")
+
     def expr(self) -> MultiPoly:
         acc = self.term()
         while self.peek() in ("+", "-"):
@@ -74,7 +94,7 @@ class _Parser:
         while self.peek() == "*":
             self.take()
             other = self.factor()
-            _degree_guard(acc.total_degree() + other.total_degree())
+            self.guard(acc.total_degree() + other.total_degree())
             acc = acc * other
         return acc
 
@@ -88,7 +108,7 @@ class _Parser:
             e = self.take()
             if not isinstance(e, Fraction) or e.denominator != 1 or e < 0:
                 raise ParseError(f"exponent must be a natural number, got {e}")
-            _degree_guard(base.total_degree() * int(e))
+            self.guard(base.total_degree() * int(e))
             return base ** int(e)
         return base
 
@@ -107,13 +127,6 @@ class _Parser:
                                  f"(expected one of {self.vars})")
             return MultiPoly.var(self.vars, tok)
         raise ParseError(f"unexpected token {tok!r}")
-
-
-def _degree_guard(degree: int) -> None:
-    """Refuse to expand a power or product past the hard degree cap."""
-    if degree > MAX_EXPRESSION_DEGREE:
-        raise CapExceeded(f"expression of degree {degree} is past the "
-                          f"cap of {MAX_EXPRESSION_DEGREE}")
 
 
 def parse_polynomial(text: str, vars) -> MultiPoly:
@@ -176,10 +189,15 @@ def fraction_from_json(data: dict) -> GeneralizedFraction:
     return GeneralizedFraction(vars, num, tuple(dens))
 
 
-def _matrix_from_json(rows, vars) -> RingMatrix:
+def _matrix_from_json(rows, vars, shape=None, where="") -> RingMatrix:
+    """A matrix of expressions; given `shape` (m, n), it must be m x n."""
     if not isinstance(rows, list) or \
             not all(isinstance(row, list) for row in rows):
         raise ParseError("a matrix must be a list of rows")
+    if shape is not None:
+        m, n = shape
+        if len(rows) != m or any(len(row) != n for row in rows):
+            raise ParseError(f"{where} must be {m} x {n}")
     return RingMatrix([[parse_polynomial(x, vars) for x in row]
                        for row in rows])
 
@@ -187,8 +205,9 @@ def _matrix_from_json(rows, vars) -> RingMatrix:
 def chart_from_json(data: dict) -> ChartModel:
     vars = _var_tuple(_require(data, "vars", "chart"), "chart")
     rank = _require(data, "rank", "chart", int)
-    frames = {lab: _matrix_from_json(rows, vars) for lab, rows in
-              _require(data, "frames", "chart", dict).items()}
+    frames = {lab: _matrix_from_json(rows, vars, (rank, rank),
+                                     f"chart frame {lab!r}")
+              for lab, rows in _require(data, "frames", "chart", dict).items()}
     raw = _require(data, "points", "chart", dict)
     points = {lab: None if raw[lab] is None else
               {v: parse_rational(c) for v, c in
@@ -244,9 +263,15 @@ def scenario_from_json(data: dict) -> Scenario:
         w = data["whitney"]
         sub = chart_from_json(_require(w, "sub", "whitney"))
         quot = chart_from_json(_require(w, "quot", "whitney"))
-        mixing = {lab: _matrix_from_json(rows, sub.base_vars) for lab, rows in
+        mixing = {lab: _matrix_from_json(rows, sub.base_vars,
+                                         (sub.rank, quot.rank),
+                                         f"whitney mixing {lab!r}")
+                  for lab, rows in
                   _require(w, "mixing", "whitney", dict).items()}
-        chain = Chain(tuple(_require(w, "chain", "whitney", list)))
+        labels = _require(w, "chain", "whitney", list)
+        if not all(isinstance(lab, str) for lab in labels):
+            raise ParseError("whitney: chain labels must be strings")
+        chain = Chain(tuple(labels))
         scn.whitney = (sub, quot, mixing, chain)
     return scn
 

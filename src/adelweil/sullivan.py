@@ -6,20 +6,26 @@ a graded-commutative algebra; integrating each form over its simplex
 lands in normalized cochains, and the induced map on cohomology is an
 isomorphism.  This module computes bases of such families by exact
 linear algebra, the cohomology of both sides, the induced map, and the
-multiplicativity defect (which must be a coboundary, found by solving).
+multiplicativity defect (which must lie in the span of the coboundaries).
 
 Polynomial degree plus form degree ("weight") is not preserved by
 vertex evaluations, so the family spaces are filtered, not graded, by
 weight: sullivan_basis(S, q, w) is the space of families all of whose
-terms have weight at most w.  On a single standard simplex the weight
-does split the complex, which gives a fast path.
+terms have weight at most w.
 
 Face pullbacks and d never raise weight (d keeps it).  The compatibility
 solve lists the labels of each degree by weight first, so the families
 of weight <= w are exactly the leading free labels, the cap-w complex is
 the leading block of every higher-cap one, and d is block upper
 triangular.  verify_de_rham therefore builds one complex, at cap + 2,
-and reads every lower cap off its leading blocks.
+and reads every lower cap off its leading blocks.  Coboundaries are
+sparse: one {column: coefficient} row per label of the next degree.
+
+The one special case is a standard simplex, where restriction to the
+top cell is an isomorphism: its coordinates are the top-cell monomials
+(`standard_n`) instead of a compatibility solve, so d is the monomial d
+and block diagonal in weight.  Everything after the coordinates is the
+same path.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
     DimensionMismatch,
     NotAComplex,
 )
-from .exactalg import LinearSpan, MultiPoly, ONE, QMatrix, ZERO
+from .exactalg import LinearSpan, MultiPoly, ONE, ZERO
 from .dgforms import DiffForm, simplex_context
 from .simplicial import (
     Cochain,
@@ -264,11 +270,6 @@ class SullivanElement:
                 and (self - other).is_zero())
 
 
-def integrate_map(u: SullivanElement) -> Cochain:
-    """Simplex-by-simplex integration; a chain map into cochains."""
-    return u.integrate()
-
-
 # -- bases and complexes -----------------------------------------------------
 
 
@@ -370,12 +371,14 @@ class SullivanComplex:
         if isinstance(vec_or_index, int):
             vec = self._vectors[q][vec_or_index]
         else:
-            # coordinate list over the degree-q basis
+            # coordinates over the degree-q basis: a list or {index: c}
+            coords = vec_or_index.items() if isinstance(vec_or_index, dict) \
+                else enumerate(vec_or_index)
             vec = {}
-            for c, bvec in zip(vec_or_index, self._vectors[q]):
+            for k, c in coords:
                 if not c:
                     continue
-                for lab, v in bvec.items():
+                for lab, v in self._vectors[q][k].items():
                     s = vec.get(lab, ZERO) + c * v
                     if s:
                         vec[lab] = s
@@ -388,22 +391,23 @@ class SullivanComplex:
             return _family_from_top(self.sset, n, q, top_form)
         return _family_from_vector(self.sset, q, vec)
 
-    def d_matrix(self, q: int) -> QMatrix:
-        """d from degree q to q + 1 in the family bases.
+    def d_matrix(self, q: int) -> list:
+        """d from degree q to q + 1 in the family bases, as sparse rows.
 
         d acts label by label on the stored vectors.  A family of degree
         q + 1 is the sum of its values at the free labels times the basis
-        families, so column k is d of family k read at those labels.
+        families, so column k is d of family k read at those labels; row
+        r is the {column: coefficient} dict of free label r.
         """
         index = {lab: r for r, lab in enumerate(self._coords[q + 1])}
-        rows = [[ZERO] * self.dim(q) for _ in index]
+        rows = [{} for _ in index]
         for k, vec in enumerate(self._vectors[q]):
             for (sid, lab), c in vec.items():
                 for tl, v in _monomial_d(lab):
                     r = index.get((sid, tl))
                     if r is not None:
-                        rows[r][k] += c * v
-        return QMatrix(rows)
+                        rows[r][k] = rows[r].get(k, ZERO) + c * v
+        return [{k: v for k, v in row.items() if v} for row in rows]
 
 
 def sullivan_basis(S: FiniteSimplicialSet, q: int, w: int) -> list:
@@ -419,30 +423,37 @@ def sullivan_basis(S: FiniteSimplicialSet, q: int, w: int) -> list:
 # -- cochain complexes and cohomology ----------------------------------------
 
 
+def _row_span(rows) -> LinearSpan:
+    span = LinearSpan()
+    span.extend(rows)
+    return span
+
+
 @dataclass
 class CochainComplexView:
-    """Bases and coboundary matrices of a finite rational complex."""
+    """Bases and sparse coboundaries of a finite rational complex.
+
+    mats[q] is d from degree q to q + 1: one {column: coefficient} row
+    per label of degree q + 1, columns indexing the degree-q labels.
+    """
 
     labels: list
-    mats: list          # mats[q]: C^q -> C^(q+1)
+    mats: list
 
     def __post_init__(self):
-        # matrices with zero rows degrade to shape (0, 0); skip those
-        for q in range(len(self.mats) - 1):
-            a, b = self.mats[q], self.mats[q + 1]
-            if a.shape[0] == 0 or b.shape[0] == 0:
-                continue
-            if a.shape[0] != b.shape[1]:
+        for q, mat in enumerate(self.mats):
+            if q + 1 >= len(self.labels) or \
+                    len(mat) != len(self.labels[q + 1]) or \
+                    any(j >= len(self.labels[q]) for row in mat for j in row):
                 raise DimensionMismatch("coboundary shapes do not chain")
+        for q in range(len(self.mats) - 1):
+            a = self.mats[q]
             # every row of b a, summed over the nonzero entries only
-            a_rows = [{j: x for j, x in enumerate(row) if x}
-                      for row in a.rows]
-            for b_row in b.rows:
+            for b_row in self.mats[q + 1]:
                 out: dict = {}
-                for i, v in enumerate(b_row):
-                    if v:
-                        for j, x in a_rows[i].items():
-                            out[j] = out.get(j, ZERO) + v * x
+                for i, v in b_row.items():
+                    for j, x in a[i].items():
+                        out[j] = out.get(j, ZERO) + v * x
                 if any(out.values()):
                     raise NotAComplex(
                         f"coboundary squared nonzero in degree {q}")
@@ -452,9 +463,8 @@ class CochainComplexView:
         out = []
         prev_rank = 0
         for q, labels in enumerate(self.labels):
-            n = len(labels)
-            r = self.mats[q].rank() if q < len(self.mats) else 0
-            out.append(n - r - prev_rank)
+            r = _row_span(self.mats[q]).rank if q < len(self.mats) else 0
+            out.append(len(labels) - r - prev_rank)
             prev_rank = r
         return out
 
@@ -464,34 +474,26 @@ class CochainComplexView:
         A subcomplex only when d maps each leading block into the next.
         """
         labels = [list(lab[:k]) for lab, k in zip(self.labels, dims)]
-        mats = [QMatrix([row[:dims[q]] for row in mat.rows[:dims[q + 1]]])
+        mats = [[{j: x for j, x in row.items() if j < dims[q]}
+                 for row in mat[:dims[q + 1]]]
                 for q, mat in enumerate(self.mats)]
         return CochainComplexView(labels, mats)
 
     def image_span(self, q: int) -> LinearSpan:
         """Span of the degree-q coboundaries, the columns of mats[q-1]."""
-        span = LinearSpan()
+        columns: dict = {}
         if q > 0:
-            prev = self.mats[q - 1]
-            span.extend({i: row[j] for i, row in enumerate(prev.rows)
-                         if row[j]} for j in range(prev.shape[1]))
-        return span
+            for i, row in enumerate(self.mats[q - 1]):
+                for j, x in row.items():
+                    columns.setdefault(j, {})[i] = x
+        return _row_span(columns.values())
 
     def representatives(self, q: int) -> list:
-        """Cocycle coordinate vectors spanning degree-q cohomology."""
-        n = len(self.labels[q])
-        if q < len(self.mats) and self.mats[q].shape[1] == n and n:
-            kernel = self.mats[q].nullspace()
-        else:
-            # zero or absent coboundary: everything is a cocycle
-            kernel = [[ONE if i == j else ZERO for i in range(n)]
-                      for j in range(n)]
+        """Cocycles {index: c} whose classes span degree-q cohomology."""
+        rows = self.mats[q] if q < len(self.mats) else []
+        kernel = _row_span(rows).kernel(range(len(self.labels[q])))
         span = self.image_span(q)
-        reps = []
-        for vec in kernel:
-            if span.add({i: v for i, v in enumerate(vec) if v}):
-                reps.append(vec)
-        return reps
+        return [vec for _, vec in kernel if span.add(vec)]
 
 
 def cochain_complex(S: FiniteSimplicialSet) -> CochainComplexView:
@@ -501,50 +503,21 @@ def cochain_complex(S: FiniteSimplicialSet) -> CochainComplexView:
     mats = []
     for q in range(L + 1):
         col = {sid: j for j, sid in enumerate(labels[q])}
-        rows = [[ZERO] * len(labels[q]) for _ in labels[q + 1]]
-        for row, tid in zip(rows, labels[q + 1]):
+        rows = []
+        for tid in labels[q + 1]:
+            row: dict = {}
             for i in range(q + 2):
-                row[col[S.face(tid, i)]] += (-1) ** i
-        mats.append(QMatrix(rows))
+                j = col[S.face(tid, i)]
+                row[j] = row.get(j, 0) + (-1) ** i
+            rows.append({j: x for j, x in row.items() if x})
+        mats.append(rows)
     return CochainComplexView(labels, mats)
-
-
-def cohomology(C: CochainComplexView) -> list:
-    """Cohomology ranks of a validated complex."""
-    return C.ranks()
 
 
 def sullivan_view(cx: SullivanComplex) -> CochainComplexView:
     labels = [cx._coords.get(q, []) for q in range(cx.L + 2)]
     mats = [cx.d_matrix(q) for q in range(cx.L + 1)]
     return CochainComplexView(labels, mats)
-
-
-# -- standard-simplex weight-graded fast path --------------------------------
-
-
-@lru_cache(maxsize=None)
-def _simplex_block_view(n: int, w: int) -> CochainComplexView:
-    labels = [_simplex_weight_block(n, q, w) for q in range(n + 2)]
-    mats = []
-    for q in range(n + 1):
-        index = {lab: i for i, lab in enumerate(labels[q + 1])}
-        rows = [[ZERO] * len(labels[q]) for _ in index]
-        for k, lab in enumerate(labels[q]):
-            for tl, v in _monomial_d(lab):
-                rows[index[tl]][k] = v
-        mats.append(QMatrix(rows))
-    return CochainComplexView(labels, mats)
-
-
-def _standard_representatives(sset, n: int, cap: int, q: int) -> list:
-    reps = []
-    for w in range(cap + 1):
-        view = _simplex_block_view(n, w)
-        for vec in view.representatives(q):
-            form = _form_of(simplex_context(n), zip(view.labels[q], vec))
-            reps.append(_family_from_top(sset, n, q, form))
-    return reps
 
 
 # -- the comparison report ---------------------------------------------------
@@ -563,13 +536,10 @@ def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
     for q, mat in enumerate(view.mats):
         col_w = [_weight(lab) for _, lab in view.labels[q]]
         row_w = [_weight(lab) for _, lab in view.labels[q + 1]]
-        vecs = [{j: x for j, x in enumerate(row) if x} for row in mat.rows]
-        for i, vec in enumerate(vecs):
-            if any(col_w[j] < row_w[i] for j in vec):
+        for i, row in enumerate(mat):
+            if any(col_w[j] < row_w[i] for j in row):
                 raise NotAComplex(f"coboundary raises weight in degree {q}")
-        span = LinearSpan()
-        span.extend(vecs)
-        pivots.append(list(span.pivots))
+        pivots.append(list(_row_span(mat).pivots))
     out = []
     for w in range(cx.cap + 1):
         dims = cx.leading_dims(w)
@@ -585,13 +555,13 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
 
     Computes per-weight and total family cohomology ranks, cochain
     cohomology ranks, checks the integration map induces an isomorphism
-    on the computed range, and solves for the coboundary that absorbs
-    each sampled multiplicativity defect.  Raises CapInsufficient when
+    on the computed range, and checks that each sampled multiplicativity
+    defect lies in the span of the coboundaries.  Raises CapInsufficient when
     raising the weight cap by 2 changes any rank, and CapExceeded up
     front for a cap below 0 or one whose cap + 2 passes the hard cap.
 
     One family complex at cap + 2 serves every lower cap through its
-    leading blocks; a standard simplex sums its weight-graded blocks.
+    leading blocks.
     """
     L = S.dimension
     cap = (L + 4) if weight_cap is None else weight_cap
@@ -600,15 +570,9 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
             f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP - 2}: the "
             f"stability check needs cap + 2 <= {HARD_WEIGHT_CAP}")
 
-    n = _is_standard_simplex(S)
-    if n is not None:
-        by_weight = list(itertools.accumulate(
-            (_simplex_block_view(n, w).ranks() for w in range(cap + 3)),
-            lambda total, r: [a + b for a, b in zip(total, r)]))
-    else:
-        cx = SullivanComplex(S, cap + 2)
-        view = sullivan_view(cx)    # d∘d checked on every block at once
-        by_weight = _weight_ranks(cx, view)
+    cx = SullivanComplex(S, cap + 2)
+    view = sullivan_view(cx)    # d∘d checked on every block at once
+    by_weight = _weight_ranks(cx, view)
     per_weight = by_weight[:cap + 1]
     sull_ranks = per_weight[-1]
     stable_ranks = by_weight[cap + 2]
@@ -622,21 +586,19 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     ranks_match = sull_ranks == coch_ranks
 
     # induced map on cohomology: inject family classes into cochain classes
-    if n is not None:
-        reps = [_standard_representatives(S, n, cap, q) for q in range(L + 2)]
-    else:
-        sub = view.leading(cx.leading_dims(cap))
-        reps = [[cx.element(q, list(vec)) for vec in sub.representatives(q)]
-                for q in range(L + 2)]
+    sub = view.leading(cx.leading_dims(cap))
+    reps = [[(rep, rep.integrate()) for rep in
+             (cx.element(q, vec) for vec in sub.representatives(q))]
+            for q in range(L + 2)]
+    orders = [{sid: i for i, sid in enumerate(labels)}
+              for labels in cview.labels]
     induced_ok = True
     induced_details = []
     for q in range(L + 2):
         span = cview.image_span(q)
-        order = {sid: i for i, sid in enumerate(cview.labels[q])}
         injected = 0
-        for rep in reps[q]:
-            coch = integrate_map(rep)
-            vec = {order[sid]: v for sid, v in coch.values.items()}
+        for _, coch in reps[q]:
+            vec = {orders[q][sid]: v for sid, v in coch.values.items()}
             if coch.coboundary().is_zero() and span.add(vec):
                 injected += 1
             else:
@@ -648,21 +610,18 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
                                 "target_rank": coch_ranks[q]})
 
     # multiplicativity: the integration map fails to be a ring map only
-    # by a coboundary, found explicitly
+    # by a coboundary
     pairs = 0
     mult_ok = True
+    images = [cview.image_span(q) for q in range(L + 1)]
     flat_reps = [(q, rep) for q in range(L + 2) for rep in reps[q]]
-    for (p, u), (q, v) in itertools.product(flat_reps, repeat=2):
+    for (p, (u, iu)), (q, (v, iv)) in itertools.product(flat_reps, repeat=2):
         if p + q > L:
             continue
         pairs += 1
-        defect = integrate_map(u * v) - aw_product(integrate_map(u),
-                                                  integrate_map(v))
-        if p + q == 0:
-            mult_ok &= defect.is_zero()
-            continue
-        target = [defect(sid) for sid in cview.labels[p + q]]
-        mult_ok &= cview.mats[p + q - 1].solve(target) is not None
+        defect = (u * v).integrate() - aw_product(iu, iv)
+        target = {orders[p + q][sid]: x for sid, x in defect.values.items()}
+        mult_ok &= images[p + q].contains(target)
 
     ok = ranks_match and induced_ok and mult_ok
     return {

@@ -80,6 +80,29 @@ def test_verify_all_battery(capsys):
     check_golden(capsys, ["verify-all"], "verify-all.txt")
 
 
+@pytest.mark.parametrize("name, corrupt, label", [
+    ("fraction-plane.json", lambda d: d.update(expected="2"),
+     "residue fraction-plane.json"),
+    ("p1-o1.json", lambda d: d["zeros"][0].update({"lambda": [["-2"]]}),
+     "bott p1-o1"),
+], ids=["fraction-expected", "scenario-lambda"])
+def test_verify_all_fails_on_a_corrupted_file(capsys, tmp_path, monkeypatch,
+                                              name, corrupt, label):
+    # inputs resolve from the working directory before the shipped data
+    data = json.loads(Path(resolve_input(name)).read_text())
+    corrupt(data)
+    (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["verify-all"])
+    assert code == 2
+    expect = [line.replace("[ok]", "[FAIL]")
+              if line.startswith(f"{label}:") else line
+              for line in (GOLDEN / "verify-all.txt").read_text().splitlines()]
+    expect[-1] = "status: FAIL"
+    assert out.splitlines() == expect
+    assert sum("FAIL" in line for line in expect) == 2
+
+
 def test_missing_input_exits_3(capsys):
     code, _, err = run(capsys, ["residue", "no-such-file.json"])
     assert code == 3 and "no such input" in err
@@ -139,8 +162,13 @@ NO_ZEROS = {"name": "bad", "n": 1, "r": 1, "zeros": []}
     ("bott", dict(NO_ZEROS, chart=dict(CHART, points=[]))),
     ("chern", dict(NO_ZEROS, r=2, whitney={
         "sub": CHART, "quot": CHART, "mixing": [], "chain": ["x0"]})),
+    ("chern", dict(NO_ZEROS, r=2, whitney={
+        "sub": dict(CHART, rank=5), "quot": CHART, "mixing": {},
+        "chain": ["x0"]})),
+    ("chern", dict(NO_ZEROS, r=2, whitney={
+        "sub": CHART, "quot": CHART, "mixing": {}, "chain": [["x0"]]})),
 ], ids=["non-object-zeros", "deep-nesting", "list-frames", "list-points",
-        "list-mixing"])
+        "list-mixing", "rank-shape", "list-chain"])
 def test_hostile_input_exits_3(capsys, tmp_path, command, data):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))
@@ -160,7 +188,9 @@ def _fraction(numerator):
     (None, ["--precision", "100000"], "truncation 100000 has 5000050000 "),
     (_fraction("(f1 + f2 + 1)^300"), [], "degree 300 "),
     (_fraction("(f1 + f2 + 1)^30 * (f1 + f2 + 1)^30"), [], "degree 60 "),
-], ids=["precision", "power", "product"])
+    ({"vars": ["f1", "f2", "f3"], "numerator": "(f1 + f2 + f3 + 1)^32",
+      "denominators": ["f1", "f2", "f3"]}, [], "up to 6545 terms "),
+], ids=["precision", "power", "product", "terms"])
 def test_resource_caps_exit_5(capsys, tmp_path, data, flags, message):
     path = "fraction-cusp.json"
     if data is not None:
@@ -176,7 +206,7 @@ def test_resource_caps_exit_5(capsys, tmp_path, data, flags, message):
 @pytest.mark.parametrize("space, cap", [
     ("boundary-delta2.json", "-1"),
     ("boundary-delta2.json", "30"),
-    # the standard-simplex fast path is held to the same cap
+    # a standard simplex is held to the same cap
     ("delta3.json", "30"),
 ], ids=["-1", "30", "delta3-30"])
 def test_out_of_range_weight_cap_exits_5(capsys, space, cap):

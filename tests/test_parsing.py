@@ -157,8 +157,13 @@ def test_scenario_schema_guards():
     _scenario(chart=dict(CHART, a=5)),
     _scenario(whitney={"sub": CHART, "quot": CHART, "mixing": {},
                        "chain": 5}),
+    _scenario(chart=dict(CHART, frames={"x0": [["1", "0"]]})),
+    _scenario(whitney={"sub": CHART, "quot": CHART,
+                       "mixing": {"x0": [["1"], ["0"]]}, "chain": ["x0"]}),
+    _scenario(whitney={"sub": CHART, "quot": CHART, "mixing": {},
+                       "chain": ["x0", 1]}),
 ], ids=["label", "zero-a", "rank", "frame-rows", "point-value", "chart-a",
-        "chain"])
+        "chain", "frame-shape", "mixing-shape", "chain-labels"])
 def test_scenario_values_of_the_wrong_type(bad):
     assert scenario_from_json(_scenario(zeros=[ZERO], chart=CHART))
     with pytest.raises(ParseError):
