@@ -14,7 +14,13 @@ with exact `fractions.Fraction` coefficients:
 
 `LinearSpan` is the one exact elimination kernel: sparse rows keyed
 by column labels, reduced incrementally, with rank, membership,
-tracked solves, the reduced row echelon form and a kernel basis.
+tracked solves, the reduced row echelon form and a kernel basis.  Its
+rows are fraction free: each stored row is a primitive integer row,
+and a vector being reduced is one rational scale times such a row.
+Every integer step is the step over Fractions times a nonzero
+rational, so the pivots and spans are the same, and the reduced row
+echelon form read out at the end, unique for the span and the label
+order, is the same exact one.
 `QMatrix` is the dense container that feeds its rows to that kernel.
 `macaulay_span` builds every truncated ideal span: the shifted
 generators below a degree T.  `artinian_length` reads the colength of
@@ -26,6 +32,7 @@ so every function in this module is safe to call from parallel workers.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -1006,14 +1013,34 @@ class QMatrix:
         return QMatrix([row[n:] for row in red.rows])
 
 
-def _sub_scaled(target: dict, factor, source: dict) -> None:
-    """target -= factor * source in place, dropping entries that cancel."""
-    for c, v in source.items():
-        s = target.get(c, ZERO) - factor * v
+def _combine(a: int, x: dict, b: int, y: dict) -> dict:
+    """a * x - b * y over sparse dicts, dropping entries that cancel.
+
+    The keys of x keep their order and new keys of y follow in theirs,
+    as an in-place subtraction would leave them.
+    """
+    out = {c: a * v for c, v in x.items()} if a != 1 else dict(x)
+    for c, v in y.items():
+        s = out.get(c, 0) - b * v
         if s:
-            target[c] = s
+            out[c] = s
         else:
-            target.pop(c, None)
+            out.pop(c, None)
+    return out
+
+
+def _integral(vec: dict) -> tuple[dict, int, int]:
+    """(row, num, den): a primitive integer row with vec = num/den * row."""
+    vec = {c: v for c, v in vec.items() if v}
+    den = math.lcm(*(v.denominator for v in vec.values()))
+    if den != 1:
+        vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+    else:
+        vec = {c: v.numerator for c, v in vec.items()}
+    g = math.gcd(*vec.values())
+    if g > 1:
+        vec = {c: v // g for c, v in vec.items()}
+    return vec, g or 1, den
 
 
 class LinearSpan:
@@ -1021,12 +1048,28 @@ class LinearSpan:
 
     Every row reduction in the package runs here.  Vectors are dicts
     keyed by hashable column labels; a total order on labels (``key``)
-    makes pivot choice deterministic.  Each stored row is scaled to 1
-    at its pivot, the least label it touches.  With ``track`` each
-    inserted vector carries a tag; `reduce` then also returns the
-    combination of tags expressing the residual-free part.
-    `reduced_rows` and `kernel` read out the reduced row echelon form,
-    which is unique for a fixed label order.
+    makes pivot choice deterministic.  The pivot of a stored row is the
+    least label it touches.  With ``track`` each inserted vector
+    carries a tag; `reduce` then also returns the combination of tags
+    expressing the residual-free part.  `reduced_rows` and `kernel` read
+    out the reduced row echelon form, which is unique for a fixed label
+    order.
+
+    Rows are fraction free: each stored row is a primitive integer row
+    (content 1), and a vector carries one rational scale instead of a
+    Fraction per entry.  A vector is split once into that scale and a
+    primitive row; clearing pivot c, where the stored row R has R[c] = p
+    and the row W has W[c] = v, is W <- (p/g) W - (v/g) R with
+    g = gcd(p, v), then W is divided by its content.  The scale, kept
+    as two ints, records what that did to the true vector, and the tag
+    combination takes the same integer steps.  Each step is the usual
+    one (rows scaled to 1 at the pivot) times a nonzero rational, so the
+    supports, the pivots and the order of entries are the same, and the
+    span is the same.  The true residual, combination and pivot entry
+    (`divisors`) are rebuilt from the scale as exact Fractions, and
+    `reduced_rows` divides each back-substituted integer row by its
+    pivot entry, which gives the reduced row echelon form: it depends
+    only on the span and the label order.
 
     The pivots are the least labels of the nonzero vectors of the span
     (reduction only brings in labels above the pivot it clears, so a
@@ -1038,49 +1081,93 @@ class LinearSpan:
     def __init__(self, key=None, track: bool = False):
         self.key = key or (lambda c: c)
         self.track = track
-        self.pivots: dict = {}       # column -> echelon row, insertion order
-        self.combos: dict = {}       # column -> {tag: Fraction}
-        self.divisors: list = []     # entry each new row was divided by
+        self.pivots: dict = {}       # column -> primitive integer row
+        self._combos: dict = {}      # column -> (K, delta) with
+        # row = sum over tags t of K[t]/delta * (vector tagged t)
+        self.divisors: list = []     # true entry at each new row's pivot
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: dict, combo: dict | None):
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
+    @property
+    def combos(self) -> dict:
+        """column -> {tag: Fraction}: the tag combination equal to the
+        stored row scaled to 1 at its pivot."""
+        return {c: {t: Fraction(k, delta * self.pivots[c][c])
+                    for t, k in combo.items()}
+                for c, (combo, delta) in self._combos.items()}
+
+    def _reduce(self, vec: dict, tags: dict | None):
+        """(row, combo, delta, num, den): the residual is num/den * row.
+
+        `tags` is None (untracked) or the starting combination with
+        integer values, {} or {tag: 1}.  The combination is held at the
+        scale of the row as integers over one common denominator:
+        num/den * combo/delta.
+        """
+        row, num, den = _integral(vec)
+        combo, delta = None, 1
+        if tags is not None:
+            combo, delta = {t: den * k for t, k in tags.items()}, num
         pivots, key = self.pivots, self.key
-        while True:
-            # eliminating a pivot only brings in labels above it
-            hit = min((c for c in vec if c in pivots), key=key, default=None)
-            if hit is None:
-                return vec, combo
-            factor = vec[hit]
-            _sub_scaled(vec, factor, pivots[hit])
+        # pivots met in row, least first; eliminating one only brings in
+        # labels above it, so the least live entry is the next to clear
+        queue = [(key(c), c) for c in row if c in pivots]
+        heapq.heapify(queue)
+        while queue:
+            hit = heapq.heappop(queue)[1]
+            v = row.get(hit)
+            if v is None:
+                continue        # cancelled since it was queued
+            stored = pivots[hit]
+            for c in stored.keys() - row.keys():
+                if c in pivots:
+                    heapq.heappush(queue, (key(c), c))
+            p = stored[hit]
+            g = math.gcd(p, v)
+            a, b = p // g, v // g
+            row = _combine(a, row, b, stored)
+            den *= a
+            g = math.gcd(*row.values()) or 1
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+                num *= g
             if combo is not None:
-                _sub_scaled(combo, factor, self.combos[hit])
+                other, d = self._combos[hit]
+                lcm = math.lcm(delta, d)
+                combo = _combine(a * (lcm // delta), combo,
+                                 b * (lcm // d), other)
+                delta = lcm * g
+                h = math.gcd(delta, *combo.values())
+                if h > 1:
+                    combo = {t: x // h for t, x in combo.items()}
+                    delta //= h
+        return row, combo, delta, num, den
 
     def reduce(self, vec: dict):
         """Residual of vec against the span (no insertion)."""
-        combo = {} if self.track else None
-        residual, combo = self._reduce(vec, combo)
-        return residual, combo
+        row, combo, delta, num, den = self._reduce(
+            vec, {} if self.track else None)
+        if combo is not None:
+            combo = {t: Fraction(num * x, den * delta)
+                     for t, x in combo.items()}
+        return {c: Fraction(num * x, den) for c, x in row.items()}, combo
 
     def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+        return not self._reduce(vec, None)[0]
 
     def add(self, vec: dict, tag=None) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        combo = {tag: ONE} if self.track else None
-        residual, combo = self._reduce(vec, combo)
-        if not residual:
+        row, combo, delta, num, den = self._reduce(
+            vec, {tag: 1} if self.track else None)
+        if not row:
             return False
-        lead = min(residual, key=self.key)
-        factor = residual[lead]
-        self.pivots[lead] = {c: v / factor for c, v in residual.items()}
+        lead = min(row, key=self.key)
+        self.pivots[lead] = row
         if self.track:
-            self.combos[lead] = {t: v / factor for t, v in combo.items()}
-        self.divisors.append(factor)
+            self._combos[lead] = (combo, delta)
+        self.divisors.append(Fraction(num * row[lead], den))
         return True
 
     def extend(self, vectors) -> None:
@@ -1095,25 +1182,34 @@ class LinearSpan:
         """Tags combination with sum(tag_i * gen_i) = vec, or None."""
         if not self.track:
             raise ValueError("LinearSpan built without tracking")
-        residual, combo = self.reduce(vec)
-        if residual:
+        row, combo, delta, num, den = self._reduce(vec, {})
+        if row:
             return None
-        return {t: -v for t, v in combo.items()}
+        return {t: Fraction(-num * x, den * delta) for t, x in combo.items()}
 
     def reduced_rows(self) -> dict:
         """Back-substituted rows, {pivot: row}, in label order.
 
-        Each row is 1 at its own pivot and 0 at every other pivot.
+        Each row is 1 at its own pivot and 0 at every other pivot.  The
+        substitution runs on integer rows; each is divided by its pivot
+        entry at the end.
         """
         order = sorted(self.pivots, key=self.key)
         done: dict = {}
         for p in reversed(order):
-            row = dict(self.pivots[p])
+            row = self.pivots[p]
             # the other pivots in row lie above p and are already reduced
             for c in [c for c in row if c != p and c in self.pivots]:
-                _sub_scaled(row, row[c], done[c])
-            done[p] = row
-        return {p: done[p] for p in order}
+                lead = done[c][c]
+                g = math.gcd(lead, row[c])
+                row = _combine(lead // g, row, row[c] // g, done[c])
+            g = math.gcd(*row.values())
+            done[p] = {c: x // g for c, x in row.items()} if g > 1 else row
+        out = {}
+        for p in order:
+            lead = done[p][p]
+            out[p] = {c: Fraction(x, lead) for c, x in done[p].items()}
+        return out
 
     def kernel(self, labels) -> list:
         """Solutions of the stored rows read as equations over `labels`.

@@ -24,7 +24,8 @@ from .scenarios import Scenario
 from .simplicial import FiniteSimplicialSet
 
 # hard cap on the degree of each power and product (shipped data: 3);
-# their dense term count is held to exactalg.MACAULAY_MONOMIAL_CAP
+# their dense term count, one by one and summed over one expression, is
+# held to exactalg.MACAULAY_MONOMIAL_CAP
 MAX_EXPRESSION_DEGREE = 32
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)"
@@ -56,6 +57,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.vars = vars
+        self.spent = 0      # dense terms of the expansions so far
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -68,8 +70,10 @@ class _Parser:
     def guard(self, degree: int) -> None:
         """Refuse to expand a power or product past the hard caps.
 
-        Its degree must be at most MAX_EXPRESSION_DEGREE, and its dense
-        term count C(nvars + degree, nvars) at most MACAULAY_MONOMIAL_CAP.
+        Its degree must be at most MAX_EXPRESSION_DEGREE.  Its dense
+        term count C(nvars + degree, nvars) must be at most
+        MACAULAY_MONOMIAL_CAP, and so must the sum of those counts over
+        every expansion of one parsed expression.
         """
         if degree > MAX_EXPRESSION_DEGREE:
             raise CapExceeded(f"expression of degree {degree} is past the "
@@ -80,6 +84,12 @@ class _Parser:
             raise CapExceeded(
                 f"expression of degree {degree} has up to {terms} terms in "
                 f"{n} variables, past the cap of {MACAULAY_MONOMIAL_CAP}")
+        self.spent += terms
+        if self.spent > MACAULAY_MONOMIAL_CAP:
+            raise CapExceeded(
+                f"the expansions of one expression have up to {self.spent} "
+                f"terms in {n} variables, past the cap of "
+                f"{MACAULAY_MONOMIAL_CAP}")
 
     def expr(self) -> MultiPoly:
         acc = self.term()

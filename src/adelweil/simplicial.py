@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import (
     ContextMismatch,
@@ -271,14 +272,18 @@ class FiniteSimplicialSet:
     simplex must itself be nondegenerate, so the face maps are total on
     the stored simplices.  `vertices` optionally records vertex tuples
     for subsets of a standard simplex, which the comparison map uses.
+    `simplices`, `faces` and `vertices` are read-only mappings with
+    tuple values, so the cached sets below can be shared safely.
     """
 
     def __init__(self, name: str, simplices: dict, faces: dict,
                  vertices: dict | None = None):
         self.name = name
-        self.simplices = dict(simplices)          # id -> dimension
-        self.faces = {k: tuple(v) for k, v in faces.items()}
-        self.vertices = dict(vertices) if vertices else None
+        self.simplices = MappingProxyType(dict(simplices))  # id -> dimension
+        self.faces = MappingProxyType(
+            {k: tuple(v) for k, v in faces.items()})
+        self.vertices = MappingProxyType(
+            {k: tuple(v) for k, v in vertices.items()}) if vertices else None
         self._validate()
 
     def _validate(self):

@@ -190,7 +190,13 @@ def _fraction(numerator):
     (_fraction("(f1 + f2 + 1)^30 * (f1 + f2 + 1)^30"), [], "degree 60 "),
     ({"vars": ["f1", "f2", "f3"], "numerator": "(f1 + f2 + f3 + 1)^32",
       "denominators": ["f1", "f2", "f3"]}, [], "up to 6545 terms "),
-], ids=["precision", "power", "product", "terms"])
+    # each summand passes alone; together they are past the budget
+    ({"vars": ["f1", "f2", "f3"],
+      "numerator": " + ".join(f"(f1 + f2 + f3 + {k})^20"
+                              for k in range(1, 11)),
+      "denominators": ["f1", "f2", "f3"]}, [],
+     "expansions of one expression have up to 5313 terms "),
+], ids=["precision", "power", "product", "terms", "sum"])
 def test_resource_caps_exit_5(capsys, tmp_path, data, flags, message):
     path = "fraction-cusp.json"
     if data is not None:

@@ -247,6 +247,92 @@ def test_insertion_order_leaves_the_echelon_form_unchanged(case):
     assert QMatrix(square).det() == RingMatrix(square).det()
 
 
+def _gauss_jordan(rows, n):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan.
+
+    Returns {pivot column: dense row}, each row 1 at its pivot and 0 at
+    every other pivot column.
+    """
+    M = [list(row) for row in rows]
+    out, r = {}, 0
+    for col in range(n):
+        k = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if k is None:
+            continue
+        M[r], M[k] = M[k], M[r]
+        M[r] = [x / M[r][col] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col]:
+                M[i] = [x - M[i][col] * y for x, y in zip(M[i], M[r])]
+        out[col] = M[r]
+        r += 1
+    return {col: M[i] for i, col in enumerate(out)}
+
+
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+# non-integer rationals with denominators up to 9, some with large
+# numerators, about half the entries zero
+_entries = st.one_of(
+    st.just(Q(0)), fractions(max_num=7, max_den=9),
+    st.builds(Q, st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+              st.integers(min_value=1, max_value=9)))
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(_entries, min_size=n, max_size=n), max_size=n + 2),
+        st.lists(_entries, min_size=n, max_size=n),
+        st.lists(_entries, min_size=n + 2, max_size=n + 2))))
+def test_integer_rows_match_fraction_gauss_jordan(case):
+    A, b, coeffs = case
+    n = len(b)
+    ref = _gauss_jordan(A, n)
+    span = LinearSpan(track=True)
+    for t, row in enumerate(A):
+        span.add(_sparse(row), tag=t)
+    assert set(span.pivots) == set(ref)
+    assert span.reduced_rows() == {p: _sparse(row) for p, row in ref.items()}
+    assert span.rank == len(ref)
+    # each stored row, rebuilt from its tags, is 1 at its pivot and 0
+    # before it
+    for p, combo in span.combos.items():
+        row = [sum((c * A[t][j] for t, c in combo.items()), Q(0))
+               for j in range(n)]
+        assert row[p] == 1 and not any(row[:p])
+    # kernel: one vector per free column, each killed by every row
+    kernel = span.kernel(range(n))
+    assert [lab for lab, _ in kernel] == [j for j in range(n) if j not in ref]
+    for _, vec in kernel:
+        for row in A:
+            assert sum((row[j] * x for j, x in vec.items()), Q(0)) == 0
+    # reduce: the residual is b minus its pivot entries times the rref
+    expect = list(b)
+    for p, row in ref.items():
+        expect = [x - b[p] * y for x, y in zip(expect, row)]
+    residual, combo = span.reduce(_sparse(b))
+    assert residual == _sparse(expect)
+    rebuilt = list(b)
+    for t, c in combo.items():
+        rebuilt = [x + c * y for x, y in zip(rebuilt, A[t])]
+    assert rebuilt == expect
+    # solve: a vector of the span is rebuilt exactly from the tags
+    target = [sum((c * row[j] for c, row in zip(coeffs, A)), Q(0))
+              for j in range(n)]
+    sol = span.solve(_sparse(target))
+    assert sol is not None
+    rebuilt = [Q(0)] * n
+    for t, c in sol.items():
+        rebuilt = [x + c * y for x, y in zip(rebuilt, A[t])]
+    assert rebuilt == target
+    square = (A + [b] + [[Q(int(i == j)) for j in range(n)]
+                         for i in range(n)])[:n]
+    assert QMatrix(square).det() == RingMatrix(square).det()
+
+
 def test_linear_span_solve_recovers_combination():
     span = LinearSpan(track=True)
     span.add({0: Q(1), 1: Q(1)}, tag="u")

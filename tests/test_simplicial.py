@@ -159,6 +159,19 @@ def test_simplicial_set_json_round_trip():
         assert FiniteSimplicialSet.from_json(S.to_json()) == S
 
 
+def test_cached_simplicial_sets_are_read_only():
+    S = standard_simplex_sset(2)
+    with pytest.raises(TypeError):
+        S.simplices["3"] = 0
+    with pytest.raises(TypeError):
+        S.faces["012"] = ("01", "02", "12")
+    with pytest.raises(TypeError):
+        S.vertices["0"] = (1,)
+    assert S.faces["012"] == ("12", "02", "01")
+    assert FiniteSimplicialSet.from_json(S.to_json()) == S
+    assert "3" not in standard_simplex_sset(2).simplices
+
+
 @given(st.dictionaries(st.sampled_from(["01", "02", "12"]), fractions(),
                        max_size=3))
 def test_coboundary_squares_to_zero(vals):
