@@ -3,8 +3,12 @@
 Scenario and space files are serialized from the in-package generators,
 so editing a generator and rerunning this script keeps the shipped data
 in sync.  Fraction files are small enough to keep literal.
+
+    python scripts/regen_data.py            # rewrite every shipped file
+    python scripts/regen_data.py --check    # compare only; exit 1 on drift
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -70,23 +74,45 @@ FRACTIONS = (
 )
 
 
-def write(name: str, payload: dict) -> None:
-    path = DATA / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {path.relative_to(ROOT)}")
-
-
-def main() -> None:
-    DATA.mkdir(parents=True, exist_ok=True)
+def payloads():
+    """(file name, exact text) of every shipped file, built in memory."""
     for name, make in SCENARIOS:
         scn = make()
         assert scn.name == name, (scn.name, name)
-        write(name, scenario_to_json(scn))
+        yield name, scenario_to_json(scn)
     for name, make in SSETS:
-        write(name, make().to_json())
-    for name, payload in FRACTIONS:
-        write(name, payload)
+        yield name, make().to_json()
+    yield from FRACTIONS
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Rewrite src/adelweil/data from the generators.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="write nothing; byte-compare every payload with the shipped "
+             "file and exit 1 if any differs, is missing or is extra")
+    args = parser.parse_args(argv)
+    texts = {f"{name}.json": json.dumps(payload, indent=2) + "\n"
+             for name, payload in payloads()}
+    if args.check:
+        shipped = {path.name for path in DATA.glob("*.json")}
+        names = sorted(texts.keys() | shipped)
+        drift = [name for name in names
+                 if name not in texts or name not in shipped
+                 or (DATA / name).read_bytes() != texts[name].encode()]
+        for name in drift:
+            print(f"drift: {(DATA / name).relative_to(ROOT)}")
+        print(f"{len(names) - len(drift)} of {len(names)} data files match "
+              "their generators")
+        return 1 if drift else 0
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        path = DATA / name
+        path.write_text(text)
+        print(f"wrote {path.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -109,6 +109,35 @@ def _monomials_below(nvars: int, bound: int) -> list[tuple[int, ...]]:
     return sorted(out, key=grlex_key)
 
 
+def _power_pairs(m: int, nvars: int, degree: int, n: int) -> tuple:
+    """Estimated term pairs of f ** n as (repeated, squaring).
+
+    f has m terms and total degree `degree` in nvars variables.  f ** k
+    has at most C(k + m - 1, m - 1) terms (multisets of k terms) and at
+    most C(nvars + k degree, nvars) (monomials of degree <= k degree);
+    the lesser bound stands for its size.  Repeated multiplication pairs
+    f ** k with the m terms for k < n; squaring pairs what the binary
+    loop of `MultiPoly.__pow__` pairs.  This is the comparison of
+    Monagan and Pearce, "Sparse polynomial powering using heaps",
+    CASC 2012.
+    """
+    def terms(k: int) -> int:
+        return min(math.comb(k + m - 1, m - 1),
+                   math.comb(nvars + k * degree, nvars))
+
+    repeated = m * sum(terms(k) for k in range(n))
+    squaring, r, b = 0, 0, 1        # f ** r is the result, f ** b the base
+    while n:
+        if n & 1:
+            squaring += terms(r) * terms(b)
+            r += b
+        n >>= 1
+        if n:
+            squaring += terms(b) ** 2
+            b *= 2
+    return repeated, squaring
+
+
 class MultiPoly:
     """Polynomial with Fraction coefficients over a fixed variable tuple.
 
@@ -244,9 +273,23 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self ** n by repeated multiplication or by binary squaring,
+        whichever `_power_pairs` expects to multiply fewer term pairs.
+
+        The powers of a dense base grow fast, so its squares cost more
+        than n multiplications by the few-term base; the powers of a
+        sparse base stay small, and squaring wins.
+        """
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = MultiPoly.const(self.vars, 1)
+        if len(self.coeffs) > 1:    # a monomial never squares at a loss
+            repeated, squaring = _power_pairs(
+                len(self.coeffs), len(self.vars), self.total_degree(), n)
+            if repeated < squaring:
+                for _ in range(n):
+                    result = result * self
+                return result
         base = self
         while n:
             if n & 1:
@@ -971,7 +1014,7 @@ class QMatrix:
     def nullspace(self) -> list[list[Fraction]]:
         """Deterministic basis of the kernel (one vector per free column)."""
         n = self.shape[1]
-        return [[vec.get(j, ZERO) for j in range(n)]
+        return [[Fraction(vec.get(j, 0)) for j in range(n)]
                 for _, vec in self._span().kernel(range(n))]
 
     def solve(self, b: list) -> list[Fraction] | None:
@@ -1187,13 +1230,9 @@ class LinearSpan:
             return None
         return {t: Fraction(-num * x, den * delta) for t, x in combo.items()}
 
-    def reduced_rows(self) -> dict:
-        """Back-substituted rows, {pivot: row}, in label order.
-
-        Each row is 1 at its own pivot and 0 at every other pivot.  The
-        substitution runs on integer rows; each is divided by its pivot
-        entry at the end.
-        """
+    def _back_substituted(self) -> dict:
+        """Integer rows, {pivot: row}, in label order, each 0 at every
+        other pivot; scaled to 1 at its own pivot, a row is reduced."""
         order = sorted(self.pivots, key=self.key)
         done: dict = {}
         for p in reversed(order):
@@ -1205,10 +1244,19 @@ class LinearSpan:
                 row = _combine(lead // g, row, row[c] // g, done[c])
             g = math.gcd(*row.values())
             done[p] = {c: x // g for c, x in row.items()} if g > 1 else row
+        return {p: done[p] for p in order}
+
+    def reduced_rows(self) -> dict:
+        """Back-substituted rows, {pivot: row}, in label order.
+
+        Each row is 1 at its own pivot and 0 at every other pivot.  The
+        substitution runs on integer rows; each is divided by its pivot
+        entry at the end.
+        """
         out = {}
-        for p in order:
-            lead = done[p][p]
-            out[p] = {c: Fraction(x, lead) for c, x in done[p].items()}
+        for p, row in self._back_substituted().items():
+            lead = row[p]
+            out[p] = {c: Fraction(x, lead) for c, x in row.items()}
         return out
 
     def kernel(self, labels) -> list:
@@ -1216,14 +1264,21 @@ class LinearSpan:
 
         Returns one (free label, vector) pair per label that is not a
         pivot, in the order of `labels`; the vector is 1 at its own free
-        label and 0 at every other free label.
+        label and 0 at every other free label.  Its entries are the
+        back-substituted integer entries divided by their row's pivot
+        entry: an `int` where that division is exact, else a Fraction.
+        So a span of integer rows whose reduced form is integral, as on
+        the family spaces of `sullivan`, yields integer vectors.
         """
-        rows = self.reduced_rows()
-        basis = {lab: {lab: ONE} for lab in labels if lab not in rows}
+        rows = self._back_substituted()
+        basis = {lab: {lab: 1} for lab in labels if lab not in rows}
         for p in self.pivots:
-            for c, v in rows[p].items():
+            row = rows[p]
+            lead = row[p]
+            for c, x in row.items():
                 if c != p:
-                    basis[c][p] = -v
+                    basis[c][p] = -x // lead if x % lead == 0 \
+                        else Fraction(-x, lead)
         return list(basis.items())
 
 

@@ -317,6 +317,30 @@ class FiniteSimplicialSet:
                         raise ParseError(
                             f"simplicial identity fails at {sid!r} "
                             f"(i={i}, j={j})")
+        if self.vertices is not None:
+            self._validate_vertices()
+
+    def _validate_vertices(self):
+        """Each simplex spans dim + 1 increasing vertices, and face i
+        spans the same vertices with entry i dropped."""
+        if self.vertices.keys() != self.simplices.keys():
+            extra = sorted(self.vertices.keys() - self.simplices.keys())
+            missing = sorted(self.simplices.keys() - self.vertices.keys())
+            raise ParseError(f"vertices of unknown simplices {extra}"
+                             if extra else
+                             f"no vertices for simplices {missing}")
+        for sid, dim in self.simplices.items():
+            vs = self.vertices[sid]
+            if len(vs) != dim + 1 or vs[0] < 0 or \
+                    any(a >= b for a, b in zip(vs, vs[1:])):
+                raise ParseError(f"vertices {list(vs)} of {sid!r} are not "
+                                 f"{dim + 1} increasing vertex numbers")
+            for i, fid in enumerate(self.faces.get(sid, ())):
+                if self.vertices[fid] != vs[:i] + vs[i + 1:]:
+                    raise ParseError(
+                        f"face {i} of {sid!r} is {fid!r} with vertices "
+                        f"{list(self.vertices[fid])}, not "
+                        f"{list(vs[:i] + vs[i + 1:])}")
 
     @property
     def dimension(self) -> int:

@@ -26,6 +26,15 @@ top cell is an isomorphism: its coordinates are the top-cell monomials
 (`standard_n`) instead of a compatibility solve, so d is the monomial d
 and block diagonal in weight.  Everything after the coordinates is the
 same path.
+
+Coefficients stay Python ints from the label caches to the d∘d check:
+face images are signed multinomials, d has the signed exponents, the
+compatibility rows are 1 and minus a face image, and `LinearSpan.kernel`
+returns an int wherever the reduced entry is integral (every entry, on
+the shipped spaces and the 7-vertex torus).  Coordinates and
+coboundaries add up from 0, so a Fraction appears only where a kernel
+entry is not integral; equality stays exact either way.  Forms,
+cochains and reports are Fractions.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -45,7 +53,7 @@ from .errors import (
     DimensionMismatch,
     NotAComplex,
 )
-from .exactalg import LinearSpan, MultiPoly, ONE, ZERO
+from .exactalg import LinearSpan, MultiPoly
 from .dgforms import DiffForm, simplex_context
 from .simplicial import (
     Cochain,
@@ -66,7 +74,7 @@ HARD_WEIGHT_CAP = 24
 #
 # A monomial label (exp, mono) stands for t^exp dt_mono on the simplex of
 # dimension len(exp).  The per-label caches below hand out tuples of
-# (label, coefficient) pairs, so no caller can change a cached value.
+# (label, int coefficient) pairs, so no caller can change a cached value.
 
 
 def _exponents_of_degree(nvars: int, degree: int):
@@ -127,7 +135,7 @@ def _face_image(m: int, i: int, lab) -> tuple:
         if exp[k] or k in mono:
             return ()
         return (((exp[:k] + exp[k + 1:], tuple(j - (j > k) for j in mono)),
-                 ONE),)
+                 1),)
     rest = tuple(j - 1 for j in mono if j)
     dts = [(rest, 1)]
     if mono[:1] == (0,):
@@ -141,7 +149,7 @@ def _face_image(m: int, i: int, lab) -> tuple:
             c = (-1) ** deg * math.factorial(a) // math.prod(
                 map(math.factorial, b + (a - deg,)))
             image = tuple(x + y for x, y in zip(exp[1:], b))
-            out += [((image, dm), Fraction(sign * c)) for dm, sign in dts]
+            out += [((image, dm), sign * c) for dm, sign in dts]
     return tuple(out)
 
 
@@ -158,7 +166,7 @@ def _monomial_d(lab) -> tuple:
             below = bisect.bisect(mono, j)
             dexp = exp[:j] + (a - 1,) + exp[j + 1:]
             dmono = mono[:below] + (j,) + mono[below:]
-            out.append(((dexp, dmono), Fraction(-a if below % 2 else a)))
+            out.append(((dexp, dmono), -a if below % 2 else a))
     return tuple(out)
 
 
@@ -322,6 +330,9 @@ class SullivanComplex:
         self._vectors: dict = {}
         for q in range(self.L + 2):
             self._solve_degree(q)
+        # coordinates are weight-ascending, so these lists are sorted
+        self._weights = [[_weight(lab) for _, lab in self._coords[q]]
+                        for q in range(self.L + 2)]
 
     def _solve_degree(self, q: int):
         sset, cap = self.sset, self.cap
@@ -330,7 +341,7 @@ class SullivanComplex:
             top = sset.simplices_of(n)[0]
             labels = [(top, lab) for lab in _simplex_labels(n, q, cap)]
             self._coords[q] = labels
-            self._vectors[q] = [{lab: ONE} for lab in labels]
+            self._vectors[q] = [{lab: 1} for lab in labels]
             return
         # weight first: the weight <= w families are the leading free labels
         sids = sorted(sset.simplices)
@@ -350,7 +361,7 @@ class SullivanComplex:
                     for tl, v in _face_image(dim, i, sl):
                         pulled.setdefault(tl, {})[(sid, sl)] = -v
                 for tl, row in pulled.items():
-                    row[(fsid, tl)] = ONE
+                    row[(fsid, tl)] = 1
                     rows.append(row)
         basis = sparse_nullspace(rows, order)
         self._coords[q] = [flab for flab, _ in basis]
@@ -364,8 +375,7 @@ class SullivanComplex:
 
         Those families are the first ones of each degree.
         """
-        return [sum(1 for _, lab in self._coords[q] if _weight(lab) <= w)
-                for q in range(self.L + 2)]
+        return [bisect.bisect(ws, w) for ws in self._weights]
 
     def element(self, q: int, vec_or_index) -> SullivanElement:
         if isinstance(vec_or_index, int):
@@ -379,7 +389,7 @@ class SullivanComplex:
                 if not c:
                     continue
                 for lab, v in self._vectors[q][k].items():
-                    s = vec.get(lab, ZERO) + c * v
+                    s = vec.get(lab, 0) + c * v
                     if s:
                         vec[lab] = s
                     else:
@@ -406,7 +416,7 @@ class SullivanComplex:
                 for tl, v in _monomial_d(lab):
                     r = index.get((sid, tl))
                     if r is not None:
-                        rows[r][k] = rows[r].get(k, ZERO) + c * v
+                        rows[r][k] = rows[r].get(k, 0) + c * v
         return [{k: v for k, v in row.items() if v} for row in rows]
 
 
@@ -453,7 +463,7 @@ class CochainComplexView:
                 out: dict = {}
                 for i, v in b_row.items():
                     for j, x in a[i].items():
-                        out[j] = out.get(j, ZERO) + v * x
+                        out[j] = out.get(j, 0) + v * x
                 if any(out.values()):
                     raise NotAComplex(
                         f"coboundary squared nonzero in degree {q}")
@@ -534,8 +544,7 @@ def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
     """
     pivots = []
     for q, mat in enumerate(view.mats):
-        col_w = [_weight(lab) for _, lab in view.labels[q]]
-        row_w = [_weight(lab) for _, lab in view.labels[q + 1]]
+        col_w, row_w = cx._weights[q], cx._weights[q + 1]
         for i, row in enumerate(mat):
             if any(col_w[j] < row_w[i] for j in row):
                 raise NotAComplex(f"coboundary raises weight in degree {q}")

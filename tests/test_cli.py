@@ -103,6 +103,25 @@ def test_verify_all_fails_on_a_corrupted_file(capsys, tmp_path, monkeypatch,
     assert sum("FAIL" in line for line in expect) == 2
 
 
+@pytest.mark.parametrize("edge, faces, message", [
+    ("02", ["1", "0"], "face 0 of '02' is '1' with vertices [1], not [2]"),
+    ("12", ["2", "2"], "face 1 of '12' is '2' with vertices [2], not [1]"),
+])
+def test_verify_all_rejects_faces_that_disagree_with_vertices(
+        capsys, tmp_path, monkeypatch, edge, faces, message):
+    # the simplicial identities still hold and the ranks stay 1,1,0, so
+    # only the vertex tuples tell that the file is not the shipped circle
+    name = "boundary-delta2.json"
+    data = json.loads(Path(resolve_input(name)).read_text())
+    data["faces"][edge] = faces
+    (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["verify-all"])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_missing_input_exits_3(capsys):
     code, _, err = run(capsys, ["residue", "no-such-file.json"])
     assert code == 3 and "no such input" in err

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -11,8 +12,8 @@ from adelweil.errors import (
 )
 from adelweil.exactalg import (
     MACAULAY_MONOMIAL_CAP, LinearSpan, MultiPoly, QMatrix, RatFunc,
-    RingMatrix, TruncatedSeries, artinian_length, format_rational, grlex_key,
-    macaulay_span, parse_rational,
+    RingMatrix, TruncatedSeries, _power_pairs, artinian_length,
+    format_rational, grlex_key, macaulay_span, parse_rational,
 )
 
 from strategies import fractions, polys
@@ -49,6 +50,28 @@ def test_poly_ring_laws(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
     assert a - a == MultiPoly.zero(V2)
+
+
+V3 = ("f1", "f2", "f3")
+
+
+@settings(max_examples=60)
+@given(polys(V3, max_degree=3, max_terms=6),
+       st.integers(min_value=0, max_value=12))
+def test_poly_power_matches_repeated_multiplication(p, n):
+    expect = MultiPoly.const(V3, 1)
+    for _ in range(n):
+        expect = expect * p
+    assert p ** n == expect
+
+
+def test_poly_power_strategy_follows_the_term_pairs():
+    # (f1+f2+f3+1)^29: 29 multiplications by 4 terms beat the squares
+    # of its powers of up to 969 terms; the estimates are exact here
+    assert _power_pairs(4, 3, 1, 29) == (4 * math.comb(32, 4), 580590)
+    # (f1^3+f2^5)^20 has 21 terms and keeps squaring
+    repeated, squaring = _power_pairs(2, 3, 5, 20)
+    assert squaring < repeated
 
 
 @given(polys(V2), polys(V2))
@@ -147,6 +170,18 @@ def test_qmatrix_nullspace_vectors_are_killed():
     for vec in A.nullspace():
         assert all(sum(row[j] * vec[j] for j in range(3)) == 0
                    for row in A.rows)
+
+
+def test_qmatrix_results_stay_fractions():
+    # the kernel hands out ints where an entry is integral; QMatrix
+    # answers are Fractions all the same, integral or not
+    A = QMatrix([[1, 2, 3], [2, 4, 6], [0, 2, 1]])
+    assert A.nullspace() == [[-2, Q(-1, 2), 1]]
+    red, pivots = A.rref()
+    assert pivots == [0, 1]
+    assert red.rows == [[1, 0, 2], [0, 1, Q(1, 2)], [0, 0, 0]]
+    for rows in (A.nullspace(), red.rows):
+        assert all(type(x) is Q for row in rows for x in row)
 
 
 def test_qmatrix_solve_round_trip():
@@ -309,6 +344,9 @@ def test_integer_rows_match_fraction_gauss_jordan(case):
     for _, vec in kernel:
         for row in A:
             assert sum((row[j] * x for j, x in vec.items()), Q(0)) == 0
+        # an integral entry comes out as an int, any other as a Fraction
+        for x in vec.values():
+            assert type(x) is (int if x.denominator == 1 else Q)
     # reduce: the residual is b minus its pivot entries times the rref
     expect = list(b)
     for p, row in ref.items():

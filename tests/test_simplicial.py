@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adelweil.dgforms import chain_context, simplex_context
-from adelweil.errors import DimensionMismatch, Incomposable
+from adelweil.errors import DimensionMismatch, Incomposable, ParseError
 from adelweil.simplicial import (
     Cochain, DeltaMorphism, FiniteSimplicialSet, aw_product,
     boundary_simplex_sset, compose, degeneracy, dirichlet_integral,
@@ -157,6 +158,23 @@ def test_simplicial_set_json_round_trip():
     for S in (standard_simplex_sset(2), boundary_simplex_sset(2),
               disjoint_points(2)):
         assert FiniteSimplicialSet.from_json(S.to_json()) == S
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d["vertices"].update({"3": [3]}), "unknown simplices"),
+    (lambda d: d["vertices"].pop("012"), "no vertices for simplices"),
+    (lambda d: d["vertices"].update({"01": [0]}), "are not 2 increasing"),
+    (lambda d: d["vertices"].update({"0": [-1]}), "are not 1 increasing"),
+    (lambda d: d["vertices"].update({"012": [0, 2, 1]}),
+     "are not 3 increasing"),
+    (lambda d: d["vertices"].update({"01": [0, 2], "02": [0, 1]}),
+     "face 0 of '01' is '1' with vertices [1], not [2]"),
+], ids=["unknown", "missing", "length", "negative", "order", "swapped"])
+def test_vertex_tuples_must_match_the_face_maps(corrupt, message):
+    data = standard_simplex_sset(2).to_json()
+    corrupt(data)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        FiniteSimplicialSet.from_json(data)
 
 
 def test_cached_simplicial_sets_are_read_only():

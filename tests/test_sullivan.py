@@ -1,13 +1,17 @@
 import itertools
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil.cli import SSET_FILES, resolve_input
 from adelweil.dgforms import simplex_context
-from adelweil.errors import DimensionMismatch, NotAComplex
+from adelweil.errors import CapInsufficient, DimensionMismatch, NotAComplex
 from adelweil.exactalg import QMatrix
+from adelweil.parsing import sset_from_json
 from adelweil.simplicial import (
     FiniteSimplicialSet, boundary_simplex_sset, disjoint_points, face,
     pullback_along, standard_simplex_sset,
@@ -181,7 +185,7 @@ def test_face_images_match_the_form_pullback(m):
                     direct = pullback_along(sigma, _form_of(ctx, [(lab, 1)]))
                     assert direct == image
                 closed = dict(_face_image(m, i, lab))
-                assert all(isinstance(v, Q) for v in closed.values())
+                assert all(type(v) is int for v in closed.values())
                 assert closed == _coords(image), (m, i, lab)
 
 
@@ -234,3 +238,52 @@ def test_cup_pairing_on_the_seven_vertex_torus():
     P = [[pairing(a, b) for b in u] for a in u]
     assert P[0][1] == -P[1][0]
     assert P[0][0] * P[1][1] - P[0][1] * P[1][0] != 0
+
+
+def _shipped_spaces() -> dict:
+    spaces = {}
+    for name in SSET_FILES:
+        S = sset_from_json(json.loads(Path(resolve_input(name)).read_text()))
+        spaces[S.name] = S
+    return spaces
+
+
+def _space(name: str) -> FiniteSimplicialSet:
+    if name == "torus-7":
+        return _torus_7()
+    if name == "boundary-3":
+        return boundary_simplex_sset(3)
+    return _shipped_spaces()[name]
+
+
+@pytest.mark.parametrize("name", [*_shipped_spaces(), "torus-7"])
+def test_family_coordinates_and_coboundaries_are_integers(name):
+    # face images, the signs of d and the compatibility kernel are all
+    # integral on these spaces, so coordinates and coboundaries are ints
+    S = _space(name)
+    cx = SullivanComplex(S, S.dimension + 6)   # the default cap + 2
+    for q in range(S.dimension + 2):
+        assert all(type(x) is int for vec in cx._vectors[q]
+                   for x in vec.values())
+    for q in range(S.dimension + 1):
+        assert all(type(x) is int for row in cx.d_matrix(q)
+                   for x in row.values())
+
+
+# verify_de_rham results, and CapInsufficient messages, recorded from
+# the Fraction implementation of the family complex
+DERHAM_RESULTS = json.loads(
+    (Path(__file__).parent / "data" / "derham-results.json").read_text())
+
+
+@pytest.mark.parametrize("name", [
+    "simplex-0", "simplex-1", "simplex-2", "simplex-3", "boundary-2",
+    "boundary-3", "points-2", "torus-7"])
+def test_de_rham_results_are_unchanged(name):
+    S = _space(name)
+    for cap in (None, 0, 2, 7):
+        try:
+            got = verify_de_rham(S, cap)
+        except CapInsufficient as exc:
+            got = {"error": "CapInsufficient", "msg": str(exc)}
+        assert got == DERHAM_RESULTS[f"{name}/{cap}"], cap
