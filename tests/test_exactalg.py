@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as Q
 
 import pytest
@@ -12,8 +11,8 @@ from adelweil.errors import (
 )
 from adelweil.exactalg import (
     MACAULAY_MONOMIAL_CAP, LinearSpan, MultiPoly, QMatrix, RatFunc,
-    RingMatrix, TruncatedSeries, _power_pairs, artinian_length,
-    format_rational, grlex_key, macaulay_span, parse_rational,
+    RingMatrix, TruncatedSeries, artinian_length, format_rational, grlex_key,
+    macaulay_span, parse_rational,
 )
 
 from strategies import fractions, polys
@@ -63,15 +62,6 @@ def test_poly_power_matches_repeated_multiplication(p, n):
     for _ in range(n):
         expect = expect * p
     assert p ** n == expect
-
-
-def test_poly_power_strategy_follows_the_term_pairs():
-    # (f1+f2+f3+1)^29: 29 multiplications by 4 terms beat the squares
-    # of its powers of up to 969 terms; the estimates are exact here
-    assert _power_pairs(4, 3, 1, 29) == (4 * math.comb(32, 4), 580590)
-    # (f1^3+f2^5)^20 has 21 terms and keeps squaring
-    repeated, squaring = _power_pairs(2, 3, 5, 20)
-    assert squaring < repeated
 
 
 @given(polys(V2), polys(V2))
