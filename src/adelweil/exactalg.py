@@ -246,10 +246,11 @@ class MultiPoly:
     def __pow__(self, n: int):
         """self ** n by n multiplications by the base.
 
-        The powers of a dense base grow fast, so squaring them costs more
-        than multiplying by the few-term base: (f1+f2+f3+1)^29 takes 1.2 s
-        this way and 4.2 s by binary squaring.  Squaring wins only on a
-        two-term base, by a few milliseconds at the parser's exponent cap.
+        The powers of a dense base grow fast, so squaring them multiplies
+        more term pairs than n products with the few-term base:
+        (f1+f2+f3+1)^29 takes 580,590 pairs by binary squaring and 143,840
+        this way.  Squaring saves pairs only on a two-term base, and there
+        little within the parser's exponent cap.
         """
         if n < 0:
             raise ValueError("negative power of a polynomial")
