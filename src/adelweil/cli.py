@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the report as JSON")
     common.add_argument("--stability", action="store_true",
                         default=argparse.SUPPRESS,
-                        help="recompute residues at the next power and "
+                        help="recompute residues at the next truncation and "
                              "compare")
 
     parser = argparse.ArgumentParser(

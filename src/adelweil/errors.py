@@ -97,10 +97,6 @@ class IdentityFailed(CheckFailed):
 
 # -- residues ----------------------------------------------------------------
 
-class MembershipNotFound(CapError):
-    """No power of the coordinates lies in the ideal below the cap."""
-
-
 class NotSimple(EngineError):
     """Simple-zero closed form applied to a degenerate zero."""
 

@@ -13,8 +13,8 @@ with exact `fractions.Fraction` coefficients:
   multivariate gcd is ever required.
 
 `LinearSpan` is the one exact elimination kernel: sparse rows keyed
-by column labels, reduced incrementally, with rank, membership,
-tracked solves, the reduced row echelon form and a kernel basis.  Its
+by column labels, reduced incrementally, with rank, membership, normal
+forms, the reduced row echelon form and a kernel basis.  Its
 rows are fraction free: each stored row is a primitive integer row,
 and a vector being reduced is one rational scale times such a row.
 Every integer step is the step over Fractions times a nonzero
@@ -76,7 +76,8 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}")
     try:
         return Fraction(text)
-    except ZeroDivisionError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
+        # ValueError: past the interpreter's limit on integer digits
         raise ParseError(f"bad rational {text!r}") from exc
 
 
@@ -1052,11 +1053,10 @@ class LinearSpan:
     Every row reduction in the package runs here.  Vectors are dicts
     keyed by hashable column labels; a total order on labels (``key``)
     makes pivot choice deterministic.  The pivot of a stored row is the
-    least label it touches.  With ``track`` each inserted vector
-    carries a tag; `reduce` then also returns the combination of tags
-    expressing the residual-free part.  `reduced_rows` and `kernel` read
-    out the reduced row echelon form, which is unique for a fixed label
-    order.
+    least label it touches.  `reduce` clears every pivot label from a
+    vector, which leaves its normal form on the non-pivot labels.
+    `reduced_rows` and `kernel` read out the reduced row echelon form,
+    which is unique for a fixed label order.
 
     Rows are fraction free: each stored row is a primitive integer row
     (content 1), and a vector carries one rational scale instead of a
@@ -1064,12 +1064,11 @@ class LinearSpan:
     primitive row; clearing pivot c, where the stored row R has R[c] = p
     and the row W has W[c] = v, is W <- (p/g) W - (v/g) R with
     g = gcd(p, v), then W is divided by its content.  The scale, kept
-    as two ints, records what that did to the true vector, and the tag
-    combination takes the same integer steps.  Each step is the usual
-    one (rows scaled to 1 at the pivot) times a nonzero rational, so the
-    supports, the pivots and the order of entries are the same, and the
-    span is the same.  The true residual, combination and pivot entry
-    (`divisors`) are rebuilt from the scale as exact Fractions, and
+    as two ints, records what that did to the true vector.  Each step is
+    the usual one (rows scaled to 1 at the pivot) times a nonzero
+    rational, so the supports, the pivots and the order of entries are
+    the same, and the span is the same.  The true residual and pivot
+    entry (`divisors`) are rebuilt from the scale as exact Fractions, and
     `reduced_rows` divides each back-substituted integer row by its
     pivot entry, which gives the reduced row echelon form: it depends
     only on the span and the label order.
@@ -1078,41 +1077,21 @@ class LinearSpan:
     (reduction only brings in labels above the pivot it clears, so a
     least label that is no pivot would survive it).  So the pivot set,
     `rank`, `reduced_rows` and `kernel` never depend on insertion order;
-    only the order of `pivots`, `divisors` and `combos` does.
+    only the order of `pivots` and `divisors` does.
     """
 
-    def __init__(self, key=None, track: bool = False):
+    def __init__(self, key=None):
         self.key = key or (lambda c: c)
-        self.track = track
         self.pivots: dict = {}       # column -> primitive integer row
-        self._combos: dict = {}      # column -> (K, delta) with
-        # row = sum over tags t of K[t]/delta * (vector tagged t)
         self.divisors: list = []     # true entry at each new row's pivot
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    @property
-    def combos(self) -> dict:
-        """column -> {tag: Fraction}: the tag combination equal to the
-        stored row scaled to 1 at its pivot."""
-        return {c: {t: Fraction(k, delta * self.pivots[c][c])
-                    for t, k in combo.items()}
-                for c, (combo, delta) in self._combos.items()}
-
-    def _reduce(self, vec: dict, tags: dict | None):
-        """(row, combo, delta, num, den): the residual is num/den * row.
-
-        `tags` is None (untracked) or the starting combination with
-        integer values, {} or {tag: 1}.  The combination is held at the
-        scale of the row as integers over one common denominator:
-        num/den * combo/delta.
-        """
+    def _reduce(self, vec: dict):
+        """(row, num, den): the residual is num/den * row."""
         row, num, den = _integral(vec)
-        combo, delta = None, 1
-        if tags is not None:
-            combo, delta = {t: den * k for t, k in tags.items()}, num
         pivots, key = self.pivots, self.key
         # pivots met in row, least first; eliminating one only brings in
         # labels above it, so the least live entry is the next to clear
@@ -1136,59 +1115,34 @@ class LinearSpan:
             if g > 1:
                 row = {c: x // g for c, x in row.items()}
                 num *= g
-            if combo is not None:
-                other, d = self._combos[hit]
-                lcm = math.lcm(delta, d)
-                combo = _combine(a * (lcm // delta), combo,
-                                 b * (lcm // d), other)
-                delta = lcm * g
-                h = math.gcd(delta, *combo.values())
-                if h > 1:
-                    combo = {t: x // h for t, x in combo.items()}
-                    delta //= h
-        return row, combo, delta, num, den
+        return row, num, den
 
-    def reduce(self, vec: dict):
-        """Residual of vec against the span (no insertion)."""
-        row, combo, delta, num, den = self._reduce(
-            vec, {} if self.track else None)
-        if combo is not None:
-            combo = {t: Fraction(num * x, den * delta)
-                     for t, x in combo.items()}
-        return {c: Fraction(num * x, den) for c, x in row.items()}, combo
+    def reduce(self, vec: dict) -> dict:
+        """Residual of vec against the span (no insertion): zero at every
+        pivot, so it is the normal form of vec on the non-pivot labels."""
+        row, num, den = self._reduce(vec)
+        return {c: Fraction(num * x, den) for c, x in row.items()}
 
     def contains(self, vec: dict) -> bool:
-        return not self._reduce(vec, None)[0]
+        return not self._reduce(vec)[0]
 
-    def add(self, vec: dict, tag=None) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        row, combo, delta, num, den = self._reduce(
-            vec, {tag: 1} if self.track else None)
+        row, num, den = self._reduce(vec)
         if not row:
             return False
         lead = min(row, key=self.key)
         self.pivots[lead] = row
-        if self.track:
-            self._combos[lead] = (combo, delta)
         self.divisors.append(Fraction(num * row[lead], den))
         return True
 
     def extend(self, vectors) -> None:
-        """Insert untagged vectors, fewest nonzeros first (stable sort).
+        """Insert vectors, fewest nonzeros first (stable sort).
 
         That is the classic fill-reducing order (Markowitz 1957).
         """
         for vec in sorted(vectors, key=len):
             self.add(vec)
-
-    def solve(self, vec: dict) -> dict | None:
-        """Tags combination with sum(tag_i * gen_i) = vec, or None."""
-        if not self.track:
-            raise ValueError("LinearSpan built without tracking")
-        row, combo, delta, num, den = self._reduce(vec, {})
-        if row:
-            return None
-        return {t: Fraction(-num * x, den * delta) for t, x in combo.items()}
 
     def _back_substituted(self) -> dict:
         """Integer rows, {pivot: row}, in label order, each 0 at every
@@ -1258,15 +1212,15 @@ def _window(x, bound: int) -> MultiPoly:
     return x.truncate(bound)
 
 
-def macaulay_span(generators, T: int, track: bool = False) -> "LinearSpan":
+def macaulay_span(generators, T: int) -> "LinearSpan":
     """Span of the shifted generators x^mu * g_j truncated below degree T.
 
     These are the rows of the Macaulay matrix of the ideal modulo m^T
     (Lazard, EUROCAL '83), inserted generator by generator and each in
-    graded-lex order of mu; with `track` row (j, mu) carries that tag,
-    so `solve` returns the multipliers of a membership.  Raises
-    CapExceeded, before any row is built, when more than
-    MACAULAY_MONOMIAL_CAP monomials lie below T.
+    graded-lex order of mu.  Pivots are least monomials in graded-lex
+    order, so the non-pivot monomials below T are a basis of the
+    quotient by the ideal plus m^T.  Raises CapExceeded, before any row
+    is built, when more than MACAULAY_MONOMIAL_CAP monomials lie below T.
     """
     n = len(generators[0].vars)
     count = math.comb(n + T - 1, n)
@@ -1275,8 +1229,8 @@ def macaulay_span(generators, T: int, track: bool = False) -> "LinearSpan":
             f"truncation {T} has {count} monomials below it in {n} "
             f"variables, past the cap of {MACAULAY_MONOMIAL_CAP}")
     monos = _monomials_below(n, T)
-    span = LinearSpan(key=grlex_key, track=track)
-    for j, g in enumerate(generators):
+    span = LinearSpan(key=grlex_key)
+    for g in generators:
         terms = [(exp, sum(exp), c) for exp, c in _window(g, T).coeffs.items()]
         order = min((d for _, d, _ in terms), default=T)
         for mu in monos:
@@ -1284,7 +1238,7 @@ def macaulay_span(generators, T: int, track: bool = False) -> "LinearSpan":
             if shift + order >= T:
                 break       # monos ascend in degree: every later row is empty
             span.add({tuple(a + b for a, b in zip(exp, mu)): c
-                      for exp, d, c in terms if d + shift < T}, tag=(j, mu))
+                      for exp, d, c in terms if d + shift < T})
     return span
 
 

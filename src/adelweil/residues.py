@@ -1,14 +1,15 @@
 """Local residues of generalized fractions and zero-locus invariants.
 
 The residue symbol [g df_1^..^df_n / a_1, .., a_n] at the origin is
-computed exactly over the rationals.  Monomial denominators reduce to
-coefficient extraction; the general case goes through the
-transformation law: find N and a matrix M with f_i^N = sum_j M_ij a_j,
-then the residue equals the one with numerator g det(M) and
-denominators f_i^N.  Truncation orders are chosen so the answer is
-certified, not approximate: once the colength l is known, membership
-checked modulo m^T with T = n(N-1) + l + 2 pins every coefficient the
-residue reads.
+computed exactly over the rationals, on one path for every denominator
+sequence of finite colength.  `artinian_length` certifies the colength
+l; one Macaulay span at T = l + 1 then gives a monomial basis of the
+local algebra Q = k[[f]]/(a) and normal forms in it.  The Bezoutian of
+a, read in Q (x) Q, is dual to the residue pairing (Scheja-Storch 1975;
+Becker-Cardinal-Roy-Szafraniec 1996), so one l x l solve gives the
+residue functional.  Each answer carries its certificate: the Bezoutian
+matrix is invertible and the Jacobian determinant has residue l, the
+local degree identity.
 """
 
 from __future__ import annotations
@@ -20,26 +21,28 @@ from .errors import (
     DegreeError,
     DimensionMismatch,
     IdentityFailed,
-    MembershipNotFound,
+    NotAUnit,
     NotInvertibleChange,
     NotSimple,
     ParseError,
 )
 from .exactalg import (
     ONE,
+    ZERO,
     MultiPoly,
     QMatrix,
     RingMatrix,
     TruncatedSeries,
     artinian_length,
     macaulay_span,
-    _perm_sign,
+    _monomials_below,
     _unit_exp,
     _window,
 )
 from .dgforms import InvariantPolynomial, invariant_eval
 
-DEFAULT_CAP = 12
+# truncation cap of the colength search behind every residue
+LENGTH_CAP = 24
 
 
 def _require_series_like(x, vars):
@@ -85,114 +88,103 @@ class GeneralizedFraction:
         return f"[ {self.numerator.render()} {wedge} / {dens} ]"
 
 
-def _unit_monomial_split(d):
-    """Write d = unit * monomial if the least monomial divides d.
+def _divided_difference(p: MultiPoly, j: int, xy: tuple) -> MultiPoly:
+    """(p(y_<j, x_>=j) - p(y_<=j, x_>j)) / (x_j - y_j) over the variables xy.
 
-    Returns (monomial exponent, unit as MultiPoly) or None.
+    On a term x^e it is y_<j^e * x_>j^e * sum_t x_j^t y_j^(e_j - 1 - t);
+    distinct (e, t) give distinct monomials.
     """
-    if isinstance(d, TruncatedSeries):
-        poly = MultiPoly(d.vars, dict(d.coeffs))
-    else:
-        poly = d
-    base, _ = poly.leading()
-    for exp in poly.coeffs:
-        base = tuple(min(a, b) for a, b in zip(base, exp))
-    if not any(base):
-        return None
-    shifted = {}
-    for exp, c in poly.coeffs.items():
-        s = tuple(a - b for a, b in zip(exp, base))
-        if any(x < 0 for x in s):
-            return None
-        shifted[s] = c
-    unit = MultiPoly(poly.vars, shifted)
-    if not unit.constant_term():
-        return None
-    return base, unit
+    n = len(p.vars)
+    return MultiPoly(xy, {
+        (0,) * j + (t,) + e[j + 1:] + e[:j] + (e[j] - 1 - t,)
+        + (0,) * (n - j - 1): c
+        for e, c in p.coeffs.items() for t in range(e[j])})
 
 
-def _transformed_residue(gf: GeneralizedFraction, N: int, l: int,
-                         precision: int | None,
-                         spans: dict) -> Fraction | None:
-    """One attempt of the transformation law at exponent N.
+def _local_residue(gf: GeneralizedFraction, l: int, T: int) -> Fraction:
+    """Res[g dx / a] read off the local algebra Q = k[x]/((a) + m^T).
 
-    All n coordinate powers f_i^N are solved against one tracked
-    Macaulay span per truncation T; `spans` keeps them by T, so
-    exponents that share T share one elimination.
+    For T >= l the power m^T lies in the ideal, so the non-pivot
+    monomials of the Macaulay span are a basis of the local algebra and
+    `LinearSpan.reduce` gives normal forms.  Every normal form of a
+    monomial of degree d lives in degree >= d, so m^s vanishes in Q for
+    s = 1 + the largest basis degree; only terms of g below s and of a
+    below 2s are read.  The Bezoutian Delta(x, y) of a, mapped to
+    Q (x) Q as sum B_ab e_a(x) e_b(y), is dual to the residue pairing
+    (Scheja-Storch), so B^-1 is the Gram matrix of the pairing and its
+    first row, at the monomial 1, is the residue functional.  Certified:
+    B is invertible and the Jacobian determinant has residue l (the
+    local degree identity), or IdentityFailed.
     """
-    n = len(gf.vars)
-    T = n * (N - 1) + l + 2
-    if precision is not None:
-        T = max(T, precision)
-    if T not in spans:
-        spans[T] = macaulay_span(gf.denominators, T, track=True)
-    rows = []
-    for i in range(n):
-        sol = spans[T].solve({_unit_exp(n, i, N): ONE})
-        if sol is None:
-            return None
-        multipliers = [{} for _ in range(n)]
-        for (j, mu), value in sol.items():
-            multipliers[j][mu] = value
-        rows.append([MultiPoly(gf.vars, m) for m in multipliers])
-    window = n * (N - 1) + 1
-    det = RingMatrix(rows).det().truncate(window)
-    numerator = (_window(gf.numerator, window) * det).truncate(window)
-    return numerator.coeffs.get((N - 1,) * n, Fraction(0))
+    vars, n = gf.vars, len(gf.vars)
+    span = macaulay_span(gf.denominators, T)
+    basis = [m for m in _monomials_below(n, T) if m not in span.pivots]
+    index = {m: k for k, m in enumerate(basis)}
+    s = 1 + sum(basis[-1])
+
+    def coords(coeffs: dict) -> dict:
+        """Normal form on the basis, by basis index."""
+        residual = span.reduce({e: c for e, c in coeffs.items()
+                                if sum(e) < s})
+        return {index[m]: c for m, c in residual.items()}
+
+    a = [_window(ai, 2 * s) for ai in gf.denominators]
+    xy = vars + tuple(f"{v}'" for v in vars)
+    delta = RingMatrix([[_divided_difference(ai, j, xy) for j in range(n)]
+                        for ai in a]).det()
+    forms: dict = {}
+    B = [[ZERO] * len(basis) for _ in basis]
+    for exp, c in delta.coeffs.items():
+        for half in (exp[:n], exp[n:]):
+            if half not in forms:
+                forms[half] = coords({half: ONE})
+        ys = forms[exp[n:]]
+        for p, u in forms[exp[:n]].items():
+            for q, v in ys.items():
+                B[p][q] += c * u * v
+    try:
+        functional = QMatrix(B).inv().rows[index[(0,) * n]]
+    except NotAUnit:
+        raise IdentityFailed(
+            "the Bezoutian of the denominators is singular on their "
+            "local algebra") from None
+
+    def residue(g) -> Fraction:
+        return sum((functional[k] * c
+                    for k, c in coords(_window(g, s).coeffs).items()), ZERO)
+
+    degree = residue(RingMatrix([[ai.diff(v) for v in vars]
+                                 for ai in a]).det())
+    if degree != l:
+        raise IdentityFailed(
+            f"the Jacobian has residue {degree}, not the colength {l}")
+    return residue(gf.numerator)
 
 
-def residue_general(gf: GeneralizedFraction, cap: int = DEFAULT_CAP,
-                    precision: int | None = None,
+def _residue_and_length(gf: GeneralizedFraction, precision: int | None,
+                        stability: bool) -> tuple[Fraction, int]:
+    """(residue, colength): the one colength serves both."""
+    l = artinian_length(list(gf.denominators), cap=LENGTH_CAP)
+    T = max(l + 1, precision or 0)
+    value = _local_residue(gf, l, T)
+    if stability:
+        again = _local_residue(gf, l, T + 1)
+        if again != value:
+            raise IdentityFailed(
+                f"residue changed between truncations {T} and {T + 1}: "
+                f"{value} vs {again}")
+    return value, l
+
+
+def residue_general(gf: GeneralizedFraction, precision: int | None = None,
                     stability: bool = False) -> Fraction:
     """Residue for an arbitrary finite-colength denominator sequence.
 
-    `cap` bounds the exponent search; `precision` raises the working
-    truncation beyond the certified default; `stability` recomputes at
-    the next exponent and insists the two answers agree.
+    `precision` raises the working truncation beyond the certified
+    default l + 1; `stability` recomputes at the next truncation and
+    insists the two answers agree.
     """
-    n = len(gf.vars)
-    splits = [_unit_monomial_split(d) for d in gf.denominators]
-    if all(s is not None for s in splits):
-        slots = []
-        for exp, _ in splits:
-            active = [k for k, e in enumerate(exp) if e]
-            slots.append(active[0] if len(active) == 1 else None)
-        if None not in slots and sorted(slots) == list(range(n)):
-            ks = [splits[i][0][slots[i]] for i in range(n)]
-            window = sum(k - 1 for k in ks) + 1
-            num = TruncatedSeries.from_poly(_window(gf.numerator, window),
-                                            window)
-            for _, unit in splits:
-                num = num * TruncatedSeries.from_poly(
-                    unit.truncate(window), window).invert()
-            target = [0] * n
-            for i in range(n):
-                target[slots[i]] = ks[i] - 1
-            perm = tuple(slots)
-            return _perm_sign(perm) * num.coeffs.get(tuple(target),
-                                                     Fraction(0))
-    l = artinian_length(list(gf.denominators), cap=max(16, 2 * cap))
-    if l == 0:
-        return Fraction(0)
-    spans: dict = {}
-    first = None
-    for N in range(1, min(cap, l) + 1):
-        value = _transformed_residue(gf, N, l, precision, spans)
-        if value is not None:
-            first = (N, value)
-            break
-    if first is None:
-        raise MembershipNotFound(
-            f"no exponent N <= {min(cap, l)} with all coordinate powers "
-            "in the denominator ideal")
-    N, value = first
-    if stability:
-        again = _transformed_residue(gf, N + 1, l, precision, spans)
-        if again is None or again != value:
-            raise IdentityFailed(
-                f"residue changed between exponents {N} and {N + 1}: "
-                f"{value} vs {again}")
-    return value
+    return _residue_and_length(gf, precision, stability)[0]
 
 
 # -- zero-locus invariants ---------------------------------------------------
@@ -236,7 +228,6 @@ def _ring_one(zd: LocalZeroData):
 
 
 def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
-                    cap: int = DEFAULT_CAP,
                     precision: int | None = None,
                     stability: bool = False) -> Fraction:
     """Signed residue of P applied to the lift, against the components.
@@ -251,8 +242,7 @@ def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
             f"invariant of degree {P.degree} against dimension {n}")
     numerator = invariant_eval(P, zd.lift, _ring_one(zd))
     gf = GeneralizedFraction(zd.vars, numerator, zd.a)
-    value = residue_general(gf, cap=cap, precision=precision,
-                            stability=stability)
+    value = residue_general(gf, precision=precision, stability=stability)
     return Fraction(-1) ** n * value
 
 
@@ -285,21 +275,19 @@ def _const_term(x) -> Fraction:
     return Fraction(x)
 
 
-def gauss_bonnet_local(a, vars=None, cap: int = DEFAULT_CAP,
-                       stability: bool = False):
+def gauss_bonnet_local(a, vars=None, stability: bool = False):
     """Residue of the Jacobian fraction next to the colength.
 
     Returns (residue, length); the two agree for every finite-colength
-    sequence, which is the local degree identity.
+    sequence, which is the local degree identity.  The length is the one
+    colength the residue computation certifies.
     """
     a = list(a)
     if vars is None:
         vars = a[0].vars
     jac = RingMatrix([[ai.diff(v) for v in vars] for ai in a])
     gf = GeneralizedFraction(vars, jac.det(), a)
-    residue = residue_general(gf, cap=cap, stability=stability)
-    length = artinian_length(a, cap=max(16, 2 * cap))
-    return residue, length
+    return _residue_and_length(gf, None, stability)
 
 
 def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,

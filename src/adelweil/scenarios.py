@@ -36,7 +36,7 @@ from .exactalg import (
 )
 from .dgforms import InvariantPolynomial
 from .adelic import Chain, ChartModel, chern_form_component, mixed_connection
-from .residues import DEFAULT_CAP, LocalZeroData, local_invariant
+from .residues import LocalZeroData, local_invariant
 
 
 @dataclass
@@ -195,7 +195,7 @@ def whitney_scenario() -> Scenario:
 
 
 def bott_sum(scn: Scenario, P: InvariantPolynomial | None = None,
-             cap: int = DEFAULT_CAP, stability: bool = False) -> dict:
+             stability: bool = False) -> dict:
     """Sum of local invariants over the zeros, with a per-zero table.
 
     Compares against the scenario's expected value when the invariant
@@ -209,8 +209,7 @@ def bott_sum(scn: Scenario, P: InvariantPolynomial | None = None,
     rows = []
     total = Fraction(0)
     for label in sorted(scn.zeros):
-        value = local_invariant(P, scn.zeros[label], cap=cap,
-                                stability=stability)
+        value = local_invariant(P, scn.zeros[label], stability=stability)
         rows.append({"zero": label, "value": value})
         total += value
     applies = scn.expected is not None and (

@@ -410,7 +410,8 @@ class FiniteSimplicialSet:
             if vertices is not None:
                 vertices = {str(k): tuple(int(x) for x in v)
                             for k, v in vertices.items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise ParseError(f"bad simplicial set description: {exc}") from None
         return cls(name, simplices, faces, vertices)
 

@@ -301,11 +301,15 @@ def _family_from_vector(sset, q, vec) -> SullivanElement:
 
 def _family_from_top(sset, n, q, top_form) -> SullivanElement:
     top_id = sset.simplices_of(n)[0]
+    # the file may number the vertices freely; the face maps read
+    # positions in the top simplex
+    position = {v: k for k, v in enumerate(sset.vertex_tuple(top_id))}
     forms = {top_id: top_form}
     for sid, dim in sset.simplices.items():
         if sid == top_id or dim < q:
             continue
-        sigma = DeltaMorphism(dim, n, sset.vertex_tuple(sid))
+        sigma = DeltaMorphism(dim, n, tuple(
+            position[v] for v in sset.vertex_tuple(sid)))
         forms[sid] = pullback_along(sigma, top_form)
     return SullivanElement(sset, q, forms)
 

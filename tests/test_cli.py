@@ -122,6 +122,20 @@ def test_verify_all_rejects_faces_that_disagree_with_vertices(
     assert err == f"error: {message}\n"
 
 
+def test_renumbered_standard_simplex_keeps_its_ranks(capsys, tmp_path):
+    # vertex numbers are labels: 5, 6, 7 in place of 0, 1, 2
+    data = json.loads(Path(resolve_input("delta2.json")).read_text())
+    data["vertices"] = {sid: [v + 5 for v in vs]
+                        for sid, vs in data["vertices"].items()}
+    path = tmp_path / "delta2-renumbered.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["derham", str(path)])
+    assert code == 0, err
+    _, shipped, _ = run(capsys, ["derham", "delta2.json"])
+    # past the command and input lines: name, ranks, checks, status
+    assert out.splitlines()[2:] == shipped.splitlines()[2:]
+
+
 def test_missing_input_exits_3(capsys):
     code, _, err = run(capsys, ["residue", "no-such-file.json"])
     assert code == 3 and "no such input" in err
@@ -186,8 +200,13 @@ NO_ZEROS = {"name": "bad", "n": 1, "r": 1, "zeros": []}
         "chain": ["x0"]})),
     ("chern", dict(NO_ZEROS, r=2, whitney={
         "sub": CHART, "quot": CHART, "mixing": {}, "chain": [["x0"]]})),
+    # past the interpreter's limit of 4300 digits per integer string
+    ("residue", {"vars": ["f"], "numerator": "9" * 5000,
+                 "denominators": ["f"]}),
+    ("derham", {"name": "bad", "simplices": {"0": float("inf")}}),
 ], ids=["non-object-zeros", "deep-nesting", "list-frames", "list-points",
-        "list-mixing", "rank-shape", "list-chain"])
+        "list-mixing", "rank-shape", "list-chain", "huge-integer",
+        "infinite-dimension"])
 def test_hostile_input_exits_3(capsys, tmp_path, command, data):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))

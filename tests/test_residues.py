@@ -1,12 +1,14 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adelweil import residues
 from adelweil.dgforms import InvariantPolynomial
 from adelweil.errors import (
-    DegreeError, IdentityFailed, MembershipNotFound, NotSimple, ParseError,
+    DegreeError, IdentityFailed, NotFinite, NotSimple, ParseError,
     PrecisionExhausted,
 )
 from adelweil.exactalg import MultiPoly, RingMatrix, TruncatedSeries
@@ -66,12 +68,17 @@ def test_general_path_agrees_with_known_lengths():
     assert gauss_bonnet_local((f1 ** 2, f2 ** 3), V2) == (6, 6)
     assert gauss_bonnet_local((f1 ** 2 - f2 ** 3, f2 ** 2), V2,
                               stability=True) == (4, 4)
+    # colength 13: f1^13 is the least power of f1 in the ideal
+    assert residue_general(GeneralizedFraction(
+        V2, f1 ** 12, (f1 ** 13 + f2, f2))) == 1
 
 
-def test_membership_search_respects_the_cap():
+def test_certificate_rejects_a_wrong_colength(monkeypatch):
+    # the local degree identity: the Jacobian's residue is the colength
+    monkeypatch.setattr(residues, "artinian_length", lambda gens, cap: 5)
     gf = GeneralizedFraction(V2, one2, (f1 ** 2 - f2 ** 3, f2 ** 2))
-    with pytest.raises(MembershipNotFound):
-        residue_general(gf, cap=1)
+    with pytest.raises(IdentityFailed, match="residue 4, not the colength 5"):
+        residue_general(gf)
 
 
 def test_series_numerator_precision_is_honest():
@@ -81,6 +88,67 @@ def test_series_numerator_precision_is_honest():
         residue_general(gf)
     wide = GeneralizedFraction(V1, TruncatedSeries.from_poly(f, 9), (f ** 3,))
     assert residue_general(wide) == 0
+
+
+@pytest.mark.parametrize("c", [Q(1), Q(-2), Q(5, 3)])
+def test_series_denominator_precision_is_honest(c):
+    # Res[f df / (f^3 + c f^4)] = -c reads the f^4 term, which a series
+    # cut at degree 4 does not know
+    short = GeneralizedFraction(
+        V1, f, (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 4),))
+    with pytest.raises(PrecisionExhausted):
+        residue_general(short)
+    known = GeneralizedFraction(
+        V1, f, (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 8),))
+    assert residue_general(known) == -c
+    assert residue_general(GeneralizedFraction(
+        V1, f, (f ** 3 + f ** 4 * c,))) == -c
+
+
+def _inversions(perm) -> int:
+    return sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+               if perm[i] > perm[j])
+
+
+@settings(max_examples=20)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=n,
+                 max_size=n),
+        st.permutations(range(n)),
+        polys(tuple(f"f{i}" for i in range(1, n + 1)), max_degree=5,
+              max_terms=6))))
+def test_monomial_denominators_read_one_signed_coefficient(case):
+    # [g df / f_p(1)^k_p(1), .., f_p(n)^k_p(n)] is sign(p) times the
+    # coefficient of f^(k - 1) in g
+    ks, perm, g = case
+    xs = MultiPoly.variables(g.vars)
+    dens = tuple(xs[i] ** ks[i] for i in perm)
+    expect = (-1) ** _inversions(perm) * \
+        g.coeffs.get(tuple(k - 1 for k in ks), Q(0))
+    assert residue_general(GeneralizedFraction(g.vars, g, dens)) == expect
+
+
+@settings(max_examples=12)
+@given(polys(V2, max_degree=3, max_terms=3, min_degree=2),
+       polys(V2, max_degree=3, max_terms=3, min_degree=2),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=3),
+       st.lists(polys(V2, max_degree=1, max_terms=2), min_size=4,
+                max_size=4),
+       polys(V2, max_degree=3, max_terms=4))
+def test_transformation_law(p1, p2, k1, k2, m, g):
+    # b = M a lies in the ideal of a, and Res[g / a] = Res[g det M / b]
+    a = (f1 ** k1 + p1, f2 ** k2 + p2)
+    M = RingMatrix([m[0:2], m[2:4]])
+    b = tuple(row[0] * a[0] + row[1] * a[1] for row in M.rows)
+    assume(not any(x.is_zero() for x in b))
+    try:
+        lhs = residue_general(GeneralizedFraction(V2, g, a))
+        rhs = residue_general(GeneralizedFraction(V2, g * M.det(), b))
+    except NotFinite:
+        assume(False)
+    assert lhs == rhs
 
 
 DENOMS = (f1 + f2 ** 2, f2 ** 3)

@@ -230,7 +230,7 @@ def test_cup_pairing_on_the_seven_vertex_torus():
     def pairing(a, b):
         # the residual against the coboundaries is the class in H^2
         cup = (a * b).integrate()
-        residual, _ = image.reduce(
+        residual = image.reduce(
             {order[sid]: v for sid, v in cup.values.items()})
         assert len(residual) <= 1
         return sum(residual.values(), Q(0))
