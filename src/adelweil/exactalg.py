@@ -81,6 +81,13 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
+def parse_integer(value, where: str) -> int:
+    """A JSON integer.  A float or a boolean (an int subclass) is refused."""
+    if type(value) is not int:
+        raise ParseError(f"{where} must be an integer, not {value!r}")
+    return value
+
+
 def format_rational(x: Fraction) -> str:
     """Render as 'p' or 'p/q', always in lowest terms."""
     x = Fraction(x)
@@ -1144,15 +1151,26 @@ class LinearSpan:
         for vec in sorted(vectors, key=len):
             self.add(vec)
 
-    def _back_substituted(self) -> dict:
+    def _back_substituted(self, keep=None) -> dict:
         """Integer rows, {pivot: row}, in label order, each 0 at every
-        other pivot; scaled to 1 at its own pivot, a row is reduced."""
-        order = sorted(self.pivots, key=self.key)
+        other pivot; scaled to 1 at its own pivot, a row is reduced.
+
+        With `keep`, a set of labels forming a prefix of the label
+        order, only the rows whose pivot lies in it, cut to it.  Every
+        other row starts past the prefix, and row operations commute
+        with dropping columns, so these are the reduced rows of the
+        columns in `keep`.
+        """
+        pivots = self.pivots
+        if keep is not None:
+            pivots = {p: {c: x for c, x in row.items() if c in keep}
+                      for p, row in pivots.items() if p in keep}
+        order = sorted(pivots, key=self.key)
         done: dict = {}
         for p in reversed(order):
-            row = self.pivots[p]
+            row = pivots[p]
             # the other pivots in row lie above p and are already reduced
-            for c in [c for c in row if c != p and c in self.pivots]:
+            for c in [c for c in row if c != p and c in pivots]:
                 lead = done[c][c]
                 g = math.gcd(lead, row[c])
                 row = _combine(lead // g, row, row[c] // g, done[c])
@@ -1176,18 +1194,28 @@ class LinearSpan:
     def kernel(self, labels) -> list:
         """Solutions of the stored rows read as equations over `labels`.
 
-        Returns one (free label, vector) pair per label that is not a
-        pivot, in the order of `labels`; the vector is 1 at its own free
-        label and 0 at every other free label.  Its entries are the
-        back-substituted integer entries divided by their row's pivot
-        entry: an `int` where that division is exact, else a Fraction.
-        So a span of integer rows whose reduced form is integral, as on
-        the family spaces of `sullivan`, yields integer vectors.
+        `labels` is a prefix of the label order: every label the rows
+        touch, or only the first ones.  The solutions supported on a
+        prefix are those of the rows with pivot in it, cut to it (see
+        `_back_substituted`), so one echelon gives the kernel of every
+        leading block of columns.
+
+        Returns one (free label, vector) pair per label of `labels` that
+        is not a pivot, in the order of `labels`; the vector is 1 at its
+        own free label and 0 at every other free label.  Its entries are
+        the back-substituted integer entries divided by their row's
+        pivot entry: an `int` where that division is exact, else a
+        Fraction.  So a span of integer rows whose reduced form is
+        integral, as on the family spaces of `sullivan`, yields integer
+        vectors.
         """
-        rows = self._back_substituted()
+        labels = list(labels)
+        rows = self._back_substituted(set(labels))
         basis = {lab: {lab: 1} for lab in labels if lab not in rows}
         for p in self.pivots:
-            row = rows[p]
+            row = rows.get(p)
+            if row is None:
+                continue
             lead = row[p]
             for c, x in row.items():
                 if c != p:
@@ -1260,6 +1288,16 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
     >>> artinian_length([f1**2 - f2**3, f2**2])
     4
     """
+    return _colength_and_spans(generators, cap, start)[0]
+
+
+def _colength_and_spans(generators, cap: int = 16,
+                        start: int | None = None) -> tuple[int, dict]:
+    """`artinian_length`'s colength and the spans it built, {T: span}.
+
+    The residue engine reads its local algebra off one of these spans
+    when its truncation was among them, instead of building it again.
+    """
     gens = list(generators)
     for g in gens:
         if not isinstance(g, (TruncatedSeries, MultiPoly)):
@@ -1271,12 +1309,13 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
     if any(g.vars != vars for g in gens):
         raise DimensionMismatch("generators over different variables")
     if any(g.constant_term() for g in gens):
-        return 0
+        return 0, {}
 
     history: list[int] = []
+    spans: dict = {}
     T = start or 2
     while T <= cap:
-        span = macaulay_span(gens, T)
+        span = spans[T] = macaulay_span(gens, T)
         dim = math.comb(n + T - 1, n) - span.rank
         history.append(dim)
         powers_in = all(
@@ -1284,7 +1323,7 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
             for i in range(n))
         if (len(history) >= 3 and history[-1] == history[-2] == history[-3]
                 and powers_in):
-            return dim
+            return dim, spans
         T += 1
     raise NotFinite(
         f"colength did not stabilise below truncation {cap} (history {history})")

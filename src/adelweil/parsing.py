@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .errors import CapExceeded, ParseError
 from .exactalg import (
-    MACAULAY_MONOMIAL_CAP, MultiPoly, RingMatrix, parse_rational,
+    MACAULAY_MONOMIAL_CAP, MultiPoly, RingMatrix, parse_integer,
+    parse_rational,
 )
 from .dgforms import InvariantPolynomial
 from .adelic import Chain, ChartModel
@@ -172,13 +173,15 @@ def load_json(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
-_JSON_NAMES = {dict: "an object", list: "an array", int: "an integer"}
+_JSON_NAMES = {dict: "an object", list: "an array"}
 
 
 def _require(data: dict, key: str, where: str, kind=None):
     """data[key]; it must be present and, given `kind`, of that type."""
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"missing key {key!r} in {where}")
+    if kind is int:
+        return parse_integer(data[key], f"{where}: {key!r}")
     if kind is not None and not isinstance(data[key], kind):
         raise ParseError(f"{where}: {key!r} must be {_JSON_NAMES[kind]}")
     return data[key]
@@ -263,7 +266,7 @@ def scenario_from_json(data: dict) -> Scenario:
     if "curve" in data:
         cv = data["curve"]
         scn.curve = {
-            "degree": _require(cv, "degree", "curve"),
+            "degree": _require(cv, "degree", "curve", int),
             "section": parse_polynomial(_require(cv, "section", "curve"),
                                         ("f",)),
         }

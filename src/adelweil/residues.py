@@ -35,6 +35,7 @@ from .exactalg import (
     TruncatedSeries,
     artinian_length,
     macaulay_span,
+    _colength_and_spans,
     _monomials_below,
     _unit_exp,
     _window,
@@ -101,7 +102,8 @@ def _divided_difference(p: MultiPoly, j: int, xy: tuple) -> MultiPoly:
         for e, c in p.coeffs.items() for t in range(e[j])})
 
 
-def _local_residue(gf: GeneralizedFraction, l: int, T: int) -> Fraction:
+def _local_residue(gf: GeneralizedFraction, l: int, T: int,
+                   spans: dict) -> Fraction:
     """Res[g dx / a] read off the local algebra Q = k[x]/((a) + m^T).
 
     For T >= l the power m^T lies in the ideal, so the non-pivot
@@ -114,10 +116,11 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int) -> Fraction:
     (Scheja-Storch), so B^-1 is the Gram matrix of the pairing and its
     first row, at the monomial 1, is the residue functional.  Certified:
     B is invertible and the Jacobian determinant has residue l (the
-    local degree identity), or IdentityFailed.
+    local degree identity), or IdentityFailed.  The span at T comes
+    from `spans`, the colength search's spans, when it built one there.
     """
     vars, n = gf.vars, len(gf.vars)
-    span = macaulay_span(gf.denominators, T)
+    span = spans[T] if T in spans else macaulay_span(gf.denominators, T)
     basis = [m for m in _monomials_below(n, T) if m not in span.pivots]
     index = {m: k for k, m in enumerate(basis)}
     s = 1 + sum(basis[-1])
@@ -164,11 +167,11 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int) -> Fraction:
 def _residue_and_length(gf: GeneralizedFraction, precision: int | None,
                         stability: bool) -> tuple[Fraction, int]:
     """(residue, colength): the one colength serves both."""
-    l = artinian_length(list(gf.denominators), cap=LENGTH_CAP)
+    l, spans = _colength_and_spans(list(gf.denominators), cap=LENGTH_CAP)
     T = max(l + 1, precision or 0)
-    value = _local_residue(gf, l, T)
+    value = _local_residue(gf, l, T, spans)
     if stability:
-        again = _local_residue(gf, l, T + 1)
+        again = _local_residue(gf, l, T + 1, spans)
         if again != value:
             raise IdentityFailed(
                 f"residue changed between truncations {T} and {T + 1}: "

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
 )
 from .dgforms import DGContext, DiffForm
-from .exactalg import rat
+from .exactalg import parse_integer, rat
 
 
 # -- the simplex category ----------------------------------------------------
@@ -402,16 +402,17 @@ class FiniteSimplicialSet:
             raise ParseError("simplicial set description must be an object")
         try:
             name = data.get("name", "unnamed")
-            simplices = {str(k): int(v)
+            simplices = {str(k): parse_integer(v, f"dimension of {k!r}")
                          for k, v in data["simplices"].items()}
             faces = {str(k): [str(x) for x in v]
                      for k, v in data.get("faces", {}).items()}
             vertices = data.get("vertices")
             if vertices is not None:
-                vertices = {str(k): tuple(int(x) for x in v)
-                            for k, v in vertices.items()}
-        except (AttributeError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
+                vertices = {
+                    str(k): tuple(parse_integer(x, f"vertex of {k!r}")
+                                  for x in v)
+                    for k, v in vertices.items()}
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad simplicial set description: {exc}") from None
         return cls(name, simplices, faces, vertices)
 

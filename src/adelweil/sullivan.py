@@ -21,6 +21,20 @@ triangular.  verify_de_rham therefore builds one complex, at cap + 2,
 and reads every lower cap off its leading blocks.  Coboundaries are
 sparse: one {column: coefficient} row per label of the next degree.
 
+Each coboundary is eliminated once, to a row echelon form whose pivots
+are least columns, and every block is read off that one echelon:
+- the rank of the cap-w block is the number of pivots before it;
+- the cocycles of the block are the kernel of the echelon rows whose
+  pivot lies in it, cut to it, with one basis vector per free label;
+- the cohomology representatives are the basis cocycles at the free
+  labels that are no pivot of the previous coboundary's pivot columns,
+  once those columns are read at the free labels.
+The cocycle reading is exact because row operations commute with
+dropping columns and d keeps the leading block (the weight check).  The
+representatives are exact because d∘d = 0, checked on the full view,
+makes every coboundary a cocycle, and a cocycle's values at the free
+labels are its coordinates on the basis cocycles.
+
 The one special case is a standard simplex, where restriction to the
 top cell is an isomorphism: its coordinates are the top-cell monomials
 (`standard_n`) instead of a compatibility solve, so d is the monomial d
@@ -43,7 +57,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     CapExceeded,
@@ -472,26 +486,29 @@ class CochainComplexView:
                     raise NotAComplex(
                         f"coboundary squared nonzero in degree {q}")
 
-    def ranks(self) -> list:
-        """Cohomology ranks per degree."""
-        out = []
-        prev_rank = 0
-        for q, labels in enumerate(self.labels):
-            r = _row_span(self.mats[q]).rank if q < len(self.mats) else 0
-            out.append(len(labels) - r - prev_rank)
-            prev_rank = r
-        return out
+    @cached_property
+    def echelons(self) -> list:
+        """The row echelon form of each coboundary, built on first use.
 
-    def leading(self, dims: list) -> "CochainComplexView":
-        """The first dims[q] labels of each degree with their coboundaries.
-
-        A subcomplex only when d maps each leading block into the next.
+        `ranks` and `representatives` read every leading block off these.
         """
-        labels = [list(lab[:k]) for lab, k in zip(self.labels, dims)]
-        mats = [[{j: x for j, x in row.items() if j < dims[q]}
-                 for row in mat[:dims[q + 1]]]
-                for q, mat in enumerate(self.mats)]
-        return CochainComplexView(labels, mats)
+        return [_row_span(mat) for mat in self.mats]
+
+    def ranks(self, dims: list | None = None) -> list:
+        """Cohomology ranks per degree of the leading blocks `dims`.
+
+        dims[q] counts the leading labels of degree q (all of them by
+        default).  When d maps each leading block into the next, the
+        rank of the block of mats[q] is the rank of its first dims[q]
+        columns: the number of pivots before dims[q], since a column is
+        a pivot of the row echelon form exactly when it is independent
+        of the columns before it.
+        """
+        dims = dims or [len(labels) for labels in self.labels]
+        r = [sum(1 for p in span.pivots if p < dims[q])
+             for q, span in enumerate(self.echelons)] + [0]
+        return [dims[q] - r[q] - (r[q - 1] if q else 0)
+                for q in range(len(dims))]
 
     def image_span(self, q: int) -> LinearSpan:
         """Span of the degree-q coboundaries, the columns of mats[q-1]."""
@@ -502,12 +519,35 @@ class CochainComplexView:
                     columns.setdefault(j, {})[i] = x
         return _row_span(columns.values())
 
-    def representatives(self, q: int) -> list:
-        """Cocycles {index: c} whose classes span degree-q cohomology."""
-        rows = self.mats[q] if q < len(self.mats) else []
-        kernel = _row_span(rows).kernel(range(len(self.labels[q])))
-        span = self.image_span(q)
-        return [vec for _, vec in kernel if span.add(vec)]
+    def representatives(self, q: int, dims: list | None = None) -> list:
+        """Cocycles {index: c} whose classes span degree-q cohomology of
+        the leading blocks `dims` (as in `ranks`).
+
+        The cocycles of the block are the kernel of the echelon rows
+        with pivot in it, cut to it, with one basis vector per free
+        label.  A cocycle is the sum of its values at the free labels
+        times those vectors, so coboundaries (cocycles, as d∘d = 0) are
+        compared on the free labels alone.  The pivot columns of
+        mats[q-1] before dims[q-1] are a basis of the block's
+        coboundaries; the kernel vectors at the free labels that are no
+        pivot of those columns, read at the free labels, complete them
+        to a basis of the cocycles.
+        """
+        dims = dims or [len(labels) for labels in self.labels]
+        k = dims[q]
+        echelon = self.echelons[q] if q < len(self.mats) else LinearSpan()
+        kernel = dict(echelon.kernel(range(k)))
+        columns: dict = {}
+        if q > 0:
+            basis = {j for j in self.echelons[q - 1].pivots if j < dims[q - 1]}
+            for i, row in enumerate(self.mats[q - 1][:k]):
+                if i in kernel:
+                    for j, x in row.items():
+                        if j in basis:
+                            columns.setdefault(j, {})[i] = x
+        coboundaries = _row_span(columns.values())
+        return [vec for f, vec in kernel.items()
+                if f not in coboundaries.pivots]
 
 
 def cochain_complex(S: FiniteSimplicialSet) -> CochainComplexView:
@@ -541,26 +581,15 @@ def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
     """Family cohomology ranks at every weight cap w <= cx.cap.
 
     The cap-w complex is the leading block of each degree, and d keeps
-    it there (checked entry by entry), so the rank of its coboundary is
-    the rank of the first columns of the full one.  That is the number
-    of pivot columns before the block: a column is a pivot of the row
-    echelon form exactly when it is independent of the columns before it.
+    it there (checked entry by entry), so its ranks are read off the
+    echelons of the full coboundaries (`CochainComplexView.ranks`).
     """
-    pivots = []
     for q, mat in enumerate(view.mats):
         col_w, row_w = cx._weights[q], cx._weights[q + 1]
         for i, row in enumerate(mat):
             if any(col_w[j] < row_w[i] for j in row):
                 raise NotAComplex(f"coboundary raises weight in degree {q}")
-        pivots.append(list(_row_span(mat).pivots))
-    out = []
-    for w in range(cx.cap + 1):
-        dims = cx.leading_dims(w)
-        r = [sum(1 for p in piv if p < dims[q])
-             for q, piv in enumerate(pivots)] + [0]
-        out.append([dims[q] - r[q] - (r[q - 1] if q else 0)
-                    for q in range(len(dims))])
-    return out
+    return [view.ranks(cx.leading_dims(w)) for w in range(cx.cap + 1)]
 
 
 def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dict:
@@ -574,7 +603,8 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     front for a cap below 0 or one whose cap + 2 passes the hard cap.
 
     One family complex at cap + 2 serves every lower cap through its
-    leading blocks.
+    leading blocks, and one echelon of each of its coboundaries serves
+    the ranks at every cap and the representatives at the cap.
     """
     L = S.dimension
     cap = (L + 4) if weight_cap is None else weight_cap
@@ -598,21 +628,24 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     coch_ranks = cview.ranks()
     ranks_match = sull_ranks == coch_ranks
 
-    # induced map on cohomology: inject family classes into cochain classes
-    sub = view.leading(cx.leading_dims(cap))
+    # induced map on cohomology: inject family classes into cochain
+    # classes; a cocycle's class is its residual against the coboundaries
+    dims = cx.leading_dims(cap)
     reps = [[(rep, rep.integrate()) for rep in
-             (cx.element(q, vec) for vec in sub.representatives(q))]
+             (cx.element(q, vec) for vec in view.representatives(q, dims))]
             for q in range(L + 2)]
     orders = [{sid: i for i, sid in enumerate(labels)}
               for labels in cview.labels]
+    images = [cview.image_span(q) for q in range(L + 2)]
     induced_ok = True
     induced_details = []
     for q in range(L + 2):
-        span = cview.image_span(q)
+        classes = LinearSpan()
         injected = 0
         for _, coch in reps[q]:
             vec = {orders[q][sid]: v for sid, v in coch.values.items()}
-            if coch.coboundary().is_zero() and span.add(vec):
+            if coch.coboundary().is_zero() and \
+                    classes.add(images[q].reduce(vec)):
                 injected += 1
             else:
                 induced_ok = False
@@ -626,7 +659,6 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     # by a coboundary
     pairs = 0
     mult_ok = True
-    images = [cview.image_span(q) for q in range(L + 1)]
     flat_reps = [(q, rep) for q in range(L + 2) for rep in reps[q]]
     for (p, (u, iu)), (q, (v, iv)) in itertools.product(flat_reps, repeat=2):
         if p + q > L:

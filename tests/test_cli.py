@@ -187,6 +187,13 @@ CHART = {"vars": ["f"], "rank": 1, "frames": {"x0": [["1"]]},
 NO_ZEROS = {"name": "bad", "n": 1, "r": 1, "zeros": []}
 
 
+def _edited(name, edit):
+    """A shipped file's data after `edit` changes it in place."""
+    data = json.loads(Path(resolve_input(name)).read_text())
+    edit(data)
+    return data
+
+
 @pytest.mark.parametrize("command, data", [
     ("bott", {"name": "bad", "n": 1, "r": 1, "zeros": [1, 2]}),
     ("residue", {"vars": ["f"], "numerator": "(" * 5000 + "f" + ")" * 5000,
@@ -204,9 +211,21 @@ NO_ZEROS = {"name": "bad", "n": 1, "r": 1, "zeros": []}
     ("residue", {"vars": ["f"], "numerator": "9" * 5000,
                  "denominators": ["f"]}),
     ("derham", {"name": "bad", "simplices": {"0": float("inf")}}),
+    ("derham", _edited("delta1.json", lambda d: d["simplices"].update(
+        {k: 1.5 for k, v in d["simplices"].items() if v == 1}))),
+    ("derham", _edited("delta1.json", lambda d: d["simplices"].update(
+        {k: True for k, v in d["simplices"].items() if v == 1}))),
+    ("derham", _edited("delta1.json", lambda d: d["vertices"].update(
+        {k: [True] for k, v in d["vertices"].items() if v == [1]}))),
+    ("bott", _edited("p1-o1.json", lambda d: d.update(r=True))),
+    ("bott", _edited("p1-o1.json", lambda d: d.update(n=True))),
+    ("bott", _edited("p1-o1.json", lambda d: d.update(n=1.0))),
+    ("bott", _edited("p1-o1.json", lambda d: d["curve"].update(degree=True))),
 ], ids=["non-object-zeros", "deep-nesting", "list-frames", "list-points",
         "list-mixing", "rank-shape", "list-chain", "huge-integer",
-        "infinite-dimension"])
+        "infinite-dimension", "float-dimension", "boolean-dimension",
+        "boolean-vertex", "boolean-rank", "boolean-n", "float-n",
+        "boolean-curve-degree"])
 def test_hostile_input_exits_3(capsys, tmp_path, command, data):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(data))

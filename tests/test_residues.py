@@ -1,17 +1,21 @@
 import itertools
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adelweil import residues
+from adelweil import exactalg, residues
+from adelweil.cli import resolve_input
 from adelweil.dgforms import InvariantPolynomial
 from adelweil.errors import (
     DegreeError, IdentityFailed, NotFinite, NotSimple, ParseError,
     PrecisionExhausted,
 )
 from adelweil.exactalg import MultiPoly, RingMatrix, TruncatedSeries
+from adelweil.parsing import fraction_from_json
 from adelweil.residues import (
     GeneralizedFraction, LocalZeroData, coordinate_change_check,
     gauss_bonnet_local, local_invariant, residue_general,
@@ -75,10 +79,35 @@ def test_general_path_agrees_with_known_lengths():
 
 def test_certificate_rejects_a_wrong_colength(monkeypatch):
     # the local degree identity: the Jacobian's residue is the colength
-    monkeypatch.setattr(residues, "artinian_length", lambda gens, cap: 5)
+    real = residues._colength_and_spans
+    monkeypatch.setattr(residues, "_colength_and_spans",
+                        lambda gens, cap: (5, real(gens, cap)[1]))
     gf = GeneralizedFraction(V2, one2, (f1 ** 2 - f2 ** 3, f2 ** 2))
     with pytest.raises(IdentityFailed, match="residue 4, not the colength 5"):
         residue_general(gf)
+
+
+@pytest.mark.parametrize("name", [
+    "fraction-cusp", "fraction-plane", "fraction-weighted-model"])
+def test_each_truncation_builds_one_span(monkeypatch, name):
+    # the residue engine reads its local algebra off the colength
+    # search's spans; no call builds the span at one truncation twice
+    built = []
+    real = exactalg.macaulay_span
+
+    def counting(gens, T):
+        built.append(T)
+        return real(gens, T)
+
+    monkeypatch.setattr(exactalg, "macaulay_span", counting)
+    monkeypatch.setattr(residues, "macaulay_span", counting)
+    gf = fraction_from_json(
+        json.loads(Path(resolve_input(name + ".json")).read_text()))
+    for kwargs in ({}, {"stability": True}, {"precision": 8},
+                   {"precision": 8, "stability": True}):
+        built.clear()
+        residue_general(gf, **kwargs)
+        assert built and len(built) == len(set(built)), (kwargs, built)
 
 
 def test_series_numerator_precision_is_honest():
