@@ -1041,13 +1041,17 @@ def _combine(a: int, x: dict, b: int, y: dict) -> dict:
 
 
 def _integral(vec: dict) -> tuple[dict, int, int]:
-    """(row, num, den): a primitive integer row with vec = num/den * row."""
+    """(row, num, den): a primitive integer row with vec = num/den * row.
+
+    An all-int vector is already an integer row, with den 1.
+    """
     vec = {c: v for c, v in vec.items() if v}
-    den = math.lcm(*(v.denominator for v in vec.values()))
-    if den != 1:
-        vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+    if all(type(v) is int for v in vec.values()):
+        den = 1
     else:
-        vec = {c: v.numerator for c, v in vec.items()}
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        vec = {c: v.numerator * (den // v.denominator)
+               for c, v in vec.items()}
     g = math.gcd(*vec.values())
     if g > 1:
         vec = {c: v // g for c, v in vec.items()}

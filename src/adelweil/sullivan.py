@@ -49,6 +49,20 @@ the shipped spaces and the 7-vertex torus).  Coordinates and
 coboundaries add up from 0, so a Fraction appears only where a kernel
 entry is not integral; equality stays exact either way.  Forms,
 cochains and reports are Fractions.
+
+The comparison integrates and multiplies families on these labels too,
+without building forms.  A family's form on a simplex is its labels
+there; on a standard simplex the top-cell labels are restricted face by
+face through `_face_image`, since `_is_standard_simplex` proved the
+file's faces to be the standard ones (so positions are read off the
+faces, never off the vertex numbers).  t^a dt_1..dt_q integrates over
+the q-simplex to prod(a_i!) / (|a| + q)!, the Dirichlet integral.  The
+product of t^a dt_I and t^b dt_J on a simplex of dimension |I| + |J| is
+top-degree only when J is the complement of I, and then it is the wedge
+sign (-1 to the number of pairs j < i, i in I, j in J) times
+t^(a+b) dt_1..dt_(|I|+|J|).  `SullivanComplex.element` and the
+`SullivanElement` operations stay as the form route, which the tests use
+as the independent oracle.
 """
 
 from __future__ import annotations
@@ -74,6 +88,7 @@ from .simplicial import (
     DeltaMorphism,
     FiniteSimplicialSet,
     aw_product,
+    dirichlet_integral,
     face,
     integrate_over_simplex,
     pullback_along,
@@ -182,6 +197,54 @@ def _monomial_d(lab) -> tuple:
             dmono = mono[:below] + (j,) + mono[below:]
             out.append(((dexp, dmono), -a if below % 2 else a))
     return tuple(out)
+
+
+def _restrict(m: int, i: int, labels: dict) -> dict:
+    """Pullback of the form {label: c} on the m-simplex along face(m, i)."""
+    out: dict = {}
+    for lab, c in labels.items():
+        for tl, v in _face_image(m, i, lab):
+            out[tl] = out.get(tl, 0) + c * v
+    return {tl: v for tl, v in out.items() if v}
+
+
+def _wedge_sign(mono) -> int:
+    """The sign of dt_I dt_J = +-dt_0..dt_(m-1) over the label positions
+    0..m-1, J the complement of I.
+
+    It is -1 to the number of pairs j < i with i in I and j in J; below
+    the k-th entry i of I lie i positions, k of them in I.
+    """
+    return -1 if sum(i - k for k, i in enumerate(mono)) % 2 else 1
+
+
+def _label_integral(labels: dict):
+    """Integral of a top-degree form {label: c} over its simplex.
+
+    t^a dt_1..dt_q integrates to prod(a_i!) / (|a| + q)! over the
+    q-simplex (`dirichlet_integral`).
+    """
+    return sum(c * dirichlet_integral(len(exp), exp)
+               for (exp, _), c in labels.items())
+
+
+def _product_integral(m: int, u: dict, v: dict):
+    """Integral over the m-simplex of the product of two forms {label: c}
+    whose degrees add up to m.
+
+    t^a dt_I times t^b dt_J is zero unless J is the complement of I, and
+    then it is sign(I, J) t^(a+b) dt_0..dt_(m-1).
+    """
+    by_mono: dict = {}
+    for (b, mono), d in v.items():
+        by_mono.setdefault(mono, []).append((b, d))
+    total = 0
+    for (a, mono), c in u.items():
+        rest = tuple(k for k in range(m) if k not in mono)
+        for b, d in by_mono.get(rest, ()):
+            total += _wedge_sign(mono) * c * d * dirichlet_integral(
+                m, tuple(x + y for x, y in zip(a, b)))
+    return total
 
 
 # -- sparse kernel solver ----------------------------------------------------
@@ -314,16 +377,15 @@ def _family_from_vector(sset, q, vec) -> SullivanElement:
 
 
 def _family_from_top(sset, n, q, top_form) -> SullivanElement:
-    top_id = sset.simplices_of(n)[0]
-    # the file may number the vertices freely; the face maps read
-    # positions in the top simplex
-    position = {v: k for k, v in enumerate(sset.vertex_tuple(top_id))}
+    # the ids and faces are the standard simplex's (`_is_standard_simplex`),
+    # so the face maps read positions there, whatever the file's vertices
+    std = standard_simplex_sset(n)
+    top_id = std.simplices_of(n)[0]
     forms = {top_id: top_form}
-    for sid, dim in sset.simplices.items():
+    for sid, dim in std.simplices.items():
         if sid == top_id or dim < q:
             continue
-        sigma = DeltaMorphism(dim, n, tuple(
-            position[v] for v in sset.vertex_tuple(sid)))
+        sigma = DeltaMorphism(dim, n, std.vertex_tuple(sid))
         forms[sid] = pullback_along(sigma, top_form)
     return SullivanElement(sset, q, forms)
 
@@ -395,29 +457,58 @@ class SullivanComplex:
         """
         return [bisect.bisect(ws, w) for ws in self._weights]
 
-    def element(self, q: int, vec_or_index) -> SullivanElement:
+    def _label_vector(self, q: int, vec_or_index) -> dict:
+        """The {(sid, label): c} vector of a degree-q family, given by its
+        index in the basis or by coordinates over it (a list or
+        {index: c})."""
         if isinstance(vec_or_index, int):
-            vec = self._vectors[q][vec_or_index]
-        else:
-            # coordinates over the degree-q basis: a list or {index: c}
-            coords = vec_or_index.items() if isinstance(vec_or_index, dict) \
-                else enumerate(vec_or_index)
-            vec = {}
-            for k, c in coords:
-                if not c:
-                    continue
-                for lab, v in self._vectors[q][k].items():
-                    s = vec.get(lab, 0) + c * v
-                    if s:
-                        vec[lab] = s
-                    else:
-                        vec.pop(lab, None)
+            return self._vectors[q][vec_or_index]
+        coords = vec_or_index.items() if isinstance(vec_or_index, dict) \
+            else enumerate(vec_or_index)
+        vec = {}
+        for k, c in coords:
+            if not c:
+                continue
+            for lab, v in self._vectors[q][k].items():
+                s = vec.get(lab, 0) + c * v
+                if s:
+                    vec[lab] = s
+                else:
+                    vec.pop(lab, None)
+        return vec
+
+    def element(self, q: int, vec_or_index) -> SullivanElement:
+        vec = self._label_vector(q, vec_or_index)
         if self.standard_n is not None:
             n = self.standard_n
             top_form = _form_of(simplex_context(n),
                                 ((lab, c) for (_, lab), c in vec.items()))
             return _family_from_top(self.sset, n, q, top_form)
         return _family_from_vector(self.sset, q, vec)
+
+    def simplex_labels(self, q: int, vec_or_index) -> dict:
+        """{sid: {label: c}}: a degree-q family (as in `element`) on each
+        simplex of dimension >= q, in monomial labels, without forms.
+
+        On a standard simplex the top-cell labels are restricted face by
+        face through `_face_image`; the file's faces are the standard
+        ones, so face i of a simplex drops its position i.
+        """
+        on: dict = {}
+        for (sid, lab), c in self._label_vector(q, vec_or_index).items():
+            on.setdefault(sid, {})[lab] = c
+        if self.standard_n is None:
+            return on
+        sset = self.sset
+        for sid in sorted(sset.simplices, key=sset.dim_of, reverse=True):
+            dim, labels = sset.dim_of(sid), on.get(sid)
+            if dim <= q or not labels:
+                continue
+            for i in range(dim + 1):
+                fsid = sset.face(sid, i)
+                if fsid not in on:
+                    on[fsid] = _restrict(dim, i, labels)
+        return on
 
     def d_matrix(self, q: int) -> list:
         """d from degree q to q + 1 in the family bases, as sparse rows.
@@ -604,7 +695,9 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
 
     One family complex at cap + 2 serves every lower cap through its
     leading blocks, and one echelon of each of its coboundaries serves
-    the ranks at every cap and the representatives at the cap.
+    the ranks at every cap and the representatives at the cap.  The
+    representatives are integrated and multiplied on their monomial
+    labels (`simplex_labels`, `_label_integral`, `_product_integral`).
     """
     L = S.dimension
     cap = (L + 4) if weight_cap is None else weight_cap
@@ -631,9 +724,13 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     # induced map on cohomology: inject family classes into cochain
     # classes; a cocycle's class is its residual against the coboundaries
     dims = cx.leading_dims(cap)
-    reps = [[(rep, rep.integrate()) for rep in
-             (cx.element(q, vec) for vec in view.representatives(q, dims))]
-            for q in range(L + 2)]
+    reps = []
+    for q, sids in enumerate(cview.labels):
+        reps.append([])
+        for vec in view.representatives(q, dims):
+            on = cx.simplex_labels(q, vec)
+            reps[q].append((on, Cochain(S, q, {
+                sid: _label_integral(on[sid]) for sid in sids if sid in on})))
     orders = [{sid: i for i, sid in enumerate(labels)}
               for labels in cview.labels]
     images = [cview.image_span(q) for q in range(L + 2)]
@@ -664,7 +761,10 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
         if p + q > L:
             continue
         pairs += 1
-        defect = (u * v).integrate() - aw_product(iu, iv)
+        cup = Cochain(S, p + q, {
+            sid: _product_integral(p + q, u[sid], v[sid])
+            for sid in cview.labels[p + q] if sid in u and sid in v})
+        defect = cup - aw_product(iu, iv)
         target = {orders[p + q][sid]: x for sid, x in defect.values.items()}
         mult_ok &= images[p + q].contains(target)
 

@@ -136,6 +136,31 @@ def test_renumbered_standard_simplex_keeps_its_ranks(capsys, tmp_path):
     assert out.splitlines()[2:] == shipped.splitlines()[2:]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("vertices"),
+    lambda d: d.update(vertices={
+        sid: [(3, 5, 8)[v] for v in vs]
+        for sid, vs in d["vertices"].items()}),
+], ids=["no-vertices", "renumbered-3-5-8"])
+def test_standard_simplex_report_ignores_the_vertices(capsys, tmp_path,
+                                                      edit):
+    # a standard simplex is recognized by its ids and faces; the vertex
+    # numbers, or their absence, leave every line but the input alone
+    data = json.loads(Path(resolve_input("delta2.json")).read_text())
+    edit(data)
+    path = tmp_path / "delta2-edited.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["derham", str(path)])
+    assert code == 0, err
+    _, shipped, _ = run(capsys, ["derham", "delta2.json"])
+
+    def past_input(text):
+        return [line for line in text.splitlines()
+                if not line.startswith("input:")]
+    assert past_input(out) == past_input(shipped)
+    assert out != shipped
+
+
 def test_missing_input_exits_3(capsys):
     code, _, err = run(capsys, ["residue", "no-such-file.json"])
     assert code == 3 and "no such input" in err

@@ -11,8 +11,8 @@ from adelweil.errors import (
 )
 from adelweil.exactalg import (
     MACAULAY_MONOMIAL_CAP, LinearSpan, MultiPoly, QMatrix, RatFunc,
-    RingMatrix, TruncatedSeries, artinian_length, format_rational, grlex_key,
-    macaulay_span, parse_rational,
+    RingMatrix, TruncatedSeries, _integral, artinian_length, format_rational,
+    grlex_key, macaulay_span, parse_rational,
 )
 
 from strategies import fractions, polys
@@ -352,6 +352,27 @@ def test_linear_span_contains_its_combinations():
     assert span.contains({0: Q(2), 1: Q(3)})
     assert span.contains({0: Q(5), 1: Q(5)})
     assert not span.contains({2: Q(1)})
+
+
+_ints = st.integers(min_value=-10 ** 12, max_value=10 ** 12)
+
+
+@settings(max_examples=60)
+@given(st.one_of(
+    st.dictionaries(st.integers(min_value=0, max_value=9),
+                    st.one_of(st.just(0), _ints), max_size=6),
+    st.dictionaries(st.integers(min_value=0, max_value=9),
+                    st.one_of(st.just(0), _ints, _entries), max_size=6)))
+def test_integral_int_branch_matches_the_fraction_branch(vec):
+    # an all-int vector skips the denominators; it must split the same
+    got = _integral(vec)
+    ref = _integral({c: Q(x) for c, x in vec.items()})
+    assert got == ref
+    for row, num, den in (got, ref):
+        assert all(type(x) is int for x in row.values())
+        assert type(num) is int and type(den) is int
+        assert {c: Q(num * x, den) for c, x in row.items()} == \
+            {c: x for c, x in vec.items() if x}
 
 
 def test_artinian_length_anchors():

@@ -171,13 +171,21 @@ def test_transformation_law(p1, p2, k1, k2, m, g):
     a = (f1 ** k1 + p1, f2 ** k2 + p2)
     M = RingMatrix([m[0:2], m[2:4]])
     b = tuple(row[0] * a[0] + row[1] * a[1] for row in M.rows)
-    assume(not any(x.is_zero() for x in b))
+    # the law is stated for denominators with nonzero entries
+    assume(not any(x.is_zero() for x in a + b))
     try:
         lhs = residue_general(GeneralizedFraction(V2, g, a))
         rhs = residue_general(GeneralizedFraction(V2, g * M.det(), b))
     except NotFinite:
         assume(False)
     assert lhs == rhs
+
+
+def test_zero_denominator_entry_is_refused():
+    # f2^2 + p2 with p2 = -f2^2 is the zero polynomial
+    a = (f1, f2 ** 2 - f2 ** 2)
+    with pytest.raises(ParseError, match="not identically"):
+        GeneralizedFraction(V2, one2, a)
 
 
 DENOMS = (f1 + f2 ** 2, f2 ** 3)

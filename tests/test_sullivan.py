@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil import simplicial, sullivan
 from adelweil.cli import SSET_FILES, resolve_input
 from adelweil.dgforms import simplex_context
 from adelweil.errors import CapInsufficient, DimensionMismatch, NotAComplex
@@ -17,9 +20,10 @@ from adelweil.simplicial import (
     pullback_along, standard_simplex_sset,
 )
 from adelweil.sullivan import (
-    CochainComplexView, SullivanComplex, _face_image, _monomial_d,
-    _form_of, _simplex_labels, _simplex_weight_block, _weight,
-    cochain_complex, sparse_nullspace,
+    CochainComplexView, SullivanComplex, _face_image, _label_integral,
+    _monomial_d, _form_of, _product_integral, _simplex_labels,
+    _simplex_weight_block, _weight, _wedge_sign, cochain_complex,
+    sparse_nullspace,
     sullivan_basis, sullivan_view, verify_de_rham,
 )
 
@@ -240,6 +244,34 @@ def test_cup_pairing_on_the_seven_vertex_torus():
     assert P[0][0] * P[1][1] - P[0][1] * P[1][0] != 0
 
 
+def _delta2_edited(edit) -> FiniteSimplicialSet:
+    data = json.loads(Path(resolve_input("delta2.json")).read_text())
+    edit(data)
+    return sset_from_json(data)
+
+
+def _delta2_renumbered() -> FiniteSimplicialSet:
+    # vertex numbers are labels: 3, 5, 8 in place of 0, 1, 2
+    new = {0: 3, 1: 5, 2: 8}
+    return _delta2_edited(lambda d: d.update(vertices={
+        sid: [new[v] for v in vs] for sid, vs in d["vertices"].items()}))
+
+
+def _delta2_without_vertices() -> FiniteSimplicialSet:
+    return _delta2_edited(lambda d: d.pop("vertices"))
+
+
+@pytest.mark.parametrize("space", [_delta2_renumbered,
+                                   _delta2_without_vertices])
+def test_standard_simplex_basis_ignores_the_vertex_numbers(space):
+    # the face maps read positions off the standard simplex
+    S, ref = space(), standard_simplex_sset(2)
+    for q in range(3):
+        basis = sullivan_basis(S, q, 3)
+        assert basis and basis == sullivan_basis(ref, q, 3)
+        assert all(u.is_compatible() for u in basis)
+
+
 def _shipped_spaces() -> dict:
     spaces = {}
     for name in SSET_FILES:
@@ -251,6 +283,8 @@ def _shipped_spaces() -> dict:
 def _space(name: str) -> FiniteSimplicialSet:
     if name == "torus-7":
         return _torus_7()
+    if name == "simplex-2-renumbered":
+        return _delta2_renumbered()
     if name == "boundary-3":
         return boundary_simplex_sset(3)
     return _shipped_spaces()[name]
@@ -377,3 +411,104 @@ def test_one_elimination_per_coboundary(monkeypatch):
     monkeypatch.setattr(LinearSpan, "_reduce", counting)
     assert verify_de_rham(boundary_simplex_sset(3), 4)["ok"]
     assert count <= 443, count
+
+
+def _label_and_form_integrals(S, cap):
+    """(label integral, DiffForm integral) on every simplex, for the basis
+    families of every degree and every pair of them whose degrees add up
+    to at most the dimension."""
+    cx = SullivanComplex(S, cap)
+    L = S.dimension
+    families = [[(cx.simplex_labels(q, k), cx.element(q, k))
+                 for k in range(cx.dim(q))] for q in range(L + 1)]
+    for q in range(L + 1):
+        for on, u in families[q]:
+            form = u.integrate()
+            for sid in S.simplices_of(q):
+                yield _label_integral(on.get(sid, {})), form(sid)
+    for p, q in itertools.product(range(L + 1), repeat=2):
+        if p + q > L:
+            continue
+        for (on_u, u), (on_v, v) in itertools.product(families[p],
+                                                      families[q]):
+            form = (u * v).integrate()
+            for sid in S.simplices_of(p + q):
+                yield _product_integral(p + q, on_u.get(sid, {}),
+                                        on_v.get(sid, {})), form(sid)
+
+
+# the cap keeps the DiffForm products of every pair within seconds
+LABEL_ORACLE_CAPS = {"simplex-0": 3, "simplex-1": 3, "simplex-2": 3,
+                     "simplex-3": 2, "boundary-2": 3, "boundary-3": 2,
+                     "points-2": 3, "torus-7": 2, "simplex-2-renumbered": 3}
+
+
+@pytest.mark.parametrize("name", LABEL_ORACLE_CAPS)
+def test_label_integrals_match_the_form_integrals(name):
+    pairs = list(_label_and_form_integrals(_space(name),
+                                           LABEL_ORACLE_CAPS[name]))
+    assert pairs
+    assert all(label == form for label, form in pairs)
+
+
+def _unsigned(mono):
+    return 1
+
+
+def _flipped(mono):
+    return -_wedge_sign(mono)
+
+
+def _no_exponent_factorials(l, exponents):
+    return Q(1, math.factorial(l + sum(exponents)))
+
+
+def _shifted_factorial(l, exponents):
+    return Q(math.prod(map(math.factorial, exponents)),
+             math.factorial(l + sum(exponents) + 1))
+
+
+@pytest.mark.parametrize("name, attr, wrong", [
+    ("boundary-2", "_wedge_sign", _flipped),
+    ("torus-7", "_wedge_sign", _flipped),
+    ("torus-7", "_wedge_sign", _unsigned),
+    ("boundary-2", "dirichlet_integral", _no_exponent_factorials),
+    ("boundary-2", "dirichlet_integral", _shifted_factorial),
+    ("torus-7", "dirichlet_integral", _no_exponent_factorials),
+    ("torus-7", "dirichlet_integral", _shifted_factorial),
+])
+def test_label_oracle_catches_a_wrong_sign_or_factorial(
+        monkeypatch, name, attr, wrong):
+    monkeypatch.setattr(sullivan, attr, wrong)
+    assert any(label != form for label, form in _label_and_form_integrals(
+        _space(name), LABEL_ORACLE_CAPS[name]))
+
+
+@pytest.mark.parametrize("space, cap", [(standard_simplex_sset(2), None),
+                                        (boundary_simplex_sset(3), 4)])
+def test_comparison_builds_no_forms(monkeypatch, space, cap):
+    # integration and products run on labels: no pullback of a form, no
+    # form integral and no family of forms behind verify_de_rham
+    calls = []
+    loaded = [m for name, m in sys.modules.items()
+              if name == "adelweil" or name.startswith("adelweil.")]
+    for owner, attr in ((simplicial, "pullback_along"),
+                        (simplicial, "integrate_over_simplex"),
+                        (SullivanComplex, "element")):
+        original = getattr(owner, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+        # and every name an importer bound to the same function
+        for module in loaded:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    assert verify_de_rham(space, cap)["ok"]
+    assert calls == []
+    # the counting wrappers do see the form route
+    SullivanComplex(space, 1).element(0, 0).integrate()
+    assert calls
