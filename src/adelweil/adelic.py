@@ -136,9 +136,13 @@ class ChainConnection:
     chain: Chain
     theta: FormMatrix
     rank: int
+    _curvature: FormMatrix | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def curvature(self) -> FormMatrix:
-        return matrix_curvature(self.theta)
+        if self._curvature is None:
+            self._curvature = matrix_curvature(self.theta)
+        return self._curvature
 
     def curvature_11(self) -> FormMatrix:
         """(1,1) part of the curvature, computed along both routes."""
@@ -233,11 +237,7 @@ def block_frames(sub: ChartModel, quot: ChartModel, mixing: dict) -> ChartModel:
 
 def chern_series(conn: ChainConnection) -> list:
     """Coefficient forms of det(1 + t * curvature): [1, P_1(R), ..]."""
-    R = conn.curvature()
-    out = [conn.ctx.one_form()]
-    for i in range(1, conn.rank + 1):
-        out.append(R.invariant(i))
-    return out
+    return [conn.ctx.one_form(), *conn.curvature().invariants()]
 
 
 def whitney_check(sub: ChartModel, quot: ChartModel, mixing: dict,

@@ -15,13 +15,15 @@ Koszul sign rule is implemented once, in `_merge_odd`, and everything
 else (wedge, curvature, transgression, contraction) rides on it.
 
 `FormMatrix` is the ring-matrix algebra of `exactalg.RingMatrix` over
-even-commuting forms (one determinant, one principal-minor sum) plus
-the form operations: d, bidegree parts, contraction, trace and the
-odd decomposition.  `InvariantPolynomial` is a polynomial in the
-elementary invariants P_1 = trace .. P_r = det, the coefficients of
-the characteristic polynomial det(1 + tau M); `invariant_eval` and
-`polarize` evaluate it on a matrix over any commutative ring, forms
-included.
+even-commuting forms plus the form operations: d, bidegree parts,
+contraction, trace and the odd decomposition.  Its determinant,
+invariants and inverse all read one characteristic polynomial, and the
+even-entry guard sits on that one primitive.
+
+`InvariantPolynomial` is a polynomial in the elementary invariants
+P_1 = trace .. P_r = det, the coefficients of the characteristic
+polynomial det(1 + tau M); `invariant_eval` and `polarize` evaluate it
+on a matrix over any commutative ring, forms included.
 """
 
 from __future__ import annotations
@@ -508,9 +510,10 @@ class DiffForm:
 class FormMatrix(RingMatrix):
     """Matrix with DiffForm entries over one context.
 
-    The matrix algebra (+, -, @, det, principal minor sums) is
-    `RingMatrix`'s: even forms commute, so the commutative-ring code
-    holds for them.  `det` and `invariant` add the even-entry guard.
+    The matrix algebra (+, -, @, the characteristic polynomial and all
+    that reads it: det, invariants, inverse) is `RingMatrix`'s: even
+    forms commute, so the commutative-ring code holds for them.
+    `charpoly` adds the even-entry guard.
     """
 
     __slots__ = ("ctx",)
@@ -581,13 +584,12 @@ class FormMatrix(RingMatrix):
             return NotImplemented
         return self.shape == other.shape and (self - other).is_zero()
 
-    def _require_even(self, what: str):
+    def charpoly(self) -> list:
+        """`RingMatrix.charpoly`, for even-degree entries only."""
         if not all(x.is_even() for row in self.rows for x in row):
-            raise OddEntries(f"{what} needs even-degree entries")
-
-    def det(self) -> DiffForm:
-        self._require_even("determinant")
-        return super().det()
+            raise OddEntries(
+                "the characteristic polynomial needs even-degree entries")
+        return super().charpoly()
 
     def invariant(self, k: int) -> DiffForm:
         """k-th elementary invariant: sum of principal k x k minors.
@@ -596,12 +598,10 @@ class FormMatrix(RingMatrix):
         """
         if k == 0:
             return self.ctx.one_form()
-        self._require_even("invariant")
-        return super().principal_minor_sum(k)
-
-    def principal_minor_sum(self, k: int) -> DiffForm:
-        """The `RingMatrix` name, routed through the guarded `invariant`."""
-        return self.invariant(k)
+        if not 1 <= k <= len(self.rows):
+            raise DimensionMismatch(f"invariant {k} of a rank-"
+                                    f"{len(self.rows)} matrix")
+        return self.invariants()[k - 1]
 
     def odd_decomposition(self) -> dict:
         """Write the matrix as sum of odd monomials times ring matrices."""
@@ -690,9 +690,10 @@ class InvariantPolynomial:
 def invariant_eval(P: InvariantPolynomial, M: RingMatrix, one=None):
     """Evaluate an invariant polynomial on a matrix over a commutative ring.
 
-    P_i becomes the sum of the principal i x i minors of M.  `one` is
-    the unit of the entries' ring; a FormMatrix, whose entries must be
-    even, defaults to the one form of its context.
+    P_i becomes the sum of the principal i x i minors of M; all of
+    them come from one `M.invariants()`.  `one` is the unit of the
+    entries' ring; a FormMatrix, whose entries must be even, defaults to
+    the one form of its context.
 
     Example: P_1^2 on M is (trace M)^2; P_2 on a 2x2 matrix is det M.
     """
@@ -701,19 +702,13 @@ def invariant_eval(P: InvariantPolynomial, M: RingMatrix, one=None):
             f"rank-{P.r} invariant on a {M.shape[0]}x{M.shape[1]} matrix")
     if one is None:
         one = M.ctx.one_form()
-    cache: dict = {}
-
-    def elem(i: int):
-        if i not in cache:
-            cache[i] = M.principal_minor_sum(i)
-        return cache[i]
-
+    elems = M.invariants() if P.degree else []     # a constant reads none
     acc = one * 0
     for exp, c in sorted(P.terms.items()):
         term = one * c
-        for i, e in enumerate(exp):
+        for e_i, e in zip(elems, exp):
             for _ in range(e):
-                term = term * elem(i + 1)
+                term = term * e_i
         acc = acc + term
     return acc
 

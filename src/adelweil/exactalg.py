@@ -22,6 +22,9 @@ rational, so the pivots and spans are the same, and the reduced row
 echelon form read out at the end, unique for the span and the label
 order, is the same exact one.
 `QMatrix` is the dense container that feeds its rows to that kernel.
+`RingMatrix` is a matrix over any of these rings; its determinant,
+invariants and inverse all read one division-free characteristic
+polynomial.
 `macaulay_span` builds every truncated ideal span: the shifted
 generators below a degree T.  `artinian_length` reads the colength of
 a regular sequence off those spans.
@@ -178,6 +181,10 @@ class MultiPoly:
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * len(self.vars), ZERO)
+
+    def coefficient(self, exp: tuple[int, ...]) -> Fraction:
+        """Exact coefficient of one monomial (the series' signature)."""
+        return self.coeffs.get(tuple(exp), ZERO)
 
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -795,9 +802,9 @@ class RingMatrix:
     """Square or rectangular matrix over any commutative ring object.
 
     Entries only need +, -, * among themselves; `inv` additionally
-    needs `invert` on the determinant (Fraction and RatFunc have it).
-    Determinants use the permutation expansion, which is fine for the
-    ranks (<= 4) this package works with.  Every result matrix is built
+    needs `invert` on the determinant (Fraction, RatFunc and
+    TruncatedSeries have it).  `charpoly` is the one primitive: `det`,
+    `invariants` and `inv` all read it.  Every result matrix is built
     by `_new`, so a subclass (`dgforms.FormMatrix`) keeps its own type.
     """
 
@@ -823,11 +830,6 @@ class RingMatrix:
     def map(self, fn) -> "RingMatrix":
         return self._new([[fn(x) for x in row] for row in self.rows])
 
-    def transpose(self) -> "RingMatrix":
-        m, n = self.shape
-        return self._new([[self.rows[i][j] for i in range(m)]
-                          for j in range(n)])
-
     def __add__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch("matrix addition shape mismatch")
@@ -847,72 +849,71 @@ class RingMatrix:
         return self.map(lambda x: x * c)
 
     def __matmul__(self, other):
-        m, k = self.shape
-        k2, n = other.shape
-        if k != k2:
+        if self.shape[1] != other.shape[0]:
             raise DimensionMismatch("matrix product shape mismatch")
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(n):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for t in range(1, k):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            out.append(row)
-        return self._new(out)
+        cols = list(zip(*other.rows))
+        return self._new([[_dot(row, col) for col in cols]
+                          for row in self.rows])
+
+    def charpoly(self) -> list:
+        """[p_1, .., p_n] with det(t - A) = t^n + p_1 t^(n-1) + .. + p_n.
+
+        Berkowitz's recursion (Inf. Process. Lett. 18, 1984) over the
+        leading blocks: with A_(k+1) = [[A_k, C], [R, a]], the
+        coefficients of A_(k+1) are the lower triangular Toeplitz matrix
+        with first column (1, -a, -R C, -R A_k C, .., -R A_k^(k-1) C)
+        times those of A_k.  That is O(n^4) products and no division;
+        the leading 1 stays implicit, so no ring one is needed.
+        """
+        m, n = self.shape
+        if m != n or not n:
+            raise DimensionMismatch(
+                f"characteristic polynomial of a {m}x{n} matrix")
+        A = self.rows
+        p: list = []
+        for k in range(n):
+            row, col = A[k][:k], [A[i][k] for i in range(k)]
+            t = [-A[k][k]]      # T's first column below its 1
+            for j in range(k):
+                if j:
+                    col = [_dot(A[i][:k], col) for i in range(k)]
+                t.append(-_dot(row, col))
+            q = []              # T p, T's leading 1 and p's kept implicit
+            for i in range(k + 1):
+                acc = t[i] + p[i] if i < k else t[i]
+                for j in range(i):
+                    acc = acc + t[i - 1 - j] * p[j]
+                q.append(acc)
+            p = q
+        return p
 
     def det(self):
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        if not n:
-            raise DimensionMismatch("determinant of an empty matrix")
-        acc = None
-        for perm in itertools.permutations(range(n)):
-            term = self.rows[0][perm[0]]
-            for i in range(1, n):
-                term = term * self.rows[i][perm[i]]
-            if _perm_sign(perm) < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
+        """(-1)^n p_n."""
+        p = self.charpoly()[-1]
+        return -p if len(self.rows) % 2 else p
 
-    def principal_minor_sum(self, k: int):
-        """Sum of all k x k principal minors (k-th invariant of the matrix)."""
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("invariants of a non-square matrix")
-        if not 1 <= k <= n:
-            raise DimensionMismatch(f"invariant {k} of a {n}x{n} matrix")
-        acc = None
-        for subset in itertools.combinations(range(n), k):
-            d = self._new([[self.rows[i][j] for j in subset]
-                           for i in subset]).det()
-            acc = d if acc is None else acc + d
-        return acc
+    def invariants(self) -> list:
+        """[e_1, .., e_n], e_k = (-1)^k p_k the sum of the principal
+        k x k minors: det(1 + tau A) = 1 + e_1 tau + .. + e_n tau^n."""
+        return [-x if k % 2 else x for k, x in enumerate(self.charpoly(), 1)]
 
     def inv(self) -> "RingMatrix":
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        d = self.det()
+        """adj(A) / det(A), the adjugate by Cayley-Hamilton: A B = -p_n
+        for B = A^(n-1) + p_1 A^(n-2) + .. + p_(n-1), built by Horner,
+        adding each p_k on the diagonal.  Inverting -p_n raises when A
+        is singular."""
+        p = self.charpoly()
+        d = -p[-1]
         dinv = d.invert() if hasattr(d, "invert") else 1 / d
-        if n == 1:
+        if len(p) == 1:
             return self._new([[dinv]])
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                sub = self._new([[self.rows[a][b]
-                                  for b in range(n) if b != j]
-                                 for a in range(n) if a != i])
-                c = sub.det()
-                if (i + j) % 2:
-                    c = -c
-                row.append(c)
-            cof.append(row)
-        return self._new(cof).transpose().scale(dinv)
+        B = self
+        for k, c in enumerate(p[:-1], 1):
+            if k > 1:
+                B = self @ B
+            B = B._new([[x + c if i == j else x for j, x in enumerate(row)]
+                        for i, row in enumerate(B.rows)])
+        return B.scale(dinv)
 
     def __eq__(self, other):
         return isinstance(other, RingMatrix) and self.rows == other.rows
@@ -928,28 +929,21 @@ class RingMatrix:
         return f"{type(self).__name__}({self.render()})"
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _dot(xs, ys):
+    """Sum of the products x * y over two nonempty sequences."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
 
 
 class QMatrix:
     """Dense matrix of Fractions: a container over the `LinearSpan` kernel.
 
-    Every elimination (`rref`, `rank`, `nullspace`, `solve`, `det`,
-    `inv`) feeds the rows to a `LinearSpan` with the column index as
-    label order and reads the answer out of it.
+    Every elimination (`rref`, `rank`, `nullspace`, `solve`, `inv`)
+    feeds the rows to a `LinearSpan` with the column index as label
+    order and reads the answer out of it.  Determinants are
+    `RingMatrix`'s.
     """
 
     __slots__ = ("rows",)
@@ -996,21 +990,6 @@ class QMatrix:
         for r, col in enumerate(pivots):
             x[col] = red.rows[r][n]
         return x
-
-    def det(self) -> Fraction:
-        """Signed product of the pivots the kernel divides by."""
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        span = LinearSpan()
-        for row in self.rows:   # in row order: the sign reads pivot order
-            span.add({j: x for j, x in enumerate(row) if x})
-        if span.rank < n:
-            return ZERO
-        det = Fraction(_perm_sign(list(span.pivots)))
-        for lead in span.divisors:
-            det *= lead
-        return det
 
     def inv(self) -> "QMatrix":
         m, n = self.shape
@@ -1078,23 +1057,22 @@ class LinearSpan:
     as two ints, records what that did to the true vector.  Each step is
     the usual one (rows scaled to 1 at the pivot) times a nonzero
     rational, so the supports, the pivots and the order of entries are
-    the same, and the span is the same.  The true residual and pivot
-    entry (`divisors`) are rebuilt from the scale as exact Fractions, and
-    `reduced_rows` divides each back-substituted integer row by its
-    pivot entry, which gives the reduced row echelon form: it depends
-    only on the span and the label order.
+    the same, and the span is the same.  The true residual is rebuilt
+    from the scale as exact Fractions, and `reduced_rows` divides each
+    back-substituted integer row by its pivot entry, which gives the
+    reduced row echelon form: it depends only on the span and the label
+    order.
 
     The pivots are the least labels of the nonzero vectors of the span
     (reduction only brings in labels above the pivot it clears, so a
     least label that is no pivot would survive it).  So the pivot set,
     `rank`, `reduced_rows` and `kernel` never depend on insertion order;
-    only the order of `pivots` and `divisors` does.
+    only the order of `pivots` does.
     """
 
     def __init__(self, key=None):
         self.key = key or (lambda c: c)
         self.pivots: dict = {}       # column -> primitive integer row
-        self.divisors: list = []     # true entry at each new row's pivot
 
     @property
     def rank(self) -> int:
@@ -1139,12 +1117,11 @@ class LinearSpan:
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        row, num, den = self._reduce(vec)
+        row = self._reduce(vec)[0]
         if not row:
             return False
         lead = min(row, key=self.key)
         self.pivots[lead] = row
-        self.divisors.append(Fraction(num * row[lead], den))
         return True
 
     def extend(self, vectors) -> None:

@@ -33,7 +33,6 @@ from .exactalg import (
     QMatrix,
     RingMatrix,
     TruncatedSeries,
-    artinian_length,
     macaulay_span,
     _colength_and_spans,
     _monomials_below,
@@ -253,19 +252,23 @@ def simple_zero_invariant(P: InvariantPolynomial,
                           zd: LocalZeroData) -> Fraction:
     """Closed form at a reduced zero: P of the restricted lift over the
     determinant of the linearization -(da_i/df_j)^T at the point.
+
+    The zero is reduced (colength 1) exactly when a(0) = 0 and that
+    determinant is nonzero: then the a_i span m/m^2, so by Nakayama
+    they generate the maximal ideal m.  The linear terms are read with
+    `coefficient`, so a series known only below degree 2 raises
+    PrecisionExhausted.
     """
     n = zd.n
     if P.degree != n:
         raise DegreeError(
             f"invariant of degree {P.degree} against dimension {n}")
-    if artinian_length(list(zd.a)) != 1:
-        raise NotSimple("zero is not reduced")
-    # artinian_length has read every a_j to degree 3, so these exist
-    jac = [[-zd.a[j].coeffs.get(_unit_exp(n, i), Fraction(0))
-            for j in range(n)] for i in range(n)]
-    det = QMatrix(jac).det()
+    if any(x.coefficient((0,) * n) for x in zd.a):
+        raise NotSimple("the field does not vanish at the point")
+    det = RingMatrix([[-zd.a[j].coefficient(_unit_exp(n, i))
+                       for j in range(n)] for i in range(n)]).det()
     if not det:
-        raise NotSimple("degenerate linearization at a reduced zero")
+        raise NotSimple("zero is not reduced")
     lam = RingMatrix([[Fraction(_const_term(x)) for x in row]
                       for row in zd.lift.rows])
     value = invariant_eval(P, lam, Fraction(1))

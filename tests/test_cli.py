@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from adelweil.cli import main, resolve_input
+from adelweil.parsing import MAX_RANK
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -289,6 +290,81 @@ def test_resource_caps_exit_5(capsys, tmp_path, data, flags, message):
     assert time.perf_counter() - started < 5
     assert code == 5
     assert message in err and "Traceback" not in err
+
+
+def _identity(rank):
+    return [["1" if i == j else "0" for j in range(rank)]
+            for i in range(rank)]
+
+
+def _widened_p1_o1(rank):
+    """p1-o1.json with its chart widened to `rank`: an upper triangular
+    x0 frame with diagonal (f, 1, .., 1) and f + i + j above it, so the
+    bundle is O(1) plus a trivial one; identity frames elsewhere and the
+    lift -I."""
+    def edit(data):
+        chart = data["chart"]
+        x0 = _identity(rank)
+        x0[0][0] = "f"
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                x0[i][j] = f"f + {i + j}"
+        chart["frames"] = {lab: _identity(rank) for lab in chart["frames"]}
+        chart["frames"]["x0"] = x0
+        chart["lift"] = [["-" + x if x == "1" else x for x in row]
+                         for row in _identity(rank)]
+        chart["rank"] = rank
+    return _edited("p1-o1.json", edit)
+
+
+@pytest.mark.parametrize("chain", ["x0,p0,q1", "x0,p0"])
+def test_widened_line_bundle_keeps_its_chern_components(capsys, tmp_path,
+                                                        chain):
+    # c1 is that of the rank-1 file and every higher component is 0
+    path = tmp_path / "p1-o1-rank-7.json"
+    path.write_text(json.dumps(_widened_p1_o1(7)))
+    _, base, _ = run(capsys, ["chern", "p1-o1.json", "--chain", chain])
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["chern", str(path), "--chain", chain])
+    assert time.perf_counter() - started < 5
+    assert code == 0, err
+    components = [line for line in out.splitlines()
+                  if line.startswith("component")]
+    assert components == [line for line in base.splitlines()
+                          if line.startswith("component")] + \
+        [f"component {k}: value=0" for k in range(2, 8)]
+
+
+def _whitney_of_ranks(sub, quot):
+    return dict(NO_ZEROS, r=2, whitney={
+        "sub": dict(CHART, rank=sub, frames={"x0": _identity(sub)}),
+        "quot": dict(CHART, rank=quot, frames={"x0": _identity(quot)}),
+        "mixing": {}, "chain": ["x0"]})
+
+
+@pytest.mark.parametrize("argv, data, where", [
+    (["chern", "--chain", "x0,p0"], _widened_p1_o1(2 * MAX_RANK), "chart"),
+    (["bott"], _edited("p1-o1.json", lambda d: d.update(r=2 * MAX_RANK)),
+     "scenario"),
+    (["chern"], _whitney_of_ranks(MAX_RANK, MAX_RANK), "whitney extension"),
+], ids=["chart", "scenario", "whitney"])
+def test_ranks_past_the_cap_exit_5(capsys, tmp_path, argv, data, where):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    started = time.perf_counter()
+    code, _, err = run(capsys, [argv[0], str(path)] + argv[1:])
+    assert time.perf_counter() - started < 5
+    assert code == 5
+    assert f"{where} has rank {2 * MAX_RANK}, past the cap of {MAX_RANK}" \
+        in err and "Traceback" not in err
+
+
+def test_the_rank_cap_admits_its_own_rank(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_whitney_of_ranks(MAX_RANK // 2,
+                                                 MAX_RANK // 2)))
+    code, _, err = run(capsys, ["chern", str(path)])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("space, cap", [

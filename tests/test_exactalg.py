@@ -15,6 +15,7 @@ from adelweil.exactalg import (
     grlex_key, macaulay_span, parse_rational,
 )
 
+from matrix_oracles import perm_det
 from strategies import fractions, polys
 
 V1 = ("f",)
@@ -132,11 +133,9 @@ def test_ratfunc_render_parenthesizes_compound_numerators():
                 min_size=2, max_size=2),
        st.lists(st.lists(fractions(3, 2), min_size=2, max_size=2),
                 min_size=2, max_size=2))
-def test_qmatrix_det_is_multiplicative(a_rows, b_rows):
-    A, B = QMatrix(a_rows), QMatrix(b_rows)
-    prod = QMatrix([[sum(A.rows[i][k] * B.rows[k][j] for k in range(2))
-                     for j in range(2)] for i in range(2)])
-    assert prod.det() == A.det() * B.det()
+def test_ring_matrix_det_is_multiplicative(a_rows, b_rows):
+    A, B = RingMatrix(a_rows), RingMatrix(b_rows)
+    assert (A @ B).det() == A.det() * B.det()
 
 
 def test_qmatrix_solve_detects_inconsistency():
@@ -201,7 +200,7 @@ def test_elimination_kernel_against_independent_oracles(case):
     At = QMatrix([[A.rows[i][j] for i in range(m)] for j in range(n)])
     assert At.rank() == rank
     if m == n:
-        assert (A.det() != 0) == (rank == n)
+        assert (perm_det(raw) != 0) == (rank == n)
     b = _mat_vec(A.rows, x0)
     x = A.solve(b)
     assert x is not None and _mat_vec(A.rows, x) == b
@@ -230,16 +229,17 @@ def test_ring_matrix_det_on_triangular_blocks():
 def test_permutation_det_against_elimination_kernel(A):
     n = len(A)
     M = RingMatrix(A)
-    assert M.det() == QMatrix(A).det()
+    det = perm_det(A)
+    assert M.det() == det
+    assert (det != 0) == (QMatrix(A).rank() == n)
+    # det(1 + tau A) = 1 + e_1 tau + .. + e_n tau^n
     for tau in range(n + 1):
-        shifted = QMatrix([[int(i == j) + tau * A[i][j] for j in range(n)]
-                           for i in range(n)])
-        char = 1 + sum(tau ** k * M.principal_minor_sum(k)
-                       for k in range(1, n + 1))
-        assert char == shifted.det()
+        shifted = [[int(i == j) + tau * A[i][j] for j in range(n)]
+                   for i in range(n)]
+        char = 1 + sum(tau ** k * e for k, e in enumerate(M.invariants(), 1))
+        assert char == perm_det(shifted)
     ctx = polynomial_context(("f",))
-    assert FormMatrix.from_ring(ctx, A).det() == \
-        ctx.form_scalar(QMatrix(A).det())
+    assert FormMatrix.from_ring(ctx, A).det() == ctx.form_scalar(det)
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(
@@ -267,9 +267,11 @@ def test_insertion_order_leaves_the_echelon_form_unchanged(case):
         assert set(span.pivots) == set(first.pivots)
         assert span.reduced_rows() == first.reduced_rows()
         assert span.kernel(range(n)) == first.kernel(range(n))
-    # det keeps row order: its sign is read off the pivot order
+    # n of the rows have full rank exactly when their det is nonzero
     square = [A[k] for k in perm[:n]]
-    assert QMatrix(square).det() == RingMatrix(square).det()
+    span = LinearSpan()
+    span.extend(rows[k] for k in perm[:n])
+    assert (span.rank == n) == (RingMatrix(square).det() != 0)
 
 
 def _gauss_jordan(rows, n):
@@ -340,9 +342,6 @@ def test_integer_rows_match_fraction_gauss_jordan(case):
     target = [sum((c * row[j] for c, row in zip(coeffs, A)), Q(0))
               for j in range(n)]
     assert span.contains(_sparse(target))
-    square = (A + [b] + [[Q(int(i == j)) for j in range(n)]
-                         for i in range(n)])[:n]
-    assert QMatrix(square).det() == RingMatrix(square).det()
 
 
 def test_linear_span_contains_its_combinations():

@@ -251,6 +251,32 @@ def test_closed_form_refuses_degenerate_zeros():
         simple_zero_invariant(P1, zd)
 
 
+def test_closed_form_refuses_a_point_where_the_field_is_nonzero():
+    zd = LocalZeroData(V1, 1, (f + 1,), RingMatrix([[-f]]))
+    with pytest.raises(NotSimple, match="does not vanish"):
+        simple_zero_invariant(P1, zd)
+
+
+def test_closed_form_refuses_a_zero_of_colength_two():
+    # (f1, f2^2) has colength 2: its linearization drops rank
+    lift = RingMatrix([[one2, 0 * one2], [0 * one2, one2]])
+    zd = LocalZeroData(V2, 2, (f1, f2 ** 2), lift)
+    with pytest.raises(NotSimple, match="not reduced"):
+        simple_zero_invariant(P2, zd)
+    assert gauss_bonnet_local(list(zd.a)) == (2, 2)
+
+
+def test_closed_form_reads_linear_terms_within_precision():
+    lift = RingMatrix([[MultiPoly.const(V1, -1)]])
+    for prec, outcome in ((1, PrecisionExhausted), (0, PrecisionExhausted)):
+        zd = LocalZeroData(V1, 1, (TruncatedSeries.from_poly(f, prec),),
+                           lift)
+        with pytest.raises(outcome):
+            simple_zero_invariant(P1, zd)
+    zd = LocalZeroData(V1, 1, (TruncatedSeries.from_poly(f, 2),), lift)
+    assert simple_zero_invariant(P1, zd) == 1
+
+
 def test_invariant_degree_must_match_dimension():
     zd = LocalZeroData(V1, 1, (f,), RingMatrix([[MultiPoly.const(V1, 1)]]))
     with pytest.raises(DegreeError):

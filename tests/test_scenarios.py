@@ -167,7 +167,7 @@ def test_one_four_block_zero_on_projective_three_space(change):
                 max_size=2, unique=True),
        st.lists(st.integers(min_value=-2, max_value=2), min_size=9,
                 max_size=9).filter(
-           lambda e: QMatrix([e[0:3], e[3:6], e[6:9]]).det() != 0))
+           lambda e: RingMatrix([e[0:3], e[3:6], e[6:9]]).det() != 0))
 def test_degenerate_zeros_in_any_coordinates(sizes, eigenvalues, entries):
     blocks = tuple(zip(eigenvalues, sizes))
     change = [entries[0:3], entries[3:6], entries[6:9]]
