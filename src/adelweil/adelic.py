@@ -130,24 +130,23 @@ def covertex_lift(values: dict, chain: Chain, ctx: DGContext) -> DiffForm:
 
 @dataclass
 class ChainConnection:
-    """Mixed connection matrix on one chain, with cached curvature."""
+    """Mixed connection matrix on one chain."""
 
     ctx: DGContext
     chain: Chain
     theta: FormMatrix
     rank: int
-    _curvature: FormMatrix | None = field(default=None, init=False,
-                                          repr=False, compare=False)
 
     def curvature(self) -> FormMatrix:
-        if self._curvature is None:
-            self._curvature = matrix_curvature(self.theta)
-        return self._curvature
+        return matrix_curvature(self.theta)
 
-    def curvature_11(self) -> FormMatrix:
-        """(1,1) part of the curvature, computed along both routes."""
+    def curvature_11(self, curvature: FormMatrix | None = None) -> FormMatrix:
+        """(1,1) part of the curvature (given, or computed here), along
+        both routes."""
+        if curvature is None:
+            curvature = self.curvature()
         direct = self.theta.d_simplex()
-        from_full = self.curvature().bidegree_component(1, 1)
+        from_full = curvature.bidegree_component(1, 1)
         if direct != from_full:
             raise IdentityFailed(
                 "curvature (1,1) components disagree between routes")
@@ -185,10 +184,6 @@ def mixed_connection(model: ChartModel, chain: Chain,
         omega = ginvf @ gf.d_base()
         theta = theta - omega.scale(ctx.t(i))
     return ChainConnection(ctx, chain, theta, r)
-
-
-def curvature_11(conn: ChainConnection) -> FormMatrix:
-    return conn.curvature_11()
 
 
 def chern_form_component(i: int, conn: ChainConnection) -> DiffForm:

@@ -13,8 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .adelic import (
-    Chain, chern_form_component, localization_check, mixed_connection,
-    whitney_check,
+    Chain, localization_check, mixed_connection, whitney_check,
 )
 from .errors import (
     CapError, CheckFailed, EngineError, ParseError, PrecisionError,
@@ -28,6 +27,7 @@ from .parsing import (
 from .report import Report
 from .residues import residue_general
 from .scenarios import bott_sum, curve_chain_rows
+from .simplicial import fiber_integrate
 from .sullivan import verify_de_rham
 
 SCENARIO_FILES = (
@@ -122,11 +122,11 @@ def _chern_chart(rep: Report, scn, labels) -> None:
         if lab not in scn.chart.frames:
             raise UnknownChain(f"no frame at {lab!r} in {scn.name}")
     conn = mixed_connection(scn.chart, Chain(tuple(labels)))
+    R = conn.curvature()
     rep.add("theta", value=_matrix_text(conn.theta))
-    rep.add("curvature_11", value=_matrix_text(conn.curvature_11()))
-    for i in range(1, conn.rank + 1):
-        rep.add(f"component {i}",
-                value=chern_form_component(i, conn).render())
+    rep.add("curvature_11", value=_matrix_text(conn.curvature_11(R)))
+    for i, e in enumerate(R.invariants(), 1):
+        rep.add(f"component {i}", value=fiber_integrate(e).render())
 
 
 def _chern_whitney(rep: Report, scn) -> None:

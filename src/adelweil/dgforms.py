@@ -584,12 +584,12 @@ class FormMatrix(RingMatrix):
             return NotImplemented
         return self.shape == other.shape and (self - other).is_zero()
 
-    def charpoly(self) -> list:
+    def charpoly(self, upto: int | None = None) -> list:
         """`RingMatrix.charpoly`, for even-degree entries only."""
         if not all(x.is_even() for row in self.rows for x in row):
             raise OddEntries(
                 "the characteristic polynomial needs even-degree entries")
-        return super().charpoly()
+        return super().charpoly(upto)
 
     def invariant(self, k: int) -> DiffForm:
         """k-th elementary invariant: sum of principal k x k minors.
@@ -601,7 +601,7 @@ class FormMatrix(RingMatrix):
         if not 1 <= k <= len(self.rows):
             raise DimensionMismatch(f"invariant {k} of a rank-"
                                     f"{len(self.rows)} matrix")
-        return self.invariants()[k - 1]
+        return self.invariants(k)[k - 1]
 
     def odd_decomposition(self) -> dict:
         """Write the matrix as sum of odd monomials times ring matrices."""
@@ -691,9 +691,10 @@ def invariant_eval(P: InvariantPolynomial, M: RingMatrix, one=None):
     """Evaluate an invariant polynomial on a matrix over a commutative ring.
 
     P_i becomes the sum of the principal i x i minors of M; all of
-    them come from one `M.invariants()`.  `one` is the unit of the
-    entries' ring; a FormMatrix, whose entries must be even, defaults to
-    the one form of its context.
+    them, up to the highest P_i that P uses, come from one
+    `M.invariants`.  `one` is the unit of the entries' ring; a
+    FormMatrix, whose entries must be even, defaults to the one form of
+    its context.
 
     Example: P_1^2 on M is (trace M)^2; P_2 on a 2x2 matrix is det M.
     """
@@ -702,7 +703,9 @@ def invariant_eval(P: InvariantPolynomial, M: RingMatrix, one=None):
             f"rank-{P.r} invariant on a {M.shape[0]}x{M.shape[1]} matrix")
     if one is None:
         one = M.ctx.one_form()
-    elems = M.invariants() if P.degree else []     # a constant reads none
+    top = max((i for exp in P.terms for i, e in enumerate(exp, 1) if e),
+              default=0)
+    elems = M.invariants(top) if top else []       # a constant reads none
     acc = one * 0
     for exp, c in sorted(P.terms.items()):
         term = one * c

@@ -855,31 +855,37 @@ class RingMatrix:
         return self._new([[_dot(row, col) for col in cols]
                           for row in self.rows])
 
-    def charpoly(self) -> list:
-        """[p_1, .., p_n] with det(t - A) = t^n + p_1 t^(n-1) + .. + p_n.
+    def charpoly(self, upto: int | None = None) -> list:
+        """[p_1, .., p_upto] with det(t - A) = t^n + p_1 t^(n-1) + .. + p_n;
+        `upto` defaults to n.
 
         Berkowitz's recursion (Inf. Process. Lett. 18, 1984) over the
         leading blocks: with A_(k+1) = [[A_k, C], [R, a]], the
         coefficients of A_(k+1) are the lower triangular Toeplitz matrix
         with first column (1, -a, -R C, -R A_k C, .., -R A_k^(k-1) C)
         times those of A_k.  That is O(n^4) products and no division;
-        the leading 1 stays implicit, so no ring one is needed.
+        the leading 1 stays implicit, so no ring one is needed.  p_i reads
+        only p_1..p_i of the leading blocks and the first i entries of
+        each column below its 1, so stopping at `upto` drops the rest:
+        p_1 = -trace costs no product.
         """
         m, n = self.shape
-        if m != n or not n:
+        top = n if upto is None else upto
+        if m != n or not 1 <= top <= n:
             raise DimensionMismatch(
-                f"characteristic polynomial of a {m}x{n} matrix")
+                f"p_{top} of det(t - A) for a {m}x{n} matrix A")
         A = self.rows
         p: list = []
         for k in range(n):
+            size = min(k + 1, top)          # coefficients kept at this step
             row, col = A[k][:k], [A[i][k] for i in range(k)]
             t = [-A[k][k]]      # T's first column below its 1
-            for j in range(k):
+            for j in range(size - 1):
                 if j:
                     col = [_dot(A[i][:k], col) for i in range(k)]
                 t.append(-_dot(row, col))
             q = []              # T p, T's leading 1 and p's kept implicit
-            for i in range(k + 1):
+            for i in range(size):
                 acc = t[i] + p[i] if i < k else t[i]
                 for j in range(i):
                     acc = acc + t[i - 1 - j] * p[j]
@@ -892,10 +898,11 @@ class RingMatrix:
         p = self.charpoly()[-1]
         return -p if len(self.rows) % 2 else p
 
-    def invariants(self) -> list:
-        """[e_1, .., e_n], e_k = (-1)^k p_k the sum of the principal
+    def invariants(self, upto: int | None = None) -> list:
+        """[e_1, .., e_upto], e_k = (-1)^k p_k the sum of the principal
         k x k minors: det(1 + tau A) = 1 + e_1 tau + .. + e_n tau^n."""
-        return [-x if k % 2 else x for k, x in enumerate(self.charpoly(), 1)]
+        return [-x if k % 2 else x
+                for k, x in enumerate(self.charpoly(upto), 1)]
 
     def inv(self) -> "RingMatrix":
         """adj(A) / det(A), the adjugate by Cayley-Hamilton: A B = -p_n

@@ -30,8 +30,10 @@ from .simplicial import FiniteSimplicialSet
 MAX_EXPRESSION_DEGREE = 32
 
 # hard cap on a bundle's rank: a chart's `rank`, a scenario's `r` and a
-# Whitney extension's sub + quot rank (shipped data: 2).  `chern` on a
-# chart of rank 8 with one dense frame runs in about 5 s on 2 vCPUs.
+# Whitney extension's sub + quot rank (shipped data: 2).  Not the entries:
+# cold `chern --chain x0,p0,q1` on P^1 (2 vCPUs) takes 5 s at rank 8 with
+# one dense frame, but 63 s with every frame dense (degree <= 2), the
+# worst case measured (rank 4: 3 s).
 MAX_RANK = 8
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)"

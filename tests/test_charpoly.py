@@ -52,7 +52,9 @@ def test_det_invariants_and_inverse_match_the_oracles_over_fractions(n, data):
     M = RingMatrix(A)
     det = perm_det(A)
     assert M.det() == det
-    assert M.invariants() == minor_sums(A)
+    sums = minor_sums(A)
+    assert [M.invariants(k) for k in range(1, n + 1)] == \
+        [sums[:k] for k in range(1, n + 1)]
     if det:
         adj = cofactor_adjugate(A, Q(1))
         assert M.inv().rows == [[x / det for x in row] for row in adj]
@@ -70,7 +72,9 @@ def test_det_invariants_and_adjugate_match_the_oracles_over_polynomials(
     M = RingMatrix(A)
     det = perm_det(A)
     assert M.det() == det
-    assert M.invariants() == minor_sums(A)
+    sums = minor_sums(A)
+    assert [M.invariants(k) for k in range(1, n + 1)] == \
+        [sums[:k] for k in range(1, n + 1)]
     # the adjugate is inv * det, read over the fraction field
     if not det.is_zero():
         inv = M.map(RatFunc).inv()
@@ -148,6 +152,7 @@ def test_form_invariants_match_the_oracles(n, data):
     A = data.draw(square(EVEN_FORMS, n))
     M = FormMatrix(CTX, A)
     assert M.invariants() == minor_sums(A)
+    assert M.invariants(1) == [M.trace()]
     assert [M.invariant(k) for k in range(len(A) + 1)] == \
         [CTX.one_form(), *minor_sums(A)]
     assert M.det() == perm_det(A)
@@ -169,3 +174,9 @@ def test_form_matrix_invariants_match_ring_matrix_ones(n, data):
 def test_charpoly_needs_a_nonempty_square(rows):
     with pytest.raises(DimensionMismatch):
         RingMatrix(rows).charpoly()
+
+
+@pytest.mark.parametrize("upto", [0, 3])
+def test_charpoly_upto_lies_between_1_and_n(upto):
+    with pytest.raises(DimensionMismatch):
+        RingMatrix([[Q(1), Q(2)], [Q(3), Q(4)]]).charpoly(upto)
