@@ -98,10 +98,6 @@ def _to_ctx(value, ctx: DGContext) -> RatFunc:
     return ctx.ring_const(value)
 
 
-def _form_to_ctx(form: DiffForm, ctx: DGContext) -> DiffForm:
-    return form.substitute(ctx)
-
-
 def chain_algebra(model: ChartModel, chain: Chain,
                   inert: tuple[str, ...] = ()) -> DGContext:
     """The form algebra of the chain simplex times the chart."""
@@ -121,7 +117,7 @@ def covertex_lift(values: dict, chain: Chain, ctx: DGContext) -> DiffForm:
             raise MissingPoint(f"no value at chain point {label!r}")
         v = values[label]
         if isinstance(v, DiffForm):
-            v = _form_to_ctx(v, ctx)
+            v = v.substitute(ctx)
         else:
             v = ctx.form_scalar(_to_ctx(v, ctx))
         acc = acc + ctx.t(i) * v

@@ -21,8 +21,8 @@ from .errors import (
 )
 from .exactalg import parse_rational
 from .parsing import (
-    fraction_from_json, load_json, parse_invariant_text, scenario_from_json,
-    sset_from_json,
+    chain_from_labels, fraction_from_json, load_json, parse_invariant_text,
+    scenario_from_json, sset_from_json,
 )
 from .report import Report
 from .residues import residue_general
@@ -121,7 +121,7 @@ def _chern_chart(rep: Report, scn, labels) -> None:
     for lab in labels:
         if lab not in scn.chart.frames:
             raise UnknownChain(f"no frame at {lab!r} in {scn.name}")
-    conn = mixed_connection(scn.chart, Chain(tuple(labels)))
+    conn = mixed_connection(scn.chart, chain_from_labels(labels, "--chain"))
     R = conn.curvature()
     rep.add("theta", value=_matrix_text(conn.theta))
     rep.add("curvature_11", value=_matrix_text(conn.curvature_11(R)))

@@ -817,7 +817,7 @@ def transgression(P: InvariantPolynomial, theta: FormMatrix) -> DiffForm:
     return acc
 
 
-def chern_character(R: FormMatrix, assume_nilpotent: bool = True) -> DiffForm:
+def chern_character(R: FormMatrix) -> DiffForm:
     """Trace of exp(R), exact because form-degree is bounded.
 
     A curvature matrix has entries of positive degree, so its powers
@@ -838,8 +838,3 @@ def chern_character(R: FormMatrix, assume_nilpotent: bool = True) -> DiffForm:
             raise DegreeError("matrix is not nilpotent in this context")
         power = power @ R
     return acc
-
-
-def contract(form: DiffForm, components: dict) -> DiffForm:
-    """Interior product of a form against a base vector field."""
-    return form.contract(components)

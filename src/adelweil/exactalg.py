@@ -27,7 +27,7 @@ invariants and inverse all read one division-free characteristic
 polynomial.
 `macaulay_span` builds every truncated ideal span: the shifted
 generators below a degree T.  `artinian_length` reads the colength of
-a regular sequence off those spans.
+a regular sequence off those spans, at their first repeated dimension.
 
 All objects are immutable in practice (operations return new values),
 so every function in this module is safe to call from parallel workers.
@@ -191,11 +191,6 @@ class MultiPoly:
         if not self.coeffs:
             return -1
         return max(sum(exp) for exp in self.coeffs)
-
-    def min_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return min(sum(exp) for exp in self.coeffs)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Highest monomial in graded-lex order."""
@@ -1258,17 +1253,15 @@ def macaulay_span(generators, T: int) -> "LinearSpan":
     return span
 
 
-def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
+def artinian_length(generators, cap: int = 16) -> int:
     """Colength of the ideal generated by a regular sequence at the origin.
 
-    The quotient by (generators) + m^T is computed from the Macaulay
-    span for increasing truncation T; the answer is accepted once it is
-    stable across two consecutive increments and every coordinate power
-    f_i^s for some s < T lies in the truncated ideal (which certifies
-    that m^T is already inside the ideal, so the truncation is exact).
-
-    Raises NotFinite when the cap is reached without stabilising, which
-    is what happens when the sequence is not regular.
+    The quotient by (generators) + m^T is read off the Macaulay span for
+    T = 2, 3, ..; at T = 1 it is the field.  At the first T whose
+    dimension equals the one at T - 1, m^(T-1) lies in (generators) + m^T,
+    so by Nakayama's lemma it lies in the ideal: that dimension is the
+    colength.  Raises NotFinite when no dimension repeats up to the cap,
+    as for a sequence that is not regular (its dimensions grow forever).
 
     Example
     -------
@@ -1276,15 +1269,14 @@ def artinian_length(generators, cap: int = 16, start: int | None = None) -> int:
     >>> artinian_length([f1**2 - f2**3, f2**2])
     4
     """
-    return _colength_and_spans(generators, cap, start)[0]
+    return _colength_and_span(generators, cap)[0]
 
 
-def _colength_and_spans(generators, cap: int = 16,
-                        start: int | None = None) -> tuple[int, dict]:
-    """`artinian_length`'s colength and the spans it built, {T: span}.
-
-    The residue engine reads its local algebra off one of these spans
-    when its truncation was among them, instead of building it again.
+def _colength_and_span(generators, cap: int = 16) -> tuple:
+    """(l, T, span): the colength, and the truncation and span that
+    certified it; (0, None, None) for a unit ideal.  Every monomial of
+    degree >= T - 1 is a pivot, so the non-pivot monomials are a basis
+    of the local algebra k[[f]]/(generators).
     """
     gens = list(generators)
     for g in gens:
@@ -1297,28 +1289,20 @@ def _colength_and_spans(generators, cap: int = 16,
     if any(g.vars != vars for g in gens):
         raise DimensionMismatch("generators over different variables")
     if any(g.constant_term() for g in gens):
-        return 0, {}
+        return 0, None, None
 
-    history: list[int] = []
-    spans: dict = {}
-    T = start or 2
-    while T <= cap:
-        span = spans[T] = macaulay_span(gens, T)
-        dim = math.comb(n + T - 1, n) - span.rank
-        history.append(dim)
-        powers_in = all(
-            any(span.contains({_unit_exp(n, i, s): ONE}) for s in range(1, T))
-            for i in range(n))
-        if (len(history) >= 3 and history[-1] == history[-2] == history[-3]
-                and powers_in):
-            return dim, spans
-        T += 1
-    raise NotFinite(
-        f"colength did not stabilise below truncation {cap} (history {history})")
+    history = [1]       # quotient dimensions from T = 1
+    for T in range(2, cap + 1):
+        span = macaulay_span(gens, T)
+        history.append(math.comb(n + T - 1, n) - span.rank)
+        if history[-1] == history[-2]:
+            return history[-1], T, span
+    raise NotFinite(f"colength did not stabilise below truncation {cap} "
+                    f"(history {history[1:]})")
 
 
-def _unit_exp(n: int, i: int, power: int = 1) -> tuple[int, ...]:
-    """Exponent tuple of the monomial f_i^power in n variables."""
+def _unit_exp(n: int, i: int) -> tuple[int, ...]:
+    """Exponent tuple of the monomial f_i in n variables."""
     exp = [0] * n
-    exp[i] = power
+    exp[i] = 1
     return tuple(exp)

@@ -36,6 +36,11 @@ MAX_EXPRESSION_DEGREE = 32
 # worst case measured (rank 4: 3 s).
 MAX_RANK = 8
 
+# hard cap on the labels of a Whitney `chain` and of `chern --chain`: cold,
+# with dense frames, a 2 + 2 Whitney extension takes 2.3 s on 6 labels,
+# 5.5 s on 8 and 11.9 s on 10; a rank-3 chart 4.9 s on 6 and 8.7 s on 7
+MAX_CHAIN = 6
+
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)"
                     r"|(?P<op>[-+*^()])")
 
@@ -201,6 +206,13 @@ def _bounded_rank(rank: int, where: str) -> int:
     return rank
 
 
+def chain_from_labels(labels, where: str) -> Chain:
+    if len(labels) > MAX_CHAIN:
+        raise CapExceeded(
+            f"{where} has {len(labels)} labels, past the cap of {MAX_CHAIN}")
+    return Chain(tuple(labels))
+
+
 def _var_tuple(value, where: str) -> tuple:
     if not isinstance(value, (list, tuple)) or \
             not all(isinstance(v, str) for v in value):
@@ -299,7 +311,7 @@ def scenario_from_json(data: dict) -> Scenario:
         labels = _require(w, "chain", "whitney", list)
         if not all(isinstance(lab, str) for lab in labels):
             raise ParseError("whitney: chain labels must be strings")
-        chain = Chain(tuple(labels))
+        chain = chain_from_labels(labels, "whitney chain")
         scn.whitney = (sub, quot, mixing, chain)
     return scn
 

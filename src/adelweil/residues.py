@@ -2,14 +2,15 @@
 
 The residue symbol [g df_1^..^df_n / a_1, .., a_n] at the origin is
 computed exactly over the rationals, on one path for every denominator
-sequence of finite colength.  `artinian_length` certifies the colength
-l; one Macaulay span at T = l + 1 then gives a monomial basis of the
-local algebra Q = k[[f]]/(a) and normal forms in it.  The Bezoutian of
-a, read in Q (x) Q, is dual to the residue pairing (Scheja-Storch 1975;
-Becker-Cardinal-Roy-Szafraniec 1996), so one l x l solve gives the
-residue functional.  Each answer carries its certificate: the Bezoutian
-matrix is invertible and the Jacobian determinant has residue l, the
-local degree identity.
+sequence of finite colength, curves included.  The colength search
+stops at the first truncation whose quotient dimension repeats, which
+Nakayama's lemma certifies; its last Macaulay span gives a monomial
+basis of the local algebra Q = k[[f]]/(a) and normal forms in it.  The
+Bezoutian of a, read in Q (x) Q, is dual to the residue pairing
+(Scheja-Storch 1975; Becker-Cardinal-Roy-Szafraniec 1996), so one l x l
+solve gives the residue functional.  Each answer carries its
+certificate: the Bezoutian matrix is invertible and the Jacobian
+determinant has residue l = the colength, the local degree identity.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .exactalg import (
     RingMatrix,
     TruncatedSeries,
     macaulay_span,
-    _colength_and_spans,
+    _colength_and_span,
     _monomials_below,
     _unit_exp,
     _window,
@@ -102,24 +103,22 @@ def _divided_difference(p: MultiPoly, j: int, xy: tuple) -> MultiPoly:
 
 
 def _local_residue(gf: GeneralizedFraction, l: int, T: int,
-                   spans: dict) -> Fraction:
+                   span) -> Fraction:
     """Res[g dx / a] read off the local algebra Q = k[x]/((a) + m^T).
 
-    For T >= l the power m^T lies in the ideal, so the non-pivot
-    monomials of the Macaulay span are a basis of the local algebra and
-    `LinearSpan.reduce` gives normal forms.  Every normal form of a
-    monomial of degree d lives in degree >= d, so m^s vanishes in Q for
-    s = 1 + the largest basis degree; only terms of g below s and of a
-    below 2s are read.  The Bezoutian Delta(x, y) of a, mapped to
-    Q (x) Q as sum B_ab e_a(x) e_b(y), is dual to the residue pairing
-    (Scheja-Storch), so B^-1 is the Gram matrix of the pairing and its
-    first row, at the monomial 1, is the residue functional.  Certified:
-    B is invertible and the Jacobian determinant has residue l (the
-    local degree identity), or IdentityFailed.  The span at T comes
-    from `spans`, the colength search's spans, when it built one there.
+    `span` is the Macaulay span of a at T, and m^(T-1) lies in (a), so
+    its non-pivot monomials are a basis of Q and `LinearSpan.reduce`
+    gives normal forms.  Every normal form of a monomial of degree d
+    lives in degree >= d, so m^s vanishes in Q for s = 1 + the largest
+    basis degree; only terms of g below s and of a below 2s are read.
+    The Bezoutian Delta(x, y) of a, mapped to Q (x) Q as sum B_ab e_a(x)
+    e_b(y), is dual to the residue pairing (Scheja-Storch), so B^-1 is
+    the Gram matrix of the pairing and its first row, at the monomial 1,
+    is the residue functional.  Certified: B is invertible and the
+    Jacobian determinant has residue l (the local degree identity), or
+    IdentityFailed.
     """
     vars, n = gf.vars, len(gf.vars)
-    span = spans[T] if T in spans else macaulay_span(gf.denominators, T)
     basis = [m for m in _monomials_below(n, T) if m not in span.pivots]
     index = {m: k for k, m in enumerate(basis)}
     s = 1 + sum(basis[-1])
@@ -165,12 +164,14 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
 
 def _residue_and_length(gf: GeneralizedFraction, precision: int | None,
                         stability: bool) -> tuple[Fraction, int]:
-    """(residue, colength): the one colength serves both."""
-    l, spans = _colength_and_spans(list(gf.denominators), cap=LENGTH_CAP)
-    T = max(l + 1, precision or 0)
-    value = _local_residue(gf, l, T, spans)
+    """(residue, colength), both read off the span that certified l."""
+    l, T, span = _colength_and_span(gf.denominators, cap=LENGTH_CAP)
+    if (precision or 0) > T:
+        T, span = precision, macaulay_span(gf.denominators, precision)
+    value = _local_residue(gf, l, T, span)
     if stability:
-        again = _local_residue(gf, l, T + 1, spans)
+        again = _local_residue(gf, l, T + 1,
+                               macaulay_span(gf.denominators, T + 1))
         if again != value:
             raise IdentityFailed(
                 f"residue changed between truncations {T} and {T + 1}: "
@@ -182,9 +183,9 @@ def residue_general(gf: GeneralizedFraction, precision: int | None = None,
                     stability: bool = False) -> Fraction:
     """Residue for an arbitrary finite-colength denominator sequence.
 
-    `precision` raises the working truncation beyond the certified
-    default l + 1; `stability` recomputes at the next truncation and
-    insists the two answers agree.
+    `precision` raises the working truncation above the one that
+    certified the colength; `stability` recomputes at the next
+    truncation and insists the two answers agree.
     """
     return _residue_and_length(gf, precision, stability)[0]
 
@@ -317,10 +318,9 @@ def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
         if img.constant_term():
             raise NotInvertibleChange(f"substitution moves the origin ({v})")
         images[v] = img
-    linear = QMatrix([[images[vars[i]].coeffs.get(_unit_exp(n, j),
-                                                  Fraction(0))
-                       for j in range(n)] for i in range(n)])
-    if linear.rank() != n:
+    linear = RingMatrix([[images[vars[i]].coefficient(_unit_exp(n, j))
+                          for j in range(n)] for i in range(n)])
+    if not linear.det():
         raise NotInvertibleChange("linear part of the substitution drops rank")
 
     def series(x) -> TruncatedSeries:

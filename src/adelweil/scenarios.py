@@ -25,7 +25,6 @@ from .exactalg import (
     MultiPoly,
     RatFunc,
     RingMatrix,
-    TruncatedSeries,
     ONE,
     format_rational,
     rat,
@@ -36,7 +35,9 @@ from .exactalg import (
 )
 from .dgforms import InvariantPolynomial
 from .adelic import Chain, ChartModel, chern_form_component, mixed_connection
-from .residues import LocalZeroData, local_invariant
+from .residues import (
+    GeneralizedFraction, LocalZeroData, local_invariant, residue_general,
+)
 
 
 @dataclass
@@ -270,14 +271,10 @@ def residue_at(g: RatFunc, z: Fraction) -> Fraction:
         raise DimensionMismatch("pointwise residues live on curves")
     shift = MultiPoly.var(vars, vars[0]) + MultiPoly.const(vars, z)
     moved = g.subs({vars[0]: shift})
-    den = moved.den
-    k = den.min_degree()
-    if k == 0:
+    if moved.den.constant_term():
         return Fraction(0)
-    unit = MultiPoly(vars, {(e[0] - k,): c for e, c in den.coeffs.items()})
-    num = TruncatedSeries.from_poly(moved.num.truncate(k), k)
-    series = num * TruncatedSeries.from_poly(unit.truncate(k), k).invert()
-    return series.coeffs.get((k - 1,), Fraction(0))
+    return residue_general(
+        GeneralizedFraction(vars, moved.num, (moved.den,)))
 
 
 def _component_form(section: MultiPoly, varname: str,

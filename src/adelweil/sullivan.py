@@ -98,6 +98,11 @@ from .simplicial import (
 HARD_DEGREE_CAP = 12
 HARD_WEIGHT_CAP = 24
 
+# hard cap on the labels of the compatibility solve: in process on 2 vCPUs,
+# the boundary of the 4-simplex takes 1.8 s at the default cap (7,800
+# labels), 2.2 s at cap 8 (10,230) and 4.3 s at cap 9 (13,120)
+MAX_FAMILY_LABELS = 12_000
+
 
 # -- per-simplex monomial coordinates ----------------------------------------
 #
@@ -406,6 +411,16 @@ class SullivanComplex:
         self.cap = weight_cap
         self.L = sset.dimension
         self.standard_n = _is_standard_simplex(sset)
+        if self.standard_n is None:
+            # C(m, q) dt-monomials times C(cap - q + m, m) t-monomials of
+            # weight <= cap on each m-simplex, summed over the degrees q
+            count = sum(math.comb(m, q) * math.comb(weight_cap - q + m, m)
+                        for m in map(sset.dim_of, sset.simplices)
+                        for q in range(min(m, self.L + 1, weight_cap) + 1))
+            if count > MAX_FAMILY_LABELS:
+                raise CapExceeded(
+                    f"the family complex at weight {weight_cap} has "
+                    f"{count} labels, past the cap of {MAX_FAMILY_LABELS}")
         self._coords: dict = {}
         self._vectors: dict = {}
         for q in range(self.L + 2):

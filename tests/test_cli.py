@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from adelweil.cli import main, resolve_input
-from adelweil.parsing import MAX_RANK
+from adelweil.parsing import MAX_CHAIN, MAX_RANK
+from adelweil.simplicial import boundary_simplex_sset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -379,6 +380,82 @@ def test_out_of_range_weight_cap_exits_5(capsys, space, cap):
     assert time.perf_counter() - started < 5
     assert code == 5
     assert f"weight cap {cap} " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, cap, code, message", [
+    (4, "8", 0, None),
+    (4, "9", 5, "weight 11 has 13120 labels, past the cap of 12000"),
+    (5, None, 5, "weight 10 has 78322 labels, past the cap of 12000"),
+    (6, None, 5, "weight 11 has 729624 labels, past the cap of 12000"),
+], ids=["bd4-cap8", "bd4-cap9", "bd5", "bd6"])
+def test_family_label_cap(capsys, tmp_path, n, cap, code, message):
+    # the boundary of the 4-simplex at cap 8 is the largest admitted
+    path = tmp_path / f"boundary-delta{n}.json"
+    path.write_text(json.dumps(boundary_simplex_sset(n).to_json()))
+    flags = [] if cap is None else ["--weight-cap", cap]
+    started = time.perf_counter()
+    got, _, err = run(capsys, ["derham", str(path)] + flags)
+    assert got == code, err
+    if message is not None:
+        assert time.perf_counter() - started < 5
+        assert message in err and "Traceback" not in err
+
+
+def _long_chart(length):
+    """p1-o1.json with frames 1 + k f at labels c0, c1, .."""
+    def edit(data):
+        labels = [f"c{k}" for k in range(length)]
+        data["chart"]["frames"] = {lab: [[f"1 + {k}*f"]]
+                                   for k, lab in enumerate(labels)}
+        data["chart"]["points"] = {lab: None for lab in labels}
+    return _edited("p1-o1.json", edit)
+
+
+def _long_whitney(length):
+    """p1-whitney.json with its chain grown to `length` labels."""
+    def edit(data):
+        w = data["whitney"]
+        labels = [f"c{k}" for k in range(length)]
+        for part in ("sub", "quot"):
+            w[part]["frames"] = {lab: [[f"1 + {k}*f"]]
+                                 for k, lab in enumerate(labels)}
+            w[part]["points"] = {lab: None for lab in labels}
+        w["mixing"] = {lab: [[f"{k}*f"]] for k, lab in enumerate(labels)}
+        w["chain"] = labels
+    return _edited("p1-whitney.json", edit)
+
+
+@pytest.mark.parametrize("length", [MAX_CHAIN, MAX_CHAIN + 1])
+@pytest.mark.parametrize("kind", ["chart", "whitney"])
+def test_chain_length_cap(capsys, tmp_path, kind, length):
+    path = tmp_path / "long.json"
+    chain = ",".join(f"c{k}" for k in range(length))
+    if kind == "chart":
+        path.write_text(json.dumps(_long_chart(length)))
+        argv, where = ["chern", str(path), "--chain", chain], "--chain"
+    else:
+        path.write_text(json.dumps(_long_whitney(length)))
+        argv, where = ["chern", str(path)], "whitney chain"
+    started = time.perf_counter()
+    code, _, err = run(capsys, argv)
+    assert time.perf_counter() - started < 5
+    if length == MAX_CHAIN:
+        assert code == 0, err
+    else:
+        assert code == 5
+        assert f"{where} has {length} labels, past the cap of {MAX_CHAIN}" \
+            in err and "Traceback" not in err
+
+
+def test_a_colength_repeating_at_the_cap_runs(capsys, tmp_path):
+    # (f1^23, f2) first repeats at T = 24, the residue engine's cap
+    path = tmp_path / "long-colength.json"
+    path.write_text(json.dumps({
+        "vars": ["f1", "f2"], "numerator": "f1^22",
+        "denominators": ["f1^23", "f2"], "expected": "1"}))
+    code, out, err = run(capsys, ["residue", str(path)])
+    assert code == 0, err
+    assert "value=1" in out
 
 
 def test_packaged_data_resolves_by_bare_name():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -16,7 +17,9 @@ from adelweil.exactalg import (
 )
 
 from matrix_oracles import perm_det
+from residue_oracles import three_equal_colength
 from strategies import fractions, polys
+from test_acceptance import SEED, _random_component
 
 V1 = ("f",)
 V2 = ("f1", "f2")
@@ -401,3 +404,65 @@ def test_macaulay_span_refuses_past_the_monomial_cap():
 def test_artinian_length_rejects_positive_dimension():
     with pytest.raises(NotFinite):
         artinian_length((f1,), cap=8)
+
+
+@st.composite
+def regular_sequences(draw):
+    """(generators, colength): a_i = l_i^k_i + terms of higher degree.
+
+    The l_i are independent linear forms, so the initial forms l_i^k_i
+    are a regular sequence and the colength is the product of the k_i.
+    """
+    n = draw(st.integers(min_value=2, max_value=3))
+    vars = V2 if n == 2 else ("f1", "f2", "f3")
+    xs = MultiPoly.variables(vars)
+    gens, length = [], 1
+    for i in range(n):
+        k = draw(st.integers(min_value=1, max_value=3 if n == 2 else 2))
+        lin = xs[i]
+        for j in range(i + 1, n):
+            lin = lin + xs[j] * draw(fractions(max_num=2, max_den=2))
+        tail = draw(polys(vars, max_degree=k + 2, max_terms=2,
+                          min_degree=k + 1))
+        gens.append(lin ** k + tail)
+        length *= k
+    return gens, length
+
+
+@settings(max_examples=30)
+@given(regular_sequences())
+def test_nakayama_colength_agrees_with_the_three_equal_rule(drawn):
+    gens, length = drawn
+    assert artinian_length(gens, cap=24) == length
+    assert three_equal_colength(gens, cap=24) == length
+
+
+def test_nakayama_colength_agrees_on_the_acceptance_battery():
+    # the pairs `test_acceptance_4_residue_equals_colength` draws
+    rng = random.Random(SEED)
+    accepted = 0
+    while accepted < 25:
+        a = [_random_component(rng, V2, 2 if accepted % 2 else 1)
+             for _ in range(2)]
+        if any(p.is_zero() for p in a):
+            continue
+        try:
+            length = artinian_length(a, cap=24)
+        except NotFinite:
+            # no repeat up to 24: the old rule needs two more truncations
+            with pytest.raises(NotFinite):
+                three_equal_colength(a, cap=26)
+            continue
+        assert three_equal_colength(a, cap=26) == length, \
+            [p.render() for p in a]
+        accepted += 1
+
+
+def test_a_repeat_at_the_cap_is_certified():
+    # (f1^23, f2) repeats at T = 24; the old rule needed T = 25
+    gens = (f1 ** 23, f2)
+    assert artinian_length(gens, cap=24) == 23
+    with pytest.raises(NotFinite):
+        three_equal_colength(gens, cap=24)
+    with pytest.raises(NotFinite):
+        artinian_length(gens, cap=23)

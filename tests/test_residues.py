@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adelweil import exactalg, residues
-from adelweil.cli import resolve_input
+from adelweil import exactalg, residues, scenarios
+from adelweil.cli import main, resolve_input
 from adelweil.dgforms import InvariantPolynomial
 from adelweil.errors import (
-    DegreeError, IdentityFailed, NotFinite, NotSimple, ParseError,
-    PrecisionExhausted,
+    DegreeError, IdentityFailed, NotFinite, NotInvertibleChange, NotSimple,
+    ParseError, PrecisionExhausted,
 )
 from adelweil.exactalg import MultiPoly, RingMatrix, TruncatedSeries
 from adelweil.parsing import fraction_from_json
@@ -79,9 +79,10 @@ def test_general_path_agrees_with_known_lengths():
 
 def test_certificate_rejects_a_wrong_colength(monkeypatch):
     # the local degree identity: the Jacobian's residue is the colength
-    real = residues._colength_and_spans
-    monkeypatch.setattr(residues, "_colength_and_spans",
-                        lambda gens, cap: (5, real(gens, cap)[1]))
+    # the search hands over (l, T, span); only l is wrong here
+    real = residues._colength_and_span
+    monkeypatch.setattr(residues, "_colength_and_span",
+                        lambda gens, cap: (5,) + real(gens, cap)[1:])
     gf = GeneralizedFraction(V2, one2, (f1 ** 2 - f2 ** 3, f2 ** 2))
     with pytest.raises(IdentityFailed, match="residue 4, not the colength 5"):
         residue_general(gf)
@@ -108,6 +109,52 @@ def test_each_truncation_builds_one_span(monkeypatch, name):
         built.clear()
         residue_general(gf, **kwargs)
         assert built and len(built) == len(set(built)), (kwargs, built)
+
+
+def test_verify_all_builds_few_spans(monkeypatch, capsys):
+    # one span per colength search step: 25 for the Bott and residue
+    # checks, and one for each curve residue (a simple pole, T = 2)
+    built = []
+    real_span, real_at = exactalg.macaulay_span, scenarios.residue_at
+
+    def counting(gens, T):
+        built.append(T)
+        return real_span(gens, T)
+
+    curve = []
+
+    def counting_at(g, z):
+        before = len(built)
+        value = real_at(g, z)
+        curve.append(len(built) - before)
+        return value
+
+    monkeypatch.setattr(exactalg, "macaulay_span", counting)
+    monkeypatch.setattr(residues, "macaulay_span", counting)
+    monkeypatch.setattr(scenarios, "residue_at", counting_at)
+    assert main(["verify-all"]) == 0
+    capsys.readouterr()
+    assert len(built) - sum(curve) <= 25
+    assert curve == [1, 1, 1]
+
+
+def test_a_colength_that_repeats_at_the_cap_has_a_residue():
+    # the first repeat of (f1^23, f2) is at T = 24 = LENGTH_CAP
+    assert residues.LENGTH_CAP == 24
+    gf = GeneralizedFraction(V2, f1 ** 22, (f1 ** 23, f2))
+    assert residue_general(gf) == 1
+    with pytest.raises(NotFinite, match="below truncation 24"):
+        gauss_bonnet_local((f1 ** 24, f2), V2)
+
+
+def test_a_series_denominator_is_read_below_twice_the_loewy_length():
+    # (f1^4, f2^4) has Loewy length s = 7: the engine reads the
+    # denominators below 2s = 14, and the colength search stops at 8
+    a = tuple(TruncatedSeries.from_poly(x ** 4, 15) for x in (f1, f2))
+    assert residue_general(GeneralizedFraction(V2, f1 ** 3 * f2 ** 3, a)) == 1
+    short = tuple(TruncatedSeries.from_poly(x ** 4, 13) for x in (f1, f2))
+    with pytest.raises(PrecisionExhausted, match="window 14"):
+        residue_general(GeneralizedFraction(V2, f1 ** 3 * f2 ** 3, short))
 
 
 def test_series_numerator_precision_is_honest():
@@ -302,6 +349,16 @@ def test_stability_recomputation_agrees():
 def test_coordinate_change_on_the_weighted_model():
     zd = LocalZeroData(V1, 1, (f ** 2,), RingMatrix([[-f]]))
     assert coordinate_change_check(P1, zd, {"f": f + f ** 2})
+
+
+@pytest.mark.parametrize("change", [
+    {"f1": f1 + f2, "f2": f1 * 2 + f2 * 2 + f1 * f2},
+    {"f1": f1 ** 2},
+], ids=["proportional-rows", "no-linear-term"])
+def test_coordinate_change_refuses_a_singular_linear_part(change):
+    zd = LocalZeroData(V2, 2, (f1, f2), RingMatrix([[f1, f2], [f2, f1]]))
+    with pytest.raises(NotInvertibleChange, match="drops rank"):
+        coordinate_change_check(P2, zd, change)
 
 
 LINEAR_PARTS = ((1, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1), (0, 1, -1, 0))

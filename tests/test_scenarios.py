@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelweil.adelic import Chain, localization_check, whitney_check
@@ -19,6 +19,9 @@ from adelweil.scenarios import (
     projective_space_scenario, rational_roots, residue_at, scenario_to_json,
     whitney_scenario,
 )
+
+from residue_oracles import laurent_residue_at
+from strategies import fractions, polys
 
 W1 = (Q(-1), Q(0))
 W2 = (Q(-1), Q(0), Q(1))
@@ -233,6 +236,20 @@ def test_classical_residues_at_points():
     assert residue_at(g, Q(1)) == Q(1, 2)
     assert residue_at(g, Q(-1)) == Q(-1, 2)
     assert residue_at(g, Q(5)) == 0
+
+
+@settings(max_examples=40)
+@given(polys(V, max_degree=4, max_terms=3), polys(V, max_degree=2,
+       max_terms=3), fractions(), st.integers(min_value=0, max_value=4))
+@example(f + 2, f * f, Q(1, 2), 0)
+@example(f ** 3 + 1, f - 3, Q(-2), 3)
+def test_residue_at_agrees_with_the_laurent_series(p, r, z, order):
+    # g = p / ((f - z)^order r) with r(z) = 1: no pole at order 0, else
+    # a pole of that order at z unless p vanishes there
+    const = MultiPoly.const(V, 1)
+    r = r + const * (1 - r.evaluate({"f": z}))
+    g = RatFunc(p, (f - const * z) ** order * r)
+    assert residue_at(g, z) == laurent_residue_at(g, z)
 
 
 def test_curve_totals_equal_the_degree():
