@@ -244,8 +244,8 @@ def whitney_check(sub: ChartModel, quot: ChartModel, mixing: dict,
     conn_q = mixed_connection(quot, chain)
     ctx = conn.ctx
     pt = chern_series(conn)
-    pt_p = [f.substitute(ctx) for f in chern_series(conn_p)]
-    pt_q = [f.substitute(ctx) for f in chern_series(conn_q)]
+    pt_p = chern_series(conn_p)
+    pt_q = chern_series(conn_q)
     first_failure = None
     for k in range(total.rank + 1):
         want = ctx.zero_form()

@@ -16,8 +16,7 @@ from .adelic import (
     Chain, localization_check, mixed_connection, whitney_check,
 )
 from .errors import (
-    CapError, CheckFailed, EngineError, ParseError, PrecisionError,
-    UnknownChain,
+    CapError, EngineError, ParseError, PrecisionError, UnknownChain,
 )
 from .exactalg import parse_rational
 from .parsing import (
@@ -202,15 +201,11 @@ def cmd_verify_all(args) -> Report:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                        help="series truncation order override")
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit the report as JSON")
-    common.add_argument("--stability", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="recompute residues at the next truncation and "
-                             "compare")
+    stability_help = ("recompute residues at the next truncation and "
+                      "compare")
 
     parser = argparse.ArgumentParser(
         prog="adelweil",
@@ -221,12 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residue", parents=[common],
                        help="residue of a generalized fraction file")
     p.add_argument("file")
+    p.add_argument("--precision", type=int,
+                   help="series truncation order override")
+    p.add_argument("--stability", action="store_true", help=stability_help)
     p.set_defaults(func=cmd_residue)
 
     p = sub.add_parser("bott", parents=[common],
                        help="sum of local invariants over a scenario")
     p.add_argument("file")
     p.add_argument("--poly", help="invariant polynomial in c1..cr")
+    p.add_argument("--stability", action="store_true", help=stability_help)
     p.set_defaults(func=cmd_bott)
 
     p = sub.add_parser("derham", parents=[common],
@@ -250,10 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args.precision = getattr(args, "precision", None)
-    args.stability = getattr(args, "stability", False)
-    args.json = getattr(args, "json", False)
+    # --json may come before or after the subcommand
+    args = parser.parse_args(argv, argparse.Namespace(json=False))
     try:
         rep = args.func(args)
     except ParseError as exc:

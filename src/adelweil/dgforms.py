@@ -11,19 +11,22 @@ what makes the total differential split as
     d = d_simplex + d_base,
 
 with d_base acting as (-1)^q d on a term of simplex odd-degree q.  The
-Koszul sign rule is implemented once, in `_merge_odd`, and everything
-else (wedge, curvature, transgression, contraction) rides on it.
+Koszul sign rule is implemented once, in `_merge_odd`, which the wedge
+product and d use; curvature and every characteristic form are built
+from those two.
 
 `FormMatrix` is the ring-matrix algebra of `exactalg.RingMatrix` over
 even-commuting forms plus the form operations: d, bidegree parts,
-contraction, trace and the odd decomposition.  Its determinant,
-invariants and inverse all read one characteristic polynomial, and the
-even-entry guard sits on that one primitive.
+contraction and trace.  Its determinant, invariants and inverse all
+read one characteristic polynomial, and the even-entry guard sits on
+that one primitive.
 
 `InvariantPolynomial` is a polynomial in the elementary invariants
 P_1 = trace .. P_r = det, the coefficients of the characteristic
 polynomial det(1 + tau M); `invariant_eval` and `polarize` evaluate it
-on a matrix over any commutative ring, forms included.
+on a matrix over any commutative ring, forms included.  `transgression`
+is `invariant_eval` on the curvature of the homotopy connection s theta
+followed by the fibre integral over s.
 """
 
 from __future__ import annotations
@@ -603,20 +606,6 @@ class FormMatrix(RingMatrix):
                                     f"{len(self.rows)} matrix")
         return self.invariants(k)[k - 1]
 
-    def odd_decomposition(self) -> dict:
-        """Write the matrix as sum of odd monomials times ring matrices."""
-        m, n = self.shape
-        monos = sorted({mono for row in self.rows for x in row
-                        for mono in x.terms},
-                       key=lambda mo: (len(mo), mo))
-        zero = self.ctx.ring_const(0)
-        out = {}
-        for mono in monos:
-            out[mono] = RingMatrix(
-                [[self.rows[i][j].terms.get(mono, zero) for j in range(n)]
-                 for i in range(m)])
-        return out
-
 
 class InvariantPolynomial:
     """Polynomial in the elementary invariants P_1..P_r of a rank.
@@ -751,70 +740,54 @@ def polarize(P: InvariantPolynomial, Ms: list[RingMatrix], one=None):
     return acc * Fraction(1, math.factorial(m))
 
 
-def polarize_mixed(P: InvariantPolynomial, args: list[FormMatrix]) -> DiffForm:
-    """Polarization extended to matrices of forms of any degrees.
-
-    Each argument is decomposed into odd monomials with coefficient
-    matrices; the value on one choice of monomials is the product of
-    the monomials in argument order times the scalar polarization of
-    the coefficient matrices.  With at most one odd-degree argument
-    (the use here) this left-to-right convention is the only one.
-    """
-    m = P.degree
-    if len(args) != m:
-        raise DegreeError(f"polarization of degree {m} needs {m} arguments")
-    ctx = args[0].ctx
-    one = ctx.ring_const(1)
-    decomps = [A.odd_decomposition() for A in args]
-    acc = ctx.zero_form()
-    for combo in itertools.product(*[sorted(d, key=lambda mo: (len(mo), mo))
-                                     for d in decomps]):
-        mono: tuple[int, ...] = ()
-        sign = 1
-        for piece in combo:
-            mono, s = _merge_odd(mono, piece)
-            if mono is None:
-                break
-            sign *= s
-        if mono is None:
-            continue
-        coeff = polarize(P, [d[mu] for d, mu in zip(decomps, combo)], one)
-        if coeff.is_zero():
-            continue
-        if sign < 0:
-            coeff = -coeff
-        acc = acc + DiffForm(ctx, {mono: coeff})
-    return acc
-
-
 def transgression(P: InvariantPolynomial, theta: FormMatrix) -> DiffForm:
     """Chern-Simons transgression of P at a degree-1 connection matrix.
 
-    TP(theta) = m * integral over s in [0,1] of P~(theta, R_s, .., R_s)
-    with R_s = s d(theta) - s^2 theta^2; the s-integration is done
-    exactly term by term.  Its defining property d TP(theta) = P(R) is
-    checked by the test suite, not assumed.
+    The homotopy connection s*theta on [0, 1] x X has the curvature
+    R~ = ds theta + s d(theta) - s^2 theta^2 (`matrix_curvature`'s
+    convention), and TP(theta) = integral over s in [0, 1] of P(R~)
+    (Chern-Simons 1974): one `invariant_eval` on the cylinder, whose
+    s-integral is `fiber_integrate` over the 1-simplex.  Its defining
+    property d TP(theta) = P(R) is checked by the test suite, not
+    assumed.
 
     Example: for P = P_1^2, TP(theta) = trace(theta) * trace(d theta).
     """
-    m = P.degree
-    if m < 1:
+    from .simplicial import fiber_integrate
+
+    if P.degree < 1:
         raise DegreeError("transgression needs a positive degree")
     for row in theta.rows:
         for x in row:
             if not x.is_zero() and x.degree() != 1:
                 raise DegreeError("connection matrix entries must be 1-forms")
-    A = theta.d()
-    B = -(theta @ theta)
     ctx = theta.ctx
-    acc = ctx.zero_form()
-    for j in range(m):
-        # slots: theta, then (m-1-j) copies of s*A, then j copies of s^2*B
-        args = [theta] + [A] * (m - 1 - j) + [B] * j
-        weight = (Fraction(m) * math.comb(m - 1, j)) / (m + j)
-        value = polarize_mixed(P, args)
-        acc = acc + value.map_coefficients(lambda c: c * weight)
-    return acc
+    s = "s"
+    while s in ctx.even_vars:
+        s += "'"
+    cyl = DGContext((s,), ctx.simplex_vars + ctx.base_vars, ctx.inert_vars)
+
+    def lift(form: DiffForm, power: int, ds: tuple) -> DiffForm:
+        # ds * s^power * form for ds = (0,), s^power * form for ds = ():
+        # odd indices move up by one past ds, which stays first, and
+        # the exponent of s leads each exponent tuple
+        terms = {}
+        for mono, c in form.terms.items():
+            num = MultiPoly(cyl.even_vars, {(power,) + e: v
+                                            for e, v in c.num.coeffs.items()})
+            den = MultiPoly(cyl.even_vars, {(0,) + e: v
+                                            for e, v in c.den.coeffs.items()})
+            terms[ds + tuple(i + 1 for i in mono)] = RatFunc(
+                num, den, normalize=False)
+        return DiffForm(cyl, terms)
+
+    curvature = FormMatrix(cyl, [
+        [lift(x, 0, (0,)) + lift(a, 1, ()) - lift(b, 2, ())
+         for x, a, b in zip(*rows)]
+        for rows in zip(theta.rows, theta.d().rows, (theta @ theta).rows)])
+    # the fibre integral's base context orders the even and odd
+    # variables as ctx does, so its terms are a form of ctx
+    return DiffForm(ctx, fiber_integrate(invariant_eval(P, curvature)).terms)
 
 
 def chern_character(R: FormMatrix) -> DiffForm:

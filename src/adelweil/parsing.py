@@ -181,8 +181,10 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON too deeply") from None
 
 
 _JSON_NAMES = {dict: "an object", list: "an array"}

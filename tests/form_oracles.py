@@ -1,0 +1,65 @@
+"""The Chern-Simons transgression by polarization, kept as an oracle.
+
+`dgforms.transgression` evaluates P on the curvature of the homotopy
+connection s theta and integrates over s.  This is the route it
+replaced: with R_s = s d(theta) - s^2 theta^2,
+
+    TP(theta) = m * integral over [0, 1] of P~(theta, R_s, .., R_s) ds,
+
+where P~ is the full polarization of the degree-m invariant P.  Each
+argument is split into odd monomials times scalar coefficient matrices,
+P~ is the scalar `polarize` of the coefficient matrices times the
+product of the monomials in argument order, and the s-integral of the
+j-th binomial term is the weight m C(m-1, j) / (m + j).
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from adelweil.dgforms import DiffForm, _merge_odd, polarize
+from adelweil.exactalg import RingMatrix
+
+
+def odd_decomposition(M) -> dict:
+    """{odd monomial: ring matrix of its coefficients} of a form matrix."""
+    m, n = M.shape
+    zero = M.ctx.ring_const(0)
+    monos = {mono for row in M.rows for x in row for mono in x.terms}
+    return {mono: RingMatrix([[M.rows[i][j].terms.get(mono, zero)
+                               for j in range(n)] for i in range(m)])
+            for mono in sorted(monos, key=lambda mo: (len(mo), mo))}
+
+
+def polarize_mixed(P, args) -> DiffForm:
+    """P~ on form matrices, with at most one odd-degree argument."""
+    ctx = args[0].ctx
+    one = ctx.ring_const(1)
+    decomps = [odd_decomposition(A) for A in args]
+    acc = ctx.zero_form()
+    for combo in itertools.product(*decomps):
+        mono, sign = (), 1
+        for piece in combo:
+            mono, s = _merge_odd(mono, piece)
+            if mono is None:
+                break
+            sign *= s
+        if mono is None:
+            continue
+        coeff = polarize(P, [d[mu] for d, mu in zip(decomps, combo)], one)
+        acc = acc + DiffForm(ctx, {mono: coeff if sign > 0 else -coeff})
+    return acc
+
+
+def polarized_transgression(P, theta) -> DiffForm:
+    """m * sum over j of the weighted P~(theta, d theta.., -theta^2..)."""
+    m = P.degree
+    A = theta.d()
+    B = -(theta @ theta)
+    acc = theta.ctx.zero_form()
+    for j in range(m):
+        # slots: theta, then (m-1-j) copies of s A, then j copies of s^2 B
+        weight = Fraction(m * math.comb(m - 1, j), m + j)
+        value = polarize_mixed(P, [theta] + [A] * (m - 1 - j) + [B] * j)
+        acc = acc + value.map_coefficients(lambda c: c * weight)
+    return acc

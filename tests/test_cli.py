@@ -175,6 +175,19 @@ def test_malformed_json_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["residue", "bott", "derham", "chern"])
+@pytest.mark.parametrize("content", [
+    b'{"name": "caf\xe9"}',
+    b"[" * 200_000 + b"]" * 200_000,
+], ids=["not-utf8", "nested-200000"])
+def test_unreadable_json_exits_3(capsys, tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, [command, str(bad)])
+    assert code == 3
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_bad_polynomial_text_exits_3(capsys):
     code, _, _ = run(capsys, ["bott", "p1-o1.json", "--poly", "c1$"])
     assert code == 3
@@ -463,7 +476,33 @@ def test_packaged_data_resolves_by_bare_name():
     assert Path(path).is_file()
 
 
+@pytest.mark.parametrize("argv", [
+    ["derham", "delta1.json", "--precision", "3"],
+    ["derham", "delta1.json", "--stability"],
+    ["bott", "p1-o1.json", "--precision", "3"],
+    ["chern", "p1-o1.json", "--chain", "x0,p0", "--stability"],
+    ["verify-all", "--precision", "3"],
+    ["derham", "delta1.json", "--no-such-flag"],
+])
+def test_flags_a_subcommand_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "residue", "fraction-cusp.json"],
+    ["residue", "fraction-cusp.json", "--json"],
+])
+def test_json_flag_before_or_after_the_subcommand(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["status"] == "PASS"
+
+
 def test_stability_flag_is_accepted(capsys):
     code, out, _ = run(capsys, ["residue", "fraction-cusp.json",
                                 "--stability"])
     assert code == 0 and "value=4" in out
+    code, out, _ = run(capsys, ["bott", "p1-o2.json", "--stability"])
+    assert code == 0 and "total: value=2 expected=2 [ok]" in out

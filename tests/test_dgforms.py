@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil.adelic import Chain, block_frames, mixed_connection
+from adelweil.cli import resolve_input
 from adelweil.dgforms import (
     DGContext, DiffForm, FormMatrix, InvariantPolynomial, chain_context,
     chern_character, invariant_eval, matrix_curvature,
-    polarize, polarize_mixed, polynomial_context, transgression,
+    polarize, polynomial_context, transgression,
 )
 from adelweil.errors import DegreeError, DimensionMismatch, OddEntries
-from adelweil.exactalg import MultiPoly, RingMatrix
+from adelweil.exactalg import RingMatrix
+from adelweil.parsing import load_json, scenario_from_json
 
+from form_oracles import polarized_transgression
 from strategies import fractions, polys
 
 CTX = chain_context(1, ("f",))
@@ -221,15 +225,6 @@ def test_polarization_is_symmetric_and_diagonal_restores(rows_a, rows_b):
     assert polarize(P, [A, A]) == invariant_eval(P, A)
 
 
-def test_polarize_mixed_agrees_on_even_arguments():
-    A = _even_matrix([[MultiPoly.var(EVEN, "f"), MultiPoly.const(EVEN, 1)],
-                      [MultiPoly.const(EVEN, 0), MultiPoly.var(EVEN, "t1")]])
-    B = _even_matrix([[MultiPoly.const(EVEN, 2), MultiPoly.const(EVEN, 0)],
-                      [MultiPoly.const(EVEN, 1), MultiPoly.const(EVEN, 3)]])
-    P = InvariantPolynomial.elementary(2, 2)
-    assert polarize_mixed(P, [A, B]) == polarize(P, [A, B])
-
-
 @settings(max_examples=10)
 @given(theta_matrices())
 def test_transgression_bounds_the_chern_form(theta):
@@ -250,6 +245,102 @@ def test_transgression_on_longer_chains():
         P = InvariantPolynomial.power_of_trace(1, 2)
         assert transgression(P, theta).d() == \
             invariant_eval(P, matrix_curvature(theta))
+
+
+@settings(max_examples=10)
+@given(theta_matrices())
+def test_transgression_matches_the_polarization_oracle(theta):
+    for terms in ({(1, 0): Q(1)}, {(0, 1): Q(1)}, {(2, 0): Q(1)},
+                  {(1, 1): Q(2), (3, 0): Q(-1, 3)}):
+        P = InvariantPolynomial(2, terms)
+        assert transgression(P, theta) == polarized_transgression(P, theta)
+
+
+def _chain_theta(ctx, rank):
+    """A rank-r connection on a chain with every differential in use."""
+    fv = ctx.ring_var("f")
+    l = len(ctx.simplex_vars)
+    rows = []
+    for i in range(rank):
+        row = []
+        for j in range(rank):
+            k, k2 = (i + j) % l + 1, (i + j + 1) % l + 1
+            tk = ctx.t_coeff(k)
+            row.append(ctx.form_scalar(tk * tk + i - j) * ctx.df("f")
+                       + ctx.form_scalar(fv * (i + 1) + j) * ctx.dt(k)
+                       + ctx.form_scalar(fv * ctx.t_coeff(k2)) * ctx.dt(k2))
+        rows.append(row)
+    return FormMatrix(ctx, rows)
+
+
+@pytest.mark.parametrize("l, r, degrees", [
+    (1, 1, (1, 2)), (2, 1, (1, 2)), (3, 1, (1, 2)), (2, 2, (1, 2)),
+    (3, 2, (2,)),
+])
+def test_transgression_matches_the_oracle_on_chains(l, r, degrees):
+    theta = _chain_theta(chain_context(l, ("f",)), r)
+    for m in degrees:
+        P = InvariantPolynomial.power_of_trace(r, m)
+        assert transgression(P, theta) == polarized_transgression(P, theta)
+    if r > 1:
+        # P_r, whose degree m equals the rank r
+        P = InvariantPolynomial.elementary(r, r)
+        TP = transgression(P, theta)
+        assert TP == polarized_transgression(P, theta)
+        assert TP.d() == invariant_eval(P, matrix_curvature(theta))
+
+
+def test_transgression_matches_the_oracle_on_mixed_connections():
+    # rational connection matrices (denominators in f) from shipped charts,
+    # and the block frames of the shipped Whitney extension
+    connections = []
+    for name, labels in (("p1-o2.json", ("x0", "p0")),
+                         ("p1-tangent.json", ("x0", "p0", "inf"))):
+        chart = scenario_from_json(load_json(resolve_input(name))).chart
+        connections.append(mixed_connection(chart, Chain(labels)))
+    sub, quot, mixing, chain = scenario_from_json(
+        load_json(resolve_input("p1-whitney.json"))).whitney
+    connections.append(mixed_connection(block_frames(sub, quot, mixing),
+                                        chain))
+    assert any(not x.terms[mono].den.is_constant()
+               for conn in connections for row in conn.theta.rows
+               for x in row for mono in x.terms)
+    for conn in connections:
+        r = conn.rank
+        for P in (InvariantPolynomial.elementary(r, 1),
+                  InvariantPolynomial.elementary(r, r),
+                  InvariantPolynomial.power_of_trace(r, 2)):
+            TP = transgression(P, conn.theta)
+            assert TP == polarized_transgression(P, conn.theta), P.render()
+
+
+def test_transgression_beside_a_base_variable_named_s():
+    ctx = DGContext(("t1",), ("s", "f"))
+    sv, fv = ctx.ring_var("s"), ctx.ring_var("f")
+    theta = FormMatrix(ctx, [
+        [ctx.form_scalar(sv) * ctx.df("f") + ctx.form_scalar(fv) * ctx.dt(1),
+         ctx.df("s")],
+        [ctx.form_scalar(sv * fv) * ctx.dt(1),
+         ctx.form_scalar(ctx.t_coeff(1)) * ctx.df("s")]])
+    for P in (InvariantPolynomial.power_of_trace(2, 2),
+              InvariantPolynomial.elementary(2, 2)):
+        TP = transgression(P, theta)
+        assert TP.ctx == ctx and not TP.is_zero()
+        assert TP == polarized_transgression(P, theta)
+        assert TP.d() == invariant_eval(P, matrix_curvature(theta))
+
+
+def test_transgression_substitutes_nothing(monkeypatch):
+    # the cylinder's curvature is re-keyed from theta's own forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("DiffForm.substitute called")
+
+    monkeypatch.setattr(DiffForm, "substitute", refuse)
+    theta = _chain_theta(chain_context(2, ("f",)), 2)
+    P = InvariantPolynomial.power_of_trace(2, 2)
+    assert transgression(P, theta) == polarized_transgression(P, theta)
+    with pytest.raises(AssertionError):
+        theta[0, 0].substitute(theta.ctx)
 
 
 def test_chern_character_of_rank_one_curvature():
