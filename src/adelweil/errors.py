@@ -70,7 +70,7 @@ class NotAComplex(EngineError):
 
 
 class CapInsufficient(CapError):
-    """Reported ranks changed when the weight cap was raised."""
+    """A cohomology class is reached only above the weight cap."""
 
 
 class CapExceeded(CapError):

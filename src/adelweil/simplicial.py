@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
 )
 from .dgforms import DGContext, DiffForm
-from .exactalg import parse_integer, rat
+from .exactalg import MultiPoly, RatFunc, parse_integer, rat
 
 
 # -- the simplex category ----------------------------------------------------
@@ -219,40 +219,29 @@ def fiber_integrate(form: DiffForm) -> DiffForm:
 
     Picks the terms with the full dt_1..dt_l factor, Dirichlet-integrates
     their t-dependence, and reindexes the remaining base differentials.
-    Simplex variables may not occur in denominators.
+    Each numerator is built as one polynomial keyed by the base part of
+    its exponents and divided once by the denominator.  Simplex
+    variables may not occur in denominators.
     """
     ctx = form.ctx
     l = len(ctx.simplex_vars)
     base = DGContext((), ctx.base_vars, ctx.inert_vars)
-    acc = base.zero_form()
     top = tuple(range(l))
+    terms = {}
     for mono, c in form.terms.items():
         if mono[:l] != top:
             continue
-        rest = tuple(i - l for i in mono[l:])
-        for name in ctx.simplex_vars:
-            if c.den.degree_in(name) > 0:
-                raise DimensionMismatch(
-                    f"simplex variable {name} in a denominator")
-        den = base.ring_poly(_drop_simplex_vars(ctx, base, c.den))
-        num_acc = base.ring_const(0)
+        num: dict = {}
         for exp, v in c.num.coeffs.items():
-            weight = v * dirichlet_integral(l, exp[:l])
-            if not weight:
-                continue
             tail = exp[l:]
-            mono_poly = base.ring_const(weight)
-            for name, k in zip(base.even_vars, tail):
-                if k:
-                    mono_poly = mono_poly * base.ring_var(name) ** k
-            num_acc = num_acc + mono_poly
-        coeff = num_acc / den
-        acc = acc + DiffForm(base, {rest: coeff})
-    return acc
+            num[tail] = num.get(tail, 0) + v * dirichlet_integral(l, exp[:l])
+        terms[tuple(i - l for i in mono[l:])] = RatFunc(
+            MultiPoly(base.even_vars, num),
+            _drop_simplex_vars(ctx, base, c.den))
+    return DiffForm(base, terms)
 
 
 def _drop_simplex_vars(src: DGContext, base: DGContext, poly):
-    from .exactalg import MultiPoly
     l = len(src.simplex_vars)
     coeffs = {}
     for exp, v in poly.coeffs.items():

@@ -17,23 +17,43 @@ Face pullbacks and d never raise weight (d keeps it).  The compatibility
 solve lists the labels of each degree by weight first, so the families
 of weight <= w are exactly the leading free labels, the cap-w complex is
 the leading block of every higher-cap one, and d is block upper
-triangular.  verify_de_rham therefore builds one complex, at cap + 2,
-and reads every lower cap off its leading blocks.  Coboundaries are
-sparse: one {column: coefficient} row per label of the next degree.
+triangular.  verify_de_rham therefore builds one complex, at the cap,
+and reads every lower cap's ranks off its leading blocks.  Coboundaries
+are sparse: one {column: coefficient} row per label of the next degree.
 
 Each coboundary is eliminated once, to a row echelon form whose pivots
-are least columns, and every block is read off that one echelon:
-- the rank of the cap-w block is the number of pivots before it;
-- the cocycles of the block are the kernel of the echelon rows whose
-  pivot lies in it, cut to it, with one basis vector per free label;
+are least columns, and everything is read off that one echelon:
+- the rank of the cap-w block is the number of pivots before it, since
+  a column is a pivot exactly when it is independent of the columns
+  before it and d keeps the leading block (the weight check);
+- the cocycles are the kernel of the echelon, with one basis vector per
+  free label;
 - the cohomology representatives are the basis cocycles at the free
   labels that are no pivot of the previous coboundary's pivot columns,
   once those columns are read at the free labels.
-The cocycle reading is exact because row operations commute with
-dropping columns and d keeps the leading block (the weight check).  The
-representatives are exact because d∘d = 0, checked on the full view,
-makes every coboundary a cocycle, and a cocycle's values at the free
-labels are its coordinates on the basis cocycles.
+The representatives are exact because d∘d = 0, checked on the whole
+view, makes every coboundary a cocycle, and a cocycle's values at the
+free labels are its coordinates on the basis cocycles.
+
+The complex at the cap certifies the comparison on its own.  When the
+family and cochain ranks agree and the integrals of the
+representatives are independent cochain classes, integration is an
+injective map between spaces of equal finite dimension, so an
+isomorphism.  When not, Whitney's elementary forms (Whitney, Geometric
+Integration Theory, 1957; Dupont, Topology 15, 1976) tell a low cap
+from a failed comparison.  On the m-simplex, the face I = (i_0 < .. <
+i_q) has
+
+    omega_I = q! sum_k (-1)^k t_(i_k) dt_(I minus i_k),
+
+and a q-cochain z has E(z) = sum over faces I of z(face I) omega_I on
+every simplex: a compatible family of weight at most q + 1 with
+d E = E delta and integral z.  (On a cocycle the weight is q: the
+weight q + 1 part of E(z) is q! times the Euler contraction of
+sum_I z(I) dt_I = d E(z) / (q + 1)! = 0.)  So a cochain class that no
+family of the cap hits either has a Whitney form of weight above the
+cap (CapInsufficient), or E(z) is a family cocycle of the cap that hits
+it, and the comparison has failed.
 
 The one special case is a standard simplex, where restriction to the
 top cell is an isomorphism: its coordinates are the top-cell monomials
@@ -76,6 +96,7 @@ from functools import cached_property, lru_cache
 from .errors import (
     CapExceeded,
     CapInsufficient,
+    CheckFailed,
     ContextMismatch,
     DegreeError,
     DimensionMismatch,
@@ -98,9 +119,10 @@ from .simplicial import (
 HARD_DEGREE_CAP = 12
 HARD_WEIGHT_CAP = 24
 
-# hard cap on the labels of the compatibility solve: in process on 2 vCPUs,
-# the boundary of the 4-simplex takes 1.8 s at the default cap (7,800
-# labels), 2.2 s at cap 8 (10,230) and 4.3 s at cap 9 (13,120)
+# hard cap on the labels of the compatibility solve at the weight cap: in
+# process on 2 vCPUs, the boundary of the 4-simplex takes 0.5 s at the
+# default cap 7 (4,160 labels), 1.5 s at cap 9 (7,800) and 2.8-3.6 s at
+# cap 10 (10,230, the largest admitted; cap 11 has 13,120)
 MAX_FAMILY_LABELS = 12_000
 
 
@@ -250,6 +272,85 @@ def _product_integral(m: int, u: dict, v: dict):
             total += _wedge_sign(mono) * c * d * dirichlet_integral(
                 m, tuple(x + y for x, y in zip(a, b)))
     return total
+
+
+@lru_cache(maxsize=None)
+def _whitney_form(m: int, face_vertices: tuple) -> tuple:
+    """Whitney's form omega_I of the face I of the m-simplex, as (label,
+    coeff) pairs.
+
+    omega_I = q! sum_k (-1)^k t_(i_k) dt_(I minus i_k) for I = (i_0 < ..
+    < i_q).  Vertex j >= 1 is label position j - 1, t_0 = 1 - sum_j t_j
+    and dt_0 = -sum_j dt_j; each product of dt's is sorted with the sign
+    of its permutation.
+    """
+    q = len(face_vertices) - 1
+    zero = (0,) * m
+
+    def t(v):
+        if v:
+            return [(zero[:v - 1] + (1,) + zero[v:], 1)]
+        return [(zero, 1)] + [(zero[:p] + (1,) + zero[p + 1:], -1)
+                              for p in range(m)]
+
+    def dt(v):
+        return [(v - 1, 1)] if v else [(p, -1) for p in range(m)]
+
+    out: dict = {}
+    for k, v in enumerate(face_vertices):
+        rest = face_vertices[:k] + face_vertices[k + 1:]
+        for picks in itertools.product(*map(dt, rest)):
+            positions = [p for p, _ in picks]
+            if len(set(positions)) < q:
+                continue
+            swaps = sum(a > b for a, b in itertools.combinations(positions, 2))
+            coeff = (-1) ** (k + swaps) * math.factorial(q) * math.prod(
+                x for _, x in picks)
+            mono = tuple(sorted(positions))
+            for exp, a in t(v):
+                out[(exp, mono)] = out.get((exp, mono), 0) + a * coeff
+    return tuple((lab, c) for lab, c in out.items() if c)
+
+
+def _whitney_family(S: FiniteSimplicialSet, q: int, z: dict) -> dict:
+    """{sid: {label: c}}: E(z) = sum over the faces I of z(face I) omega_I
+    on every simplex, for a q-cochain z = {sid: value}.
+
+    Normalized cochains vanish on degenerate faces, and a regular set
+    has none, so every face I is a stored simplex.
+    """
+    out = {}
+    for sid, m in S.simplices.items():
+        labels: dict = {}
+        for I in itertools.combinations(range(m + 1), q + 1):
+            c = z.get(S.subface(sid, I), 0)
+            if not c:
+                continue
+            for lab, v in _whitney_form(m, I):
+                labels[lab] = labels.get(lab, 0) + c * v
+        labels = {lab: v for lab, v in labels.items() if v}
+        if labels:
+            out[sid] = labels
+    return out
+
+
+def _hits_as_family_cocycle(S: FiniteSimplicialSet, q: int, family: dict,
+                            z: dict) -> bool:
+    """Whether {sid: {label: c}} is compatible along every face, closed
+    on every simplex, and integrates to the q-cochain z = {sid: value}."""
+    for sid, m in S.simplices.items():
+        on = family.get(sid, {})
+        if any(_restrict(m, i, on) != family.get(S.face(sid, i), {})
+               for i in range(m + 1 if m else 0)):
+            return False
+        d: dict = {}
+        for lab, c in on.items():
+            for tl, v in _monomial_d(lab):
+                d[tl] = d.get(tl, 0) + c * v
+        if any(d.values()):
+            return False
+    return all(_label_integral(family.get(sid, {})) == z.get(sid, 0)
+               for sid in S.simplices_of(q))
 
 
 # -- sparse kernel solver ----------------------------------------------------
@@ -625,28 +726,24 @@ class CochainComplexView:
                     columns.setdefault(j, {})[i] = x
         return _row_span(columns.values())
 
-    def representatives(self, q: int, dims: list | None = None) -> list:
-        """Cocycles {index: c} whose classes span degree-q cohomology of
-        the leading blocks `dims` (as in `ranks`).
+    def representatives(self, q: int) -> list:
+        """Cocycles {index: c} whose classes span degree-q cohomology.
 
-        The cocycles of the block are the kernel of the echelon rows
-        with pivot in it, cut to it, with one basis vector per free
-        label.  A cocycle is the sum of its values at the free labels
-        times those vectors, so coboundaries (cocycles, as d∘d = 0) are
-        compared on the free labels alone.  The pivot columns of
-        mats[q-1] before dims[q-1] are a basis of the block's
-        coboundaries; the kernel vectors at the free labels that are no
-        pivot of those columns, read at the free labels, complete them
-        to a basis of the cocycles.
+        The cocycles are the kernel of the echelon of mats[q], with one
+        basis vector per free label.  A cocycle is the sum of its values
+        at the free labels times those vectors, so coboundaries
+        (cocycles, as d∘d = 0) are compared on the free labels alone.
+        The pivot columns of mats[q-1] are a basis of the coboundaries;
+        the kernel vectors at the free labels that are no pivot of those
+        columns, read at the free labels, complete them to a basis of
+        the cocycles.
         """
-        dims = dims or [len(labels) for labels in self.labels]
-        k = dims[q]
         echelon = self.echelons[q] if q < len(self.mats) else LinearSpan()
-        kernel = dict(echelon.kernel(range(k)))
+        kernel = dict(echelon.kernel(range(len(self.labels[q]))))
         columns: dict = {}
         if q > 0:
-            basis = {j for j in self.echelons[q - 1].pivots if j < dims[q - 1]}
-            for i, row in enumerate(self.mats[q - 1][:k]):
+            basis = set(self.echelons[q - 1].pivots)
+            for i, row in enumerate(self.mats[q - 1]):
                 if i in kernel:
                     for j, x in row.items():
                         if j in basis:
@@ -698,39 +795,64 @@ def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
     return [view.ranks(cx.leading_dims(w)) for w in range(cx.cap + 1)]
 
 
+def _whitney_verdict(S: FiniteSimplicialSet, cap: int,
+                     cview: CochainComplexView, images: list,
+                     hit: list) -> None:
+    """Tell a low cap from a failed comparison, by Whitney forms.
+
+    hit[q] spans the classes the families hit, read against images[q].
+    Each cochain class z outside it has a Whitney form E(z) that hits
+    it.  When E(z) has weight above the cap, CapInsufficient names the
+    degree and that weight.  Within the cap, E(z) is checked to be a
+    family cocycle integrating to z, which leaves the comparison failed;
+    a Whitney form that fails that check raises CheckFailed.
+    """
+    for q, classes in enumerate(hit):
+        for z in cview.representatives(q):
+            if not classes.add(images[q].reduce(z)):
+                continue
+            values = {cview.labels[q][i]: c for i, c in z.items()}
+            family = _whitney_family(S, q, values)
+            weight = max(_weight(lab) for on in family.values() for lab in on)
+            if weight > cap:
+                raise CapInsufficient(
+                    f"a degree-{q} cochain class is hit by no family of "
+                    f"weight at most {cap}; its Whitney form, which hits "
+                    f"it, has weight {weight}")
+            if not _hits_as_family_cocycle(S, q, family, values):
+                raise CheckFailed(
+                    f"the Whitney form of a degree-{q} cochain class is "
+                    f"not a family cocycle integrating to it")
+
+
 def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dict:
     """Full comparison between families and cochains on one space.
 
     Computes per-weight and total family cohomology ranks, cochain
     cohomology ranks, checks the integration map induces an isomorphism
     on the computed range, and checks that each sampled multiplicativity
-    defect lies in the span of the coboundaries.  Raises CapInsufficient when
-    raising the weight cap by 2 changes any rank, and CapExceeded up
-    front for a cap below 0 or one whose cap + 2 passes the hard cap.
+    defect lies in the span of the coboundaries.  Raises CapExceeded up
+    front for a cap outside 0..HARD_WEIGHT_CAP, and CapInsufficient when
+    a cochain class is hit by no family of the cap and its Whitney form
+    lies above it (`_whitney_verdict`).
 
-    One family complex at cap + 2 serves every lower cap through its
+    One family complex at the cap serves every lower cap through its
     leading blocks, and one echelon of each of its coboundaries serves
-    the ranks at every cap and the representatives at the cap.  The
-    representatives are integrated and multiplied on their monomial
-    labels (`simplex_labels`, `_label_integral`, `_product_integral`).
+    the ranks at every cap and the representatives.  Equal ranks and
+    representatives whose integrals are independent classes certify
+    the isomorphism.  The representatives are integrated and multiplied
+    on their monomial labels (`simplex_labels`, `_label_integral`,
+    `_product_integral`).
     """
     L = S.dimension
     cap = (L + 4) if weight_cap is None else weight_cap
-    if cap < 0 or cap + 2 > HARD_WEIGHT_CAP:
-        raise CapExceeded(
-            f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP - 2}: the "
-            f"stability check needs cap + 2 <= {HARD_WEIGHT_CAP}")
+    if not 0 <= cap <= HARD_WEIGHT_CAP:
+        raise CapExceeded(f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP}")
 
-    cx = SullivanComplex(S, cap + 2)
+    cx = SullivanComplex(S, cap)
     view = sullivan_view(cx)    # d∘d checked on every block at once
-    by_weight = _weight_ranks(cx, view)
-    per_weight = by_weight[:cap + 1]
+    per_weight = _weight_ranks(cx, view)
     sull_ranks = per_weight[-1]
-    stable_ranks = by_weight[cap + 2]
-    if stable_ranks != sull_ranks:
-        raise CapInsufficient(
-            f"ranks moved from {sull_ranks} to {stable_ranks} "
-            f"when the weight cap rose from {cap} to {cap + 2}")
 
     cview = cochain_complex(S)
     coch_ranks = cview.ranks()
@@ -738,11 +860,10 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
 
     # induced map on cohomology: inject family classes into cochain
     # classes; a cocycle's class is its residual against the coboundaries
-    dims = cx.leading_dims(cap)
     reps = []
     for q, sids in enumerate(cview.labels):
         reps.append([])
-        for vec in view.representatives(q, dims):
+        for vec in view.representatives(q):
             on = cx.simplex_labels(q, vec)
             reps[q].append((on, Cochain(S, q, {
                 sid: _label_integral(on[sid]) for sid in sids if sid in on})))
@@ -751,6 +872,7 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     images = [cview.image_span(q) for q in range(L + 2)]
     induced_ok = True
     induced_details = []
+    hit = []
     for q in range(L + 2):
         classes = LinearSpan()
         injected = 0
@@ -763,9 +885,12 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
                 induced_ok = False
         if injected != coch_ranks[q]:
             induced_ok = False
+        hit.append(classes)
         induced_details.append({"degree": q, "classes": len(reps[q]),
                                 "injected": injected,
                                 "target_rank": coch_ranks[q]})
+    if not (ranks_match and induced_ok):
+        _whitney_verdict(S, cap, cview, images, hit)
 
     # multiplicativity: the integration map fails to be a ring map only
     # by a coboundary

@@ -1,8 +1,14 @@
-"""The Chern-Simons transgression by polarization, kept as an oracle.
+"""Routes the form engine replaced, kept as oracles.
 
-`dgforms.transgression` evaluates P on the curvature of the homotopy
-connection s theta and integrates over s.  This is the route it
-replaced: with R_s = s d(theta) - s^2 theta^2,
+`ratfunc_fiber_integral` is the fibre integral built by RatFunc
+arithmetic: each base monomial is a product of ring variables, and the
+numerator is summed and divided one RatFunc operation at a time.
+`simplicial.fiber_integrate` builds each numerator as one polynomial.
+
+`polarized_transgression` is the Chern-Simons transgression by
+polarization.  `dgforms.transgression` evaluates P on the curvature of
+the homotopy connection s theta and integrates over s; with
+R_s = s d(theta) - s^2 theta^2 the polarization route reads
 
     TP(theta) = m * integral over [0, 1] of P~(theta, R_s, .., R_s) ds,
 
@@ -17,8 +23,31 @@ import itertools
 import math
 from fractions import Fraction
 
-from adelweil.dgforms import DiffForm, _merge_odd, polarize
+from adelweil.dgforms import DGContext, DiffForm, _merge_odd, polarize
 from adelweil.exactalg import RingMatrix
+from adelweil.simplicial import _drop_simplex_vars, dirichlet_integral
+
+
+def ratfunc_fiber_integral(form) -> DiffForm:
+    """The fibre integral of `form` over its simplex, in RatFunc steps."""
+    ctx = form.ctx
+    l = len(ctx.simplex_vars)
+    base = DGContext((), ctx.base_vars, ctx.inert_vars)
+    acc = base.zero_form()
+    for mono, c in form.terms.items():
+        if mono[:l] != tuple(range(l)):
+            continue
+        den = base.ring_poly(_drop_simplex_vars(ctx, base, c.den))
+        num_acc = base.ring_const(0)
+        for exp, v in c.num.coeffs.items():
+            mono_poly = base.ring_const(v * dirichlet_integral(l, exp[:l]))
+            for name, k in zip(base.even_vars, exp[l:]):
+                if k:
+                    mono_poly = mono_poly * base.ring_var(name) ** k
+            num_acc = num_acc + mono_poly
+        rest = tuple(i - l for i in mono[l:])
+        acc = acc + DiffForm(base, {rest: num_acc / den})
+    return acc
 
 
 def odd_decomposition(M) -> dict:

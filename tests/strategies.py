@@ -5,6 +5,7 @@ identities that hold on the nose, not numerical coverage, so tiny
 coefficient pools keep shrinking fast and runs cheap.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -21,9 +22,11 @@ def fractions(max_num: int = 6, max_den: int = 4):
 
 
 def monomials(vars: tuple, max_degree: int = 3):
-    return st.tuples(*[st.integers(min_value=0, max_value=max_degree)
-                       for _ in vars]).filter(
-        lambda e: sum(e) <= max_degree)
+    # drawn from the list of exponents, not filtered: in four variables a
+    # filter rejects most draws
+    return st.sampled_from([
+        e for e in itertools.product(range(max_degree + 1), repeat=len(vars))
+        if sum(e) <= max_degree])
 
 
 def polys(vars: tuple, max_degree: int = 3, max_terms: int = 4,

@@ -396,13 +396,13 @@ def test_out_of_range_weight_cap_exits_5(capsys, space, cap):
 
 
 @pytest.mark.parametrize("n, cap, code, message", [
-    (4, "8", 0, None),
-    (4, "9", 5, "weight 11 has 13120 labels, past the cap of 12000"),
-    (5, None, 5, "weight 10 has 78322 labels, past the cap of 12000"),
-    (6, None, 5, "weight 11 has 729624 labels, past the cap of 12000"),
-], ids=["bd4-cap8", "bd4-cap9", "bd5", "bd6"])
+    (4, "10", 0, None),
+    (4, "11", 5, "weight 11 has 13120 labels, past the cap of 12000"),
+    (5, None, 5, "weight 8 has 37550 labels, past the cap of 12000"),
+    (6, None, 5, "weight 9 has 322308 labels, past the cap of 12000"),
+], ids=["bd4-cap10", "bd4-cap11", "bd5", "bd6"])
 def test_family_label_cap(capsys, tmp_path, n, cap, code, message):
-    # the boundary of the 4-simplex at cap 8 is the largest admitted
+    # the boundary of the 4-simplex at cap 10 is the largest admitted
     path = tmp_path / f"boundary-delta{n}.json"
     path.write_text(json.dumps(boundary_simplex_sset(n).to_json()))
     flags = [] if cap is None else ["--weight-cap", cap]
@@ -412,6 +412,39 @@ def test_family_label_cap(capsys, tmp_path, n, cap, code, message):
     if message is not None:
         assert time.perf_counter() - started < 5
         assert message in err and "Traceback" not in err
+
+
+def _low_cap_runs():
+    for n in (2, 3, 4, 5):
+        caps = [str(cap) for cap in range(n + 1)] + [None]  # 0 .. L + 1
+        yield from ((n, cap) for cap in caps)
+
+
+@pytest.mark.parametrize("n, cap", _low_cap_runs())
+def test_low_caps_exit_0_or_5(capsys, tmp_path, n, cap):
+    # a cap too low to reach a cohomology class is a cap error, never a
+    # failed comparison: the class's Whitney form names the weight needed
+    path = tmp_path / f"boundary-delta{n}.json"
+    path.write_text(json.dumps(boundary_simplex_sset(n).to_json()))
+    flags = [] if cap is None else ["--weight-cap", cap]
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["derham", str(path)] + flags)
+    assert time.perf_counter() - started < 5
+    assert code in (0, 5), err
+    assert "Traceback" not in err
+    # the top class of the boundary of the n-simplex lies in degree
+    # n - 1, where every family and its Whitney form have weight n - 1
+    if cap is not None and int(cap) < n - 1:
+        assert code == 5
+        assert f"its Whitney form, which hits it, has weight {n - 1}" in err
+
+
+def test_weight_cap_0_on_the_shipped_circle_exits_5(capsys):
+    code, _, err = run(capsys, ["derham", "boundary-delta2.json",
+                                "--weight-cap", "0"])
+    assert code == 5
+    assert "a degree-1 cochain class is hit by no family of weight at " \
+        "most 0" in err
 
 
 def _long_chart(length):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil import simplicial
 from adelweil.adelic import Chain, block_frames, mixed_connection
 from adelweil.cli import resolve_input
 from adelweil.dgforms import (
@@ -14,8 +15,9 @@ from adelweil.dgforms import (
 from adelweil.errors import DegreeError, DimensionMismatch, OddEntries
 from adelweil.exactalg import RingMatrix
 from adelweil.parsing import load_json, scenario_from_json
+from adelweil.simplicial import fiber_integrate
 
-from form_oracles import polarized_transgression
+from form_oracles import polarized_transgression, ratfunc_fiber_integral
 from strategies import fractions, polys
 
 CTX = chain_context(1, ("f",))
@@ -50,14 +52,28 @@ def homogeneous_forms():
         lambda t: _term(CTX, *t))
 
 
-def theta_matrices(size: int = 2):
-    one_form = st.tuples(polys(EVEN, max_degree=2, max_terms=2),
-                         polys(EVEN, max_degree=2, max_terms=2)).map(
-        lambda pair: _term(CTX, pair[0], True, False)
-        + _term(CTX, pair[1], False, True))
-    return st.lists(st.lists(one_form, min_size=size, max_size=size),
+# four odd generators dt1, dt2, df, dg: for P of degree m >= 2 both
+# sides of d TP = P(R) are forms of degree 2m <= 4 that need not vanish
+CTX4 = chain_context(2, ("f", "g"))
+
+
+def theta_matrices(size: int = 2, ctx=CTX):
+    """Matrices of 1-forms: every entry is sum_g p_g g over the odd
+    generators g of ctx, each p_g a polynomial of up to two terms."""
+    odd = [ctx.dt(i) for i in range(1, len(ctx.simplex_vars) + 1)] + \
+        [ctx.df(name) for name in ctx.base_vars]
+    coefficient = polys(ctx.even_vars, max_degree=2, max_terms=2)
+
+    def one_form(ps):
+        total = ctx.zero_form()
+        for p, g in zip(ps, odd):
+            total = total + ctx.form_scalar(ctx.ring_poly(p)) * g
+        return total
+
+    entry = st.tuples(*[coefficient] * len(odd)).map(one_form)
+    return st.lists(st.lists(entry, min_size=size, max_size=size),
                     min_size=size, max_size=size).map(
-        lambda rows: FormMatrix(CTX, rows))
+        lambda rows: FormMatrix(ctx, rows))
 
 
 def test_simplex_coordinates_sum_to_one():
@@ -226,7 +242,7 @@ def test_polarization_is_symmetric_and_diagonal_restores(rows_a, rows_b):
 
 
 @settings(max_examples=10)
-@given(theta_matrices())
+@given(theta_matrices(ctx=CTX4))
 def test_transgression_bounds_the_chern_form(theta):
     R = matrix_curvature(theta)
     for terms in ({(1, 0): Q(1)}, {(0, 1): Q(1)}, {(2, 0): Q(1)}):
@@ -248,12 +264,33 @@ def test_transgression_on_longer_chains():
 
 
 @settings(max_examples=10)
-@given(theta_matrices())
+@given(theta_matrices(ctx=CTX4))
 def test_transgression_matches_the_polarization_oracle(theta):
     for terms in ({(1, 0): Q(1)}, {(0, 1): Q(1)}, {(2, 0): Q(1)},
                   {(1, 1): Q(2), (3, 0): Q(-1, 3)}):
         P = InvariantPolynomial(2, terms)
         assert transgression(P, theta) == polarized_transgression(P, theta)
+
+
+@settings(max_examples=10)
+@given(theta_matrices(ctx=CTX4))
+def test_fiber_integral_matches_the_ratfunc_route(theta):
+    # every cylinder form a transgression integrates, through both routes
+    seen = []
+
+    def recording(form):
+        seen.append(form)
+        return fiber_integrate(form)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "fiber_integrate", recording)
+        for terms in ({(1, 0): Q(1)}, {(0, 1): Q(1)}, {(2, 0): Q(1)}):
+            transgression(InvariantPolynomial(2, terms), theta)
+    assert len(seen) == 3
+    for form in seen:
+        # the same normal form, as the printed reports need
+        new, old = fiber_integrate(form), ratfunc_fiber_integral(form)
+        assert new == old and new.render() == old.render()
 
 
 def _chain_theta(ctx, rank):

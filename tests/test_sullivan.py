@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from adelweil import simplicial, sullivan
 from adelweil.cli import SSET_FILES, resolve_input
 from adelweil.dgforms import simplex_context
-from adelweil.errors import CapInsufficient, DimensionMismatch, NotAComplex
+from adelweil.errors import (
+    CapInsufficient, CheckFailed, DimensionMismatch, NotAComplex,
+)
 from adelweil.exactalg import LinearSpan, QMatrix
 from adelweil.parsing import sset_from_json
 from adelweil.simplicial import (
@@ -20,11 +22,11 @@ from adelweil.simplicial import (
     pullback_along, standard_simplex_sset,
 )
 from adelweil.sullivan import (
-    CochainComplexView, SullivanComplex, _face_image, _label_integral,
-    _monomial_d, _form_of, _product_integral, _simplex_labels,
-    _simplex_weight_block, _weight, _wedge_sign, cochain_complex,
-    sparse_nullspace,
-    sullivan_basis, sullivan_view, verify_de_rham,
+    CochainComplexView, SullivanComplex, _face_image,
+    _hits_as_family_cocycle, _label_integral, _monomial_d, _form_of,
+    _product_integral, _simplex_labels, _simplex_weight_block, _weight,
+    _wedge_sign, _whitney_family, _whitney_form, cochain_complex,
+    sparse_nullspace, sullivan_basis, sullivan_view, verify_de_rham,
 )
 
 # spaces whose coordinates come from the compatibility solve
@@ -117,7 +119,7 @@ def test_multiplicativity_defects_are_solved_coboundaries():
 
 @pytest.mark.parametrize("name", [*GENERAL, "simplex-3"])
 def test_per_weight_ranks_match_separate_builds(name):
-    # verify_de_rham reads every lower cap off one complex at cap + 2
+    # verify_de_rham reads every lower cap off one complex at the cap
     S, cap = GENERAL.get(name) or standard_simplex_sset(3), 2
     res = verify_de_rham(S, cap)
     for w in range(cap + 1):
@@ -220,10 +222,9 @@ def test_comparison_on_the_seven_vertex_torus():
 
 def test_cup_pairing_on_the_seven_vertex_torus():
     # H^1 x H^1 -> H^2 = Q is nondegenerate on the torus; the classes
-    # are read as verify_de_rham reads them, cap 2 off the cap-4 complex
-    S, cap = _torus_7(), 2
-    cx = SullivanComplex(S, cap + 2)
-    reps = sullivan_view(cx).representatives(1, cx.leading_dims(cap))
+    # are read as verify_de_rham reads them, off the cap-2 complex
+    cx = SullivanComplex(_torus_7(), 2)
+    S, reps = cx.sset, sullivan_view(cx).representatives(1)
     u = [cx.element(1, vec) for vec in reps]
     assert len(u) == 2
     C = cochain_complex(S)
@@ -285,8 +286,8 @@ def _space(name: str) -> FiniteSimplicialSet:
         return _torus_7()
     if name == "simplex-2-renumbered":
         return _delta2_renumbered()
-    if name == "boundary-3":
-        return boundary_simplex_sset(3)
+    if name in ("boundary-3", "boundary-4"):
+        return boundary_simplex_sset(int(name[-1]))
     return _shipped_spaces()[name]
 
 
@@ -295,7 +296,7 @@ def test_family_coordinates_and_coboundaries_are_integers(name):
     # face images, the signs of d and the compatibility kernel are all
     # integral on these spaces, so coordinates and coboundaries are ints
     S = _space(name)
-    cx = SullivanComplex(S, S.dimension + 6)   # the default cap + 2
+    cx = SullivanComplex(S, S.dimension + 6)   # two past the default cap
     for q in range(S.dimension + 2):
         assert all(type(x) is int for vec in cx._vectors[q]
                    for x in vec.values())
@@ -304,8 +305,9 @@ def test_family_coordinates_and_coboundaries_are_integers(name):
                    for x in row.values())
 
 
-# verify_de_rham results, and CapInsufficient messages, recorded from
-# the Fraction implementation of the family complex
+# verify_de_rham results recorded from the Fraction implementation of
+# the family complex, and the CapInsufficient messages of the Whitney
+# verdict
 DERHAM_RESULTS = json.loads(
     (Path(__file__).parent / "data" / "derham-results.json").read_text())
 
@@ -323,49 +325,42 @@ def test_de_rham_results_are_unchanged(name):
         assert got == DERHAM_RESULTS[f"{name}/{cap}"], cap
 
 
-def _image_span_representatives(view, q, dims):
+def _image_span_representatives(view, q):
     """Reference reading of the cohomology representatives.
 
-    The cap block is cut out of the view, its cocycles are found by a
-    separate elimination, and each is kept when it enlarges the span of
-    the block's coboundaries and the cocycles kept before it.
+    The cocycles are found by a separate elimination, and each is kept
+    when it enlarges the span of the coboundaries and the cocycles kept
+    before it.
     """
-    labels = [list(lab[:k]) for lab, k in zip(view.labels, dims)]
-    mats = [[{j: x for j, x in row.items() if j < dims[i]}
-             for row in mat[:dims[i + 1]]]
-            for i, mat in enumerate(view.mats)]
-    block = CochainComplexView(labels, mats)
     rows = LinearSpan()
-    rows.extend(block.mats[q] if q < len(block.mats) else [])
-    image = block.image_span(q)
-    return [vec for _, vec in rows.kernel(range(dims[q])) if image.add(vec)]
+    rows.extend(view.mats[q] if q < len(view.mats) else [])
+    image = view.image_span(q)
+    return [vec for _, vec in rows.kernel(range(len(view.labels[q])))
+            if image.add(vec)]
 
 
-def _block_coboundaries(view, q, dims) -> list:
-    """The nonzero columns of the block dims of mats[q-1]."""
+def _coboundaries(view, q) -> list:
+    """The nonzero columns of mats[q-1]."""
     columns: dict = {}
-    for i, row in enumerate(view.mats[q - 1][:dims[q]] if q else []):
+    for i, row in enumerate(view.mats[q - 1] if q else []):
         for j, x in row.items():
-            if j < dims[q - 1]:
-                columns.setdefault(j, {})[i] = x
+            columns.setdefault(j, {})[i] = x
     return list(columns.values())
 
 
-def _is_cohomology_basis(view, q, dims, reps):
-    """reps are cocycles of the block dims whose classes are a basis:
-    h^q of them, independent of the coboundaries and of each other."""
-    rows = view.mats[q][:dims[q + 1]] if q < len(view.mats) else []
+def _is_cohomology_basis(view, q, reps):
+    """reps are cocycles whose classes are a basis: h^q of them,
+    independent of the coboundaries and of each other."""
+    rows = view.mats[q] if q < len(view.mats) else []
     for vec in reps:
-        if any(j >= dims[q] for j in vec):
-            return False
         if any(sum(row.get(j, 0) * x for j, x in vec.items())
                for row in rows):
             return False
     span = LinearSpan()
-    span.extend(_block_coboundaries(view, q, dims))
+    span.extend(_coboundaries(view, q))
     coboundary_rank = span.rank
     span.extend(reps)
-    h = view.ranks(dims)[q]
+    h = view.ranks()[q]
     return len(reps) == h and span.rank == coboundary_rank + h
 
 
@@ -376,21 +371,19 @@ def test_representatives_match_the_image_span_reading(name):
     S = _space(name)
     corrupted = 0
     for cap in (None, 2, 7):
-        cap = S.dimension + 4 if cap is None else cap
-        cx = SullivanComplex(S, cap + 2)
-        view = sullivan_view(cx)
-        dims = cx.leading_dims(cap)
+        view = sullivan_view(SullivanComplex(
+            S, S.dimension + 4 if cap is None else cap))
         for q in range(S.dimension + 2):
-            reps = view.representatives(q, dims)
-            ref = _image_span_representatives(view, q, dims)
+            reps = view.representatives(q)
+            ref = _image_span_representatives(view, q)
             assert len(reps) == len(ref), (cap, q)
-            assert _is_cohomology_basis(view, q, dims, ref), (cap, q)
-            assert _is_cohomology_basis(view, q, dims, reps), (cap, q)
+            assert _is_cohomology_basis(view, q, ref), (cap, q)
+            assert _is_cohomology_basis(view, q, reps), (cap, q)
             # a coboundary in place of a representative is no basis
-            coboundaries = _block_coboundaries(view, q, dims)
+            coboundaries = _coboundaries(view, q)
             if reps and coboundaries:
                 assert not _is_cohomology_basis(
-                    view, q, dims, [coboundaries[0]] + reps[1:]), (cap, q)
+                    view, q, [coboundaries[0]] + reps[1:]), (cap, q)
                 corrupted += 1
     # the spaces with a class in positive degree reach the negative case
     assert bool(corrupted) == (name in ("boundary-2", "boundary-3",
@@ -410,7 +403,148 @@ def test_one_elimination_per_coboundary(monkeypatch):
 
     monkeypatch.setattr(LinearSpan, "_reduce", counting)
     assert verify_de_rham(boundary_simplex_sset(3), 4)["ok"]
-    assert count <= 443, count
+    assert count <= 283, count
+
+
+@pytest.mark.parametrize("name, cap", [
+    ("boundary-3", 4), ("simplex-2", None), ("torus-7", 2),
+    ("boundary-2", 0)])
+def test_one_complex_per_comparison(monkeypatch, name, cap):
+    # one SullivanComplex, built at the weight cap itself
+    S, builds, labels = _space(name), [], []
+    init, solve = SullivanComplex.__init__, sullivan.sparse_nullspace
+
+    def counting_init(self, sset, weight_cap):
+        builds.append(weight_cap)
+        init(self, sset, weight_cap)
+
+    def counting_solve(rows, order):
+        labels.append(len(order))
+        return solve(rows, order)
+
+    monkeypatch.setattr(SullivanComplex, "__init__", counting_init)
+    monkeypatch.setattr(sullivan, "sparse_nullspace", counting_solve)
+    try:
+        verify_de_rham(S, cap)
+    except CapInsufficient:
+        assert cap == 0
+    assert builds == [S.dimension + 4 if cap is None else cap]
+    if name == "boundary-3":
+        # C(m, q) C(4 - q + m, m) labels per m-simplex and degree q
+        assert sum(labels) == 222
+
+
+def _whitney_by_forms(m, I):
+    """omega_I from the context's t_i and dt_i, as {label: c}."""
+    ctx = simplex_context(m)
+    q = len(I) - 1
+    omega = ctx.zero_form()
+    for k, v in enumerate(I):
+        term = ctx.t(v)
+        for j in I[:k] + I[k + 1:]:
+            term = term * ctx.dt(j)
+        omega = omega + term * ((-1) ** k * math.factorial(q))
+    return _coords(omega)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_whitney_forms_match_the_form_route(m):
+    for q in range(m + 1):
+        for I in itertools.combinations(range(m + 1), q + 1):
+            labels = dict(_whitney_form(m, I))
+            assert labels == _whitney_by_forms(m, I), (m, I)
+            # d omega_I = (q + 1)! dt_I is of weight q + 1 unless I is
+            # every vertex, and d keeps weight
+            assert max(map(_weight, labels)) == q + (q < m)
+
+
+def _d_labels(labels: dict) -> dict:
+    out: dict = {}
+    for lab, c in labels.items():
+        for tl, v in _monomial_d(lab):
+            out[tl] = out.get(tl, 0) + c * v
+    return {tl: v for tl, v in out.items() if v}
+
+
+@pytest.mark.parametrize("name", [
+    "simplex-0", "simplex-1", "simplex-2", "simplex-3", "boundary-2",
+    "boundary-3", "boundary-4", "points-2", "torus-7"])
+def test_whitney_map_is_a_chain_map_inverting_integration(name):
+    # E(z) is compatible, d E(z) = E(delta z), and its integral is z, on
+    # every basis cochain; on cocycles it is a family cocycle hitting z
+    S = _space(name)
+    C = cochain_complex(S)
+    for q in range(S.dimension + 1):
+        for sid in S.simplices_of(q):
+            z = {sid: 1}
+            E = _whitney_family(S, q, z)
+            dz = simplicial.Cochain(S, q, z).coboundary().values
+            dE = _whitney_family(S, q + 1, dz)
+            for tau, m in S.simplices.items():
+                on = E.get(tau, {})
+                assert _d_labels(on) == dE.get(tau, {}), (q, sid, tau)
+                for i in range(m + 1 if m else 0):
+                    assert sullivan._restrict(m, i, on) == \
+                        E.get(S.face(tau, i), {})
+            for tau in S.simplices_of(q):
+                assert _label_integral(E.get(tau, {})) == (tau == sid)
+        for vec in C.representatives(q):
+            z = {C.labels[q][i]: c for i, c in vec.items()}
+            E = _whitney_family(S, q, z)
+            assert _hits_as_family_cocycle(S, q, E, z)
+            # a cocycle's Whitney form has weight q
+            assert max(_weight(lab) for on in E.values() for lab in on) == q
+
+
+def _flipped_whitney(m, I):
+    return tuple((lab, -c) for lab, c in _whitney_form(m, I))
+
+
+def _whitney_over_q_plus_1_factorial(m, I):
+    return tuple((lab, c * len(I)) for lab, c in _whitney_form(m, I))
+
+
+def _whitney_without_t0(m, I):
+    # t_0 read as 0 rather than 1 - sum t_j: its constant term dropped
+    return tuple((lab, c) for lab, c in _whitney_form(m, I)
+                 if any(lab[0]) or 0 not in I)
+
+
+@pytest.mark.parametrize("name", ["boundary-2", "torus-7"])
+@pytest.mark.parametrize("wrong", [_flipped_whitney,
+                                   _whitney_over_q_plus_1_factorial,
+                                   _whitney_without_t0])
+def test_a_wrong_whitney_form_hits_nothing(monkeypatch, name, wrong):
+    S = _space(name)
+    C = cochain_complex(S)
+    monkeypatch.setattr(sullivan, "_whitney_form", wrong)
+    misses = 0
+    for q in range(S.dimension + 1):
+        for vec in C.representatives(q):
+            z = {C.labels[q][i]: c for i, c in vec.items()}
+            misses += not _hits_as_family_cocycle(
+                S, q, _whitney_family(S, q, z), z)
+    assert misses
+
+
+@pytest.mark.parametrize("name", ["boundary-2", "torus-7"])
+def test_a_failed_comparison_within_the_cap_is_no_cap_error(
+        monkeypatch, name):
+    # families that integrate to nothing hit no class: at a cap that
+    # holds every Whitney form the comparison fails (exit 2), below it
+    # the cap is too low (exit 5), and a broken Whitney form is a failed
+    # check (exit 2)
+    S = _space(name)
+    monkeypatch.setattr(SullivanComplex, "simplex_labels",
+                        lambda self, q, vec: {})
+    res = verify_de_rham(S, S.dimension + 1)
+    assert not res["induced_iso"] and not res["ok"]
+    assert res["sullivan_ranks"] == res["cochain_ranks"]
+    with pytest.raises(CapInsufficient, match="degree-1 .* weight 1$"):
+        verify_de_rham(S, 0)
+    monkeypatch.setattr(sullivan, "_whitney_form", _flipped_whitney)
+    with pytest.raises(CheckFailed, match="degree-0"):
+        verify_de_rham(S, S.dimension + 1)
 
 
 def _label_and_form_integrals(S, cap):
