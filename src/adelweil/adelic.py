@@ -332,10 +332,8 @@ def localization_check(model: ChartModel, chain: Chain,
     not contract to 1 against the vector field trips (b).
     """
     n = len(model.base_vars)
-    r = model.rank
     if P is None:
-        P = (InvariantPolynomial.elementary(r, n) if n <= r
-             else InvariantPolynomial.power_of_trace(r, n))
+        P = InvariantPolynomial.top_degree(model.rank, n)
     conn = mixed_connection(model, chain, inert=(TAU,))
     ctx = conn.ctx
     R11 = conn.curvature_11()

@@ -8,7 +8,6 @@ could not be parsed, 4 precision exhausted, 5 a search cap was hit.
 
 import argparse
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .parsing import (
 )
 from .report import Report
 from .residues import residue_general
-from .scenarios import bott_sum, curve_chain_rows
+from .scenarios import bott_sum, curve_adelic_integral
 from .simplicial import fiber_integrate
 from .sullivan import verify_de_rham
 
@@ -68,6 +67,9 @@ def cmd_residue(args) -> Report:
     path = resolve_input(args.file)
     rep = Report(command="residue")
     rep.add_input(path)
+    if args.precision is not None and args.precision < 1:
+        raise ParseError(
+            f"--precision must be at least 1, not {args.precision}")
     data = load_json(path)
     gf = fraction_from_json(data)
     value = residue_general(gf, precision=args.precision,
@@ -148,6 +150,10 @@ def cmd_chern(args) -> Report:
     rep.add_input(path)
     scn = scenario_from_json(load_json(path))
     if scn.whitney is not None:
+        if args.chain is not None:
+            raise ParseError(
+                f"scenario {scn.name} carries its own Whitney chain; "
+                "--chain applies to chart scenarios only")
         _chern_whitney(rep, scn)
     else:
         if not args.chain:
@@ -171,9 +177,8 @@ def cmd_verify_all(args) -> Report:
         run(f"bott {scn.name}", name,
             lambda s=scn: bott_sum(s)["matches"])
         if scn.curve is not None:
-            run(f"curve {scn.name}", name, lambda s=scn: sum(
-                (r["residue"] for r in curve_chain_rows(s)),
-                Fraction(0)) == s.expected)
+            run(f"curve {scn.name}", name,
+                lambda s=scn: curve_adelic_integral(s) == s.expected)
         if scn.chart is not None:
             run(f"localization {scn.name}", name,
                 lambda s=scn: localization_check(

@@ -48,6 +48,7 @@ from .exactalg import (
     RingMatrix,
     ONE,
     format_rational,
+    poly_substitute,
     rat,
 )
 
@@ -179,18 +180,6 @@ def chain_context(l: int, base_vars, inert_vars=()) -> DGContext:
     """Simplex factor of a length-l chain times a base chart."""
     return DGContext(tuple(f"t{i}" for i in range(1, l + 1)),
                      tuple(base_vars), tuple(inert_vars))
-
-
-def _poly_image(p: MultiPoly, images: dict, target: DGContext) -> RatFunc:
-    """Push a polynomial through a variable assignment into a context."""
-    acc = target.ring_const(0)
-    for exp, c in p.coeffs.items():
-        term = target.ring_const(c)
-        for name, k in zip(p.vars, exp):
-            if k:
-                term = term * images[name] ** k
-        acc = acc + term
-    return acc
 
 
 def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]):
@@ -444,11 +433,12 @@ class DiffForm:
             else:
                 full_even[name] = target.ring_const(img)
         odd_images = dict(odd_images or {})
+        one = target.ring_const(1)
         acc = target.zero_form()
         for mono, c in sorted(self.terms.items(),
                               key=lambda kv: (len(kv[0]), kv[0])):
-            num = _poly_image(c.num, full_even, target)
-            den = _poly_image(c.den, full_even, target)
+            num = poly_substitute(c.num, full_even, one)
+            den = poly_substitute(c.den, full_even, one)
             img = target.form_scalar(num / den)
             for idx in mono:
                 oi = odd_images.get(idx)
@@ -650,6 +640,14 @@ class InvariantPolynomial:
         exp = [0] * r
         exp[0] = n
         return cls(r, {tuple(exp): ONE})
+
+    @classmethod
+    def top_degree(cls, r: int, n: int) -> "InvariantPolynomial":
+        """The default degree-n invariant of rank r, whose form fills an
+        n-dimensional base: P_n if the rank allows, else P_1^n."""
+        if n <= r:
+            return cls.elementary(r, n)
+        return cls.power_of_trace(r, n)
 
     def render(self) -> str:
         if not self.terms:

@@ -7,10 +7,17 @@ with exact `fractions.Fraction` coefficients:
 * `MultiPoly` -- multivariate polynomials, dict-of-monomials storage,
   graded-lexicographic canonical order;
 * `TruncatedSeries` -- power series cut at a total degree, the working
-  model of a complete local ring at a rational point;
+  model of a complete local ring at a rational point.  It has no
+  arithmetic of its own: each operation is `MultiPoly`'s, truncated
+  once;
 * `RatFunc` -- quotients of polynomials, used as functions regular
   along a chain; equality is decided by cross multiplication, so no
   multivariate gcd is ever required.
+
+`poly_substitute` is the one substitution loop: a polynomial pushed
+through a variable assignment into any of these rings, or into the
+rationals (`MultiPoly.subs`, `MultiPoly.evaluate`,
+`TruncatedSeries.compose`, `dgforms.DiffForm.substitute`).
 
 `LinearSpan` is the one exact elimination kernel: sparse rows keyed
 by column labels, reduced incrementally, with rank, membership, normal
@@ -207,6 +214,8 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         coeffs = dict(self.coeffs)
         for exp, c in other.coeffs.items():
@@ -223,8 +232,6 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -310,24 +317,12 @@ class MultiPoly:
                 full[name] = img
             else:
                 full[name] = MultiPoly.const(tvars, img)
-        acc = MultiPoly.zero(tvars)
-        for exp, c in sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0])):
-            term = MultiPoly.const(tvars, c)
-            for name, k in zip(self.vars, exp):
-                if k:
-                    term = term * full[name] ** k
-            acc = acc + term
-        return acc
+        return poly_substitute(self, full, MultiPoly.const(tvars, 1))
 
     def evaluate(self, point: dict) -> Fraction:
-        total = ZERO
-        for exp, c in self.coeffs.items():
-            val = c
-            for name, k in zip(self.vars, exp):
-                if k:
-                    val *= rat(point[name]) ** k
-            total += val
-        return total
+        return poly_substitute(self, {name: rat(point[name])
+                                      for name in self.vars
+                                      if self.degree_in(name) > 0}, ONE)
 
     def truncate(self, bound: int) -> "MultiPoly":
         """Drop all monomials of total degree >= bound."""
@@ -385,12 +380,34 @@ class MultiPoly:
         return f"MultiPoly({self.render()!r})"
 
 
+def poly_substitute(p: MultiPoly, images: dict, one):
+    """p with each variable v sent to images[v]: the sum, over the terms
+    c x^e of p in graded-lex order, of c times the product of the
+    images[v]^e_v, built up from `one`, the unit of the target ring
+    (a Fraction, MultiPoly, TruncatedSeries or RatFunc).  Powers are
+    repeated products, as in `dgforms.invariant_eval`, so a series is
+    truncated after every factor.
+    """
+    acc = one * 0
+    for exp, c in sorted(p.coeffs.items(), key=lambda kv: grlex_key(kv[0])):
+        term = one * c
+        for name, k in zip(p.vars, exp):
+            for _ in range(k):
+                term = term * images[name]
+        acc = acc + term
+    return acc
+
+
 class TruncatedSeries:
     """Power series known exactly below a total-degree bound.
 
     `prec` is the first unknown degree: all monomials of total degree
-    < prec are stored, everything above is undetermined.  Binary
-    operations truncate to the weaker precision of the operands.
+    < prec are stored, everything above is undetermined.  Each +, -, *
+    and ** is the `MultiPoly` operation on the stored parts, truncated
+    once to the weaker precision of the operands; `compose` is
+    `poly_substitute` into series.  It is no `MultiPoly` subclass, so
+    code that takes a polynomial as exact in every degree never
+    mistakes a series for one.
     """
 
     __slots__ = ("vars", "coeffs", "prec")
@@ -432,73 +449,40 @@ class TruncatedSeries:
                 f"coefficient at degree {sum(exp)} needs precision > {self.prec}")
         return self.coeffs.get(exp, ZERO)
 
-    def _join(self, other) -> tuple["TruncatedSeries", "TruncatedSeries", int]:
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.const(self.vars, other, self.prec)
-        if isinstance(other, MultiPoly):
-            other = TruncatedSeries.from_poly(other, self.prec)
-        if self.vars != other.vars:
-            raise DimensionMismatch("series over different variables")
-        return self, other, min(self.prec, other.prec)
+    def _join(self, other) -> tuple:
+        """Polynomial operands and the result's precision; a scalar or a
+        polynomial is exact, so self's precision stands."""
+        if isinstance(other, TruncatedSeries):
+            return self.to_poly(), other.to_poly(), min(self.prec, other.prec)
+        return self.to_poly(), other, self.prec
 
     def __add__(self, other):
         a, b, prec = self._join(other)
-        coeffs = dict(a.coeffs)
-        for exp, c in b.coeffs.items():
-            s = coeffs.get(exp, ZERO) + c
-            if s:
-                coeffs[exp] = s
-            else:
-                coeffs.pop(exp, None)
-        return TruncatedSeries(a.vars, coeffs, prec)
+        return TruncatedSeries.from_poly(a + b, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.vars,
-                               {e: -c for e, c in self.coeffs.items()},
-                               self.prec)
+        return TruncatedSeries.from_poly(-self.to_poly(), self.prec)
 
     def __sub__(self, other):
-        a, b, prec = self._join(other)
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return TruncatedSeries(self.vars,
-                                   {e: v * c for e, v in self.coeffs.items()},
-                                   self.prec)
         a, b, prec = self._join(other)
-        coeffs: dict = {}
-        for e1, c1 in a.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in b.coeffs.items():
-                if d1 + sum(e2) >= prec:
-                    continue
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                s = coeffs.get(exp, ZERO) + c1 * c2
-                if s:
-                    coeffs[exp] = s
-                else:
-                    coeffs.pop(exp, None)
-        return TruncatedSeries(a.vars, coeffs, prec)
+        return TruncatedSeries.from_poly(a * b, prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = TruncatedSeries.const(self.vars, 1, self.prec)
-        for _ in range(n):
-            result = result * self
-        return result
+        return TruncatedSeries.from_poly(self.to_poly() ** n, self.prec)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            a, b, prec = self._join(other)
-            return a.truncate(prec).coeffs == b.truncate(prec).coeffs
+            return (self - other).is_zero()
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.vars == other.vars and self.prec == other.prec
@@ -517,7 +501,7 @@ class TruncatedSeries:
     def compose(self, images: dict) -> "TruncatedSeries":
         """Substitute each variable by a series with zero constant term."""
         imgs = {}
-        tvars = None
+        tvars = self.vars
         for name, img in images.items():
             if isinstance(img, MultiPoly):
                 img = TruncatedSeries.from_poly(img, self.prec)
@@ -531,14 +515,8 @@ class TruncatedSeries:
             if name not in imgs:
                 imgs[name] = TruncatedSeries.from_poly(
                     MultiPoly.var(tvars, name), prec)
-        acc = TruncatedSeries.const(tvars, 0, prec)
-        for exp, c in sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0])):
-            term = TruncatedSeries.const(tvars, c, prec)
-            for name, k in zip(self.vars, exp):
-                for _ in range(k):
-                    term = term * imgs[name]
-            acc = acc + term
-        return acc
+        return poly_substitute(self.to_poly(), imgs,
+                               TruncatedSeries.const(tvars, 1, prec))
 
     def render(self) -> str:
         tail = f" + O(deg {self.prec})"
@@ -700,8 +678,9 @@ class RatFunc:
             return NotImplemented
         return (self.num * other.den) == (other.num * self.den)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # equal quotients can have different numerators and denominators,
+    # and without a multivariate gcd there is no canonical pair to hash
+    __hash__ = None
 
     def diff(self, name: str) -> "RatFunc":
         if self.den.is_constant():
@@ -1212,6 +1191,10 @@ class LinearSpan:
 # admit T <= 99, three T <= 30, four T <= 17)
 MACAULAY_MONOMIAL_CAP = 5000
 
+# truncation cap of the colength search, for every caller: the residue
+# engine, the local Gauss-Bonnet count and artinian_length alike
+LENGTH_CAP = 24
+
 
 def _window(x, bound: int) -> MultiPoly:
     """Truncation of a series-like entry below total degree `bound`."""
@@ -1219,7 +1202,7 @@ def _window(x, bound: int) -> MultiPoly:
         if x.prec < bound:
             raise PrecisionExhausted(
                 f"series precision {x.prec} below required window {bound}")
-        return MultiPoly(x.vars, dict(x.coeffs)).truncate(bound)
+        return x.to_poly().truncate(bound)
     return x.truncate(bound)
 
 
@@ -1253,7 +1236,7 @@ def macaulay_span(generators, T: int) -> "LinearSpan":
     return span
 
 
-def artinian_length(generators, cap: int = 16) -> int:
+def artinian_length(generators, cap: int = LENGTH_CAP) -> int:
     """Colength of the ideal generated by a regular sequence at the origin.
 
     The quotient by (generators) + m^T is read off the Macaulay span for
@@ -1272,7 +1255,7 @@ def artinian_length(generators, cap: int = 16) -> int:
     return _colength_and_span(generators, cap)[0]
 
 
-def _colength_and_span(generators, cap: int = 16) -> tuple:
+def _colength_and_span(generators, cap: int = LENGTH_CAP) -> tuple:
     """(l, T, span): the colength, and the truncation and span that
     certified it; (0, None, None) for a unit ideal.  Every monomial of
     degree >= T - 1 is a pivot, so the non-pivot monomials are a basis

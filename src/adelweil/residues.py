@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
 )
 from .exactalg import (
+    LENGTH_CAP,
     ONE,
     ZERO,
     MultiPoly,
@@ -41,9 +42,6 @@ from .exactalg import (
     _window,
 )
 from .dgforms import InvariantPolynomial, invariant_eval
-
-# truncation cap of the colength search behind every residue
-LENGTH_CAP = 24
 
 
 def _require_series_like(x, vars):
@@ -314,7 +312,7 @@ def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
         if img is None:
             img = MultiPoly.var(vars, v)
         if isinstance(img, TruncatedSeries):
-            img = MultiPoly(img.vars, dict(img.coeffs))
+            img = img.to_poly()
         if img.constant_term():
             raise NotInvertibleChange(f"substitution moves the origin ({v})")
         images[v] = img

@@ -58,9 +58,7 @@ class Scenario:
 
 def canonical_invariant(scn: Scenario) -> InvariantPolynomial:
     """Top elementary invariant if the rank allows, else a trace power."""
-    if scn.n <= scn.r:
-        return InvariantPolynomial.elementary(scn.r, scn.n)
-    return InvariantPolynomial.power_of_trace(scn.r, scn.n)
+    return InvariantPolynomial.top_degree(scn.r, scn.n)
 
 
 def projective_space_scenario(n: int, weights, bundle,

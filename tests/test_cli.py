@@ -198,6 +198,22 @@ def test_degree_mismatch_exits_2(capsys):
     assert code == 2 and "degree" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chern", "p1-o1.json"], "needs --chain"),
+    (["chern", "p1-whitney.json", "--chain", "x0"],
+     "--chain applies to chart scenarios only"),
+    (["residue", "fraction-cusp.json", "--precision", "0"],
+     "--precision must be at least 1, not 0"),
+    (["residue", "fraction-cusp.json", "--precision", "-3"],
+     "--precision must be at least 1, not -3"),
+], ids=["chart-without-chain", "whitney-with-chain", "precision-0",
+        "precision-negative"])
+def test_options_that_cannot_apply_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
 def test_unknown_chain_label_exits_2(capsys):
     code, _, err = run(capsys, ["chern", "p1-o1.json", "--chain", "x0,zz"])
     assert code == 2 and "zz" in err

@@ -18,6 +18,10 @@ from adelweil.exactalg import (
 
 from matrix_oracles import perm_det
 from residue_oracles import three_equal_colength
+from ring_oracles import (
+    evaluate_loop, subs_loop, truncated_compose, truncated_power,
+    truncated_product, truncated_sum,
+)
 from strategies import fractions, polys
 from test_acceptance import SEED, _random_component
 
@@ -80,6 +84,26 @@ def test_poly_subs_evaluates_consistently(p):
         p.evaluate({"f1": Q(1), "f2": Q(2)})
 
 
+@given(polys(V2, max_degree=3, max_terms=4), polys(V3, max_degree=2),
+       polys(V3, max_degree=2), fractions())
+def test_poly_subs_matches_the_substitution_loop(p, u, v, c):
+    assert p.subs({"f1": u, "f2": v}) == subs_loop(p, {"f1": u, "f2": v}, V3)
+    # an unmapped variable keeps its name, a scalar image is a constant
+    shift = f1 + MultiPoly.const(V2, 1)
+    assert p.subs({"f1": shift}) == subs_loop(p, {"f1": shift, "f2": f2}, V2)
+    assert p.subs({"f2": c}) == \
+        subs_loop(p, {"f1": f1, "f2": MultiPoly.const(V2, c)}, V2)
+
+
+@given(polys(V2, max_degree=3, max_terms=4), fractions(), fractions())
+def test_poly_evaluate_matches_the_substitution_loop(p, x, y):
+    point = {"f1": x, "f2": y}
+    assert p.evaluate(point) == evaluate_loop(p, point)
+    # only the variables that occur need a value
+    assert p.subs({"f2": 0}).evaluate({"f1": x}) == \
+        evaluate_loop(p, {"f1": x, "f2": 0})
+
+
 def test_poly_render_uses_explicit_stars():
     p = f1 * f1 * Q(3, 2) - f2 + MultiPoly.const(V2, 1)
     assert p.render() == "1 - f2 + 3/2*f1^2"
@@ -111,6 +135,80 @@ def test_series_compose_shifts_coefficients():
     out = s.compose({"f": t})
     assert out.coefficient((1,)) == 2
     assert out.coefficient((2,)) == 4
+
+
+PRECS = st.integers(min_value=0, max_value=6)
+SERIES_PARTS = polys(V2, max_degree=5, max_terms=5)
+
+
+@given(SERIES_PARTS, SERIES_PARTS, PRECS, PRECS,
+       st.integers(min_value=0, max_value=4))
+def test_series_arithmetic_matches_the_truncated_loops(p, q, m, n, k):
+    a = TruncatedSeries.from_poly(p, m)
+    b = TruncatedSeries.from_poly(q, n)
+    prec = min(m, n)
+    for got, want, want_prec in (
+            (a + b, truncated_sum(a.coeffs, b.coeffs, prec), prec),
+            (a - b, truncated_sum(a.coeffs, b.coeffs, prec, -1), prec),
+            (a * b, truncated_product(a.coeffs, b.coeffs, prec), prec),
+            (a ** k, truncated_power(a.coeffs, k, 2, m), m),
+            # a polynomial or a scalar operand is exact: a keeps its prec
+            (a + q, truncated_sum(a.coeffs, q.coeffs, m), m),
+            (q - a, truncated_sum(q.coeffs, a.coeffs, m, -1), m),
+            (q * a, truncated_product(q.coeffs, a.coeffs, m), m),
+            (a * Q(3, 2), truncated_product(
+                a.coeffs, {(0, 0): Q(3, 2)}, m), m)):
+        assert type(got) is TruncatedSeries
+        assert (got.prec, got.coeffs) == (want_prec, want)
+    with pytest.raises(PrecisionExhausted):
+        (a * b).coefficient((prec, 0))
+
+
+@given(polys(V2, max_degree=5, max_terms=4),
+       polys(V2, max_degree=3, max_terms=3, min_degree=1),
+       polys(V2, max_degree=3, max_terms=3, min_degree=1), PRECS, PRECS)
+def test_series_compose_matches_the_truncated_loop(p, u, v, m, n):
+    s = TruncatedSeries.from_poly(p, m)
+    images = {"f1": TruncatedSeries.from_poly(u, n), "f2": v}
+    got = s.compose(images)
+    prec = min(m, n)
+    want = truncated_compose(s.coeffs, V2, {"f1": u.coeffs, "f2": v.coeffs},
+                             2, prec)
+    assert (got.prec, got.coeffs) == (prec, want)
+    # an unmapped variable is its own image
+    assert s.compose({"f1": v}).coeffs == truncated_compose(
+        s.coeffs, V2, {"f1": v.coeffs, "f2": f2.coeffs}, 2, m)
+
+
+def test_series_compose_needs_images_without_constant_term():
+    s = TruncatedSeries.from_poly(f1 + f2 ** 2, 4)
+    for img in (f2 + 1, TruncatedSeries.from_poly(f2 - Q(1, 2), 4)):
+        with pytest.raises(NotAUnit, match="constant term"):
+            s.compose({"f1": img})
+
+
+def test_series_stays_apart_from_polynomials():
+    # a series is no MultiPoly, and a polynomial operand does not turn
+    # it into one: the sum keeps the series' precision
+    s = TruncatedSeries.from_poly(f1, 2)
+    assert not isinstance(s, MultiPoly)
+    for total in ((f1 + f1 ** 3) + s, s + (f1 + f1 ** 3)):
+        assert type(total) is TruncatedSeries and total.prec == 2
+        assert total == 2 * f1
+    assert s == f1 + f2 ** 2
+    with pytest.raises(DimensionMismatch):
+        s + MultiPoly.var(V3, "f3")
+
+
+def test_ratfunc_is_not_hashable():
+    # equal values with different numerator and denominator pairs: no
+    # hash can agree with ==, so none is offered
+    a = RatFunc(f1 ** 2 + f1 * f2, f1 * f2 + f2 ** 2)
+    b = RatFunc(f1, f2)
+    assert a == b and (a.num, a.den) != (b.num, b.den)
+    for x in (a, b):
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 @given(polys(V1, max_degree=2), polys(V1, max_degree=2).filter(
@@ -383,6 +481,8 @@ def test_artinian_length_anchors():
     assert artinian_length((f1, f2)) == 1
     assert artinian_length((f1 ** 2, f2 ** 3)) == 6
     assert artinian_length((f1 ** 2 - f2 ** 3, f2 ** 2)) == 4
+    # the default cap is the residue engine's: colength 20 repeats at 21
+    assert artinian_length((f ** 20,)) == 20
 
 
 @settings(max_examples=15)

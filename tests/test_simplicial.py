@@ -1,11 +1,13 @@
 import math
 import re
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil import dgforms
 from adelweil.dgforms import chain_context, simplex_context
 from adelweil.errors import DimensionMismatch, Incomposable, ParseError
 from adelweil.simplicial import (
@@ -16,6 +18,7 @@ from adelweil.simplicial import (
     vertex_value,
 )
 
+from ring_oracles import ratfunc_image
 from strategies import fractions, polys
 
 
@@ -67,6 +70,25 @@ def test_pullback_is_contravariantly_functorial(tau, sigma, p):
     both = pullback_along(compose(sigma, tau), form)
     stepwise = pullback_along(tau, pullback_along(sigma, form))
     assert both == stepwise
+
+
+@settings(max_examples=20)
+@given(st.integers(min_value=0, max_value=3).flatmap(
+           lambda m: monotone_maps(m, 2)),
+       polys(("t1", "t2"), max_degree=2, max_terms=3),
+       polys(("t1", "t2"), max_degree=2, max_terms=2))
+def test_pullback_matches_the_ratfunc_loop(sigma, p, q):
+    # substitute's coefficients, pushed through the RatFunc loop that
+    # the one substitution loop replaced; 1 + q^2 has no rational zero
+    ctx = simplex_context(2)
+    c = ctx.ring_poly(p) / ctx.ring_poly(1 + q * q)
+    form = ctx.form_scalar(c) * ctx.dt(1) + ctx.form_scalar(c * c) + \
+        ctx.form_scalar(ctx.ring_poly(q)) * ctx.dt(1) * ctx.dt(2)
+    with mock.patch.object(dgforms, "poly_substitute",
+                           lambda poly, images, one:
+                           ratfunc_image(poly, images, one.vars)):
+        expect = pullback_along(sigma, form)
+    assert pullback_along(sigma, form) == expect
 
 
 @settings(max_examples=20)
