@@ -169,49 +169,29 @@ def dirichlet_integral(l: int, exponents, a0: int = 0) -> Fraction:
     return Fraction(num, math.factorial(l + sum(exponents) + a0))
 
 
-def integrate_over_simplex(form: DiffForm, l: int | None = None) -> Fraction:
+def integrate_over_simplex(form: DiffForm) -> Fraction:
     """Integrate the top simplex-degree part of a form, exactly.
 
-    Terms of simplex odd-degree below l integrate to zero by
-    convention; terms carrying base differentials are rejected (use
-    fiber_integrate for those).  Coefficients must be polynomial in the
-    simplex variables.
+    This is `fiber_integrate` over a point.  Terms of simplex odd-degree
+    below the simplex dimension integrate to zero by convention; terms
+    carrying base differentials, and a top coefficient that is no
+    polynomial in the simplex variables alone, are rejected (use
+    fiber_integrate for those).
     """
-    ctx = form.ctx
-    if l is None:
-        l = len(ctx.simplex_vars)
-    elif l != len(ctx.simplex_vars):
+    l = len(form.ctx.simplex_vars)
+    if any(i >= l for mono in form.terms for i in mono):
         raise DimensionMismatch(
-            f"form lives on a {len(ctx.simplex_vars)}-simplex, not {l}")
-    top = tuple(range(l))
-    total = Fraction(0)
-    for mono, c in form.terms.items():
-        if any(i >= l for i in mono):
-            raise DimensionMismatch(
-                "base differentials present; use fiber_integrate")
-        if mono != top:
-            continue
-        total += _integrate_coefficient(ctx, c, l)
-    return total
-
-
-def _integrate_coefficient(ctx: DGContext, c, l: int) -> Fraction:
-    for name in ctx.simplex_vars:
-        if c.den.degree_in(name) > 0:
-            raise DimensionMismatch(
-                f"cannot integrate a coefficient with {name} in the denominator")
-    den = c.den.constant_term() if c.den.is_constant() else None
-    if den is None:
-        # denominator in base variables only: integration is on num
+            "base differentials present; use fiber_integrate")
+    top = form.terms.get(tuple(range(l)))
+    if top is not None and (not top.den.is_constant()
+                            or any(any(exp[l:]) for exp in top.num.coeffs)):
         raise DimensionMismatch(
-            "coefficient is not scalar-valued; use fiber_integrate")
-    total = Fraction(0)
-    for exp, v in c.num.coeffs.items():
-        t_part = exp[:l]
-        if any(exp[l:]):
-            raise DimensionMismatch("coefficient involves base variables")
-        total += v * dirichlet_integral(l, t_part)
-    return total / den
+            "coefficient involves base variables or a denominator; "
+            "use fiber_integrate")
+    value = fiber_integrate(form).terms.get(())
+    if value is None:
+        return Fraction(0)
+    return value.num.constant_term() / value.den.constant_term()
 
 
 def fiber_integrate(form: DiffForm) -> DiffForm:
@@ -562,5 +542,5 @@ def rho(form: DiffForm, n: int | None = None) -> Cochain:
     vals = {}
     for sid in sset.simplices_of(q):
         sigma = DeltaMorphism(q, n, sset.vertex_tuple(sid))
-        vals[sid] = integrate_over_simplex(pullback_along(sigma, form), q)
+        vals[sid] = integrate_over_simplex(pullback_along(sigma, form))
     return Cochain(sset, q, vals)

@@ -8,6 +8,16 @@ isomorphism.  This module computes bases of such families by exact
 linear algebra, the cohomology of both sides, the induced map, and the
 multiplicativity defect (which must lie in the span of the coboundaries).
 
+A family is fixed by its forms on the maximal simplices, the simplices
+that are no face of another; every other form is a restriction of
+those, so the compatibility solve has its unknowns there alone.  Each
+simplex has a reference: a maximal simplex and its vertex positions
+there.  Along every face map, the restricted reference must equal the
+face's own, one equation per target label (none when both are one face
+of one maximal simplex).  So the equations grow with the face maps, not
+with the 2^(m+1) vertex subsets of an m-simplex, and a standard simplex
+has none: its coordinates are the top-cell monomials.
+
 Polynomial degree plus form degree ("weight") is not preserved by
 vertex evaluations, so the family spaces are filtered, not graded, by
 weight: sullivan_basis(S, q, w) is the space of families all of whose
@@ -55,15 +65,9 @@ family of the cap hits either has a Whitney form of weight above the
 cap (CapInsufficient), or E(z) is a family cocycle of the cap that hits
 it, and the comparison has failed.
 
-The one special case is a standard simplex, where restriction to the
-top cell is an isomorphism: its coordinates are the top-cell monomials
-(`standard_n`) instead of a compatibility solve, so d is the monomial d
-and block diagonal in weight.  Everything after the coordinates is the
-same path.
-
 Coefficients stay Python ints from the label caches to the d∘d check:
 face images are signed multinomials, d has the signed exponents, the
-compatibility rows are 1 and minus a face image, and `LinearSpan.kernel`
+compatibility rows are differences of face images, and `LinearSpan.kernel`
 returns an int wherever the reduced entry is integral (every entry, on
 the shipped spaces and the 7-vertex torus).  Coordinates and
 coboundaries add up from 0, so a Fraction appears only where a kernel
@@ -71,16 +75,15 @@ entry is not integral; equality stays exact either way.  Forms,
 cochains and reports are Fractions.
 
 The comparison integrates and multiplies families on these labels too,
-without building forms.  A family's form on a simplex is its labels
-there; on a standard simplex the top-cell labels are restricted face by
-face through `_face_image`, since `_is_standard_simplex` proved the
-file's faces to be the standard ones (so positions are read off the
-faces, never off the vertex numbers).  t^a dt_1..dt_q integrates over
-the q-simplex to prod(a_i!) / (|a| + q)!, the Dirichlet integral.  The
-product of t^a dt_I and t^b dt_J on a simplex of dimension |I| + |J| is
-top-degree only when J is the complement of I, and then it is the wedge
-sign (-1 to the number of pairs j < i, i in I, j in J) times
-t^(a+b) dt_1..dt_(|I|+|J|).  `SullivanComplex.element` and the
+without building forms.  A family's labels on the maximal simplices are
+restricted face by face through `_face_image` to every other simplex,
+so positions are read off the faces, never off the vertex numbers.
+t^a dt_1..dt_q integrates over the q-simplex to prod(a_i!) / (|a| +
+q)!, the Dirichlet integral.  The product of t^a dt_I and t^b dt_J on
+a simplex of dimension |I| + |J| is top-degree only when J is the
+complement of I, and then it is the wedge sign (-1 to the number of
+pairs j < i, i in I, j in J) times t^(a+b) dt_1..dt_(|I|+|J|).
+`SullivanComplex.element` builds forms from those labels, and the
 `SullivanElement` operations stay as the form route, which the tests use
 as the independent oracle.
 """
@@ -106,23 +109,22 @@ from .exactalg import LinearSpan, MultiPoly
 from .dgforms import DiffForm, simplex_context
 from .simplicial import (
     Cochain,
-    DeltaMorphism,
     FiniteSimplicialSet,
     aw_product,
     dirichlet_integral,
     face,
     integrate_over_simplex,
     pullback_along,
-    standard_simplex_sset,
 )
 
 HARD_DEGREE_CAP = 12
 HARD_WEIGHT_CAP = 24
 
-# hard cap on the labels of the compatibility solve at the weight cap: in
-# process on 2 vCPUs, the boundary of the 4-simplex takes 0.5 s at the
-# default cap 7 (4,160 labels), 1.5 s at cap 9 (7,800) and 2.8-3.6 s at
-# cap 10 (10,230, the largest admitted; cap 11 has 13,120)
+# hard cap on the labels of every simplex at the weight cap, whatever the
+# space: in process on 2 vCPUs, the boundary of the 4-simplex takes 0.6 s
+# at the default cap 7 (4,160 labels), 2.2 s at cap 9 (7,800) and 3.5-4.8 s
+# at cap 10 (10,230, the largest admitted; cap 11 has 13,120); the
+# 3-simplex has 1,121 at its default cap 7 and the 5-simplex 77,505 at 9
 MAX_FAMILY_LABELS = 12_000
 
 
@@ -451,7 +453,7 @@ class SullivanElement:
     def integrate(self) -> Cochain:
         vals = {}
         for sid in self.sset.simplices_of(self.degree):
-            vals[sid] = integrate_over_simplex(self.form_on(sid), self.degree)
+            vals[sid] = integrate_over_simplex(self.form_on(sid))
         return Cochain(self.sset, self.degree, vals)
 
     def __eq__(self, other):
@@ -464,44 +466,12 @@ class SullivanElement:
 # -- bases and complexes -----------------------------------------------------
 
 
-def _is_standard_simplex(sset: FiniteSimplicialSet):
-    n = sset.dimension
-    if n > 9 or len(sset.simplices) != 2 ** (n + 1) - 1:
-        return None
-    if sset == standard_simplex_sset(n):
-        return n
-    return None
-
-
-def _family_from_vector(sset, q, vec) -> SullivanElement:
-    per_sid: dict = {}
-    for (sid, lab), c in vec.items():
-        per_sid.setdefault(sid, []).append((lab, c))
-    return SullivanElement(sset, q, {
-        sid: _form_of(simplex_context(sset.dim_of(sid)), pairs)
-        for sid, pairs in per_sid.items()})
-
-
-def _family_from_top(sset, n, q, top_form) -> SullivanElement:
-    # the ids and faces are the standard simplex's (`_is_standard_simplex`),
-    # so the face maps read positions there, whatever the file's vertices
-    std = standard_simplex_sset(n)
-    top_id = std.simplices_of(n)[0]
-    forms = {top_id: top_form}
-    for sid, dim in std.simplices.items():
-        if sid == top_id or dim < q:
-            continue
-        sigma = DeltaMorphism(dim, n, std.vertex_tuple(sid))
-        forms[sid] = pullback_along(sigma, top_form)
-    return SullivanElement(sset, q, forms)
-
-
 class SullivanComplex:
     """Exact coordinates for the family complex of one simplicial set.
 
     Degrees run 0..dimension; coordinates are the free labels of the
-    compatibility solve (or top-simplex monomials on a standard
-    simplex, where restriction to the top cell is an isomorphism).
+    compatibility solve, whose unknowns are the labels on the maximal
+    simplices.
     """
 
     def __init__(self, sset: FiniteSimplicialSet, weight_cap: int):
@@ -511,57 +481,85 @@ class SullivanComplex:
         self.sset = sset
         self.cap = weight_cap
         self.L = sset.dimension
-        self.standard_n = _is_standard_simplex(sset)
-        if self.standard_n is None:
-            # C(m, q) dt-monomials times C(cap - q + m, m) t-monomials of
-            # weight <= cap on each m-simplex, summed over the degrees q
-            count = sum(math.comb(m, q) * math.comb(weight_cap - q + m, m)
-                        for m in map(sset.dim_of, sset.simplices)
-                        for q in range(min(m, self.L + 1, weight_cap) + 1))
-            if count > MAX_FAMILY_LABELS:
-                raise CapExceeded(
-                    f"the family complex at weight {weight_cap} has "
-                    f"{count} labels, past the cap of {MAX_FAMILY_LABELS}")
+        # C(m, q) dt-monomials times C(cap - q + m, m) t-monomials of
+        # weight <= cap on each m-simplex, summed over the degrees q
+        count = sum(math.comb(m, q) * math.comb(weight_cap - q + m, m)
+                    for m in map(sset.dim_of, sset.simplices)
+                    for q in range(min(m, self.L + 1, weight_cap) + 1))
+        if count > MAX_FAMILY_LABELS:
+            raise CapExceeded(
+                f"the family complex at weight {weight_cap} has "
+                f"{count} labels, past the cap of {MAX_FAMILY_LABELS}")
+        faces = {fsid for fs in sset.faces.values() for fsid in fs}
+        self._maximal = sorted(set(sset.simplices) - faces)
+        # each simplex is read as the face of one maximal simplex on some
+        # of its vertex positions, the first found breadth first.  `_tree`
+        # holds the face maps that found a simplex, `_glued` the others,
+        # but for those that find the same face of the same maximal
+        # simplex again (the face maps' identities make those agree)
+        queue = list(self._maximal)
+        ref = {top: (top, tuple(range(sset.dim_of(top) + 1)))
+               for top in queue}
+        self._tree, self._glued = [], []
+        for sid in queue:
+            top, keep = ref[sid]
+            for i, fsid in enumerate(sset.faces.get(sid, ())):
+                if fsid not in ref:
+                    ref[fsid] = (top, keep[:i] + keep[i + 1:])
+                    self._tree.append((sid, i, fsid))
+                    queue.append(fsid)
+                elif ref[fsid] != (top, keep[:i] + keep[i + 1:]):
+                    self._glued.append((sid, i, fsid))
         self._coords: dict = {}
         self._vectors: dict = {}
         for q in range(self.L + 2):
             self._solve_degree(q)
         # coordinates are weight-ascending, so these lists are sorted
         self._weights = [[_weight(lab) for _, lab in self._coords[q]]
-                        for q in range(self.L + 2)]
+                         for q in range(self.L + 2)]
 
     def _solve_degree(self, q: int):
         sset, cap = self.sset, self.cap
-        if self.standard_n is not None:
-            n = self.standard_n
-            top = sset.simplices_of(n)[0]
-            labels = [(top, lab) for lab in _simplex_labels(n, q, cap)]
-            self._coords[q] = labels
-            self._vectors[q] = [{lab: 1} for lab in labels]
-            return
         # weight first: the weight <= w families are the leading free labels
-        sids = sorted(sset.simplices)
-        labels = [(sid, lab) for w in range(q, cap + 1) for sid in sids
+        labels = [(sid, lab) for w in range(q, cap + 1)
+                  for sid in self._maximal
                   for lab in _simplex_weight_block(sset.dim_of(sid), q, w)]
         order = {lab: k for k, lab in enumerate(labels)}
+        # with no unknowns there is nothing to equate
+        glued = [(sid, i, fsid) for sid, i, fsid in self._glued
+                 if sset.dim_of(sid) > q] if labels else []
+        columns = self._columns(q) if glued else {}
+        # one equation per target label and glued face map: the simplex's
+        # forms restricted to the face equal the face's own
         rows = []
-        for sid in sids:
-            dim = sset.dim_of(sid)
-            if dim == 0 or dim - 1 < q:
-                continue
-            for i in range(dim + 1):
-                fsid = sset.face(sid, i)
-                # one equation per target label: face value = pullback
-                pulled: dict = {}
-                for sl in _simplex_labels(dim, q, cap):
-                    for tl, v in _face_image(dim, i, sl):
-                        pulled.setdefault(tl, {})[(sid, sl)] = -v
-                for tl, row in pulled.items():
-                    row[(fsid, tl)] = 1
-                    rows.append(row)
+        for sid, i, fsid in glued:
+            row_of: dict = {}
+            for key, form in columns[fsid].items():
+                for tl, c in form.items():
+                    row_of.setdefault(tl, {})[key] = c
+            for key, form in columns[sid].items():
+                for tl, c in _restrict(sset.dim_of(sid), i, form).items():
+                    row = row_of.setdefault(tl, {})
+                    row[key] = row.get(key, 0) - c
+            rows += [row for row in ({key: c for key, c in r.items() if c}
+                                     for r in row_of.values()) if row]
         basis = sparse_nullspace(rows, order)
         self._coords[q] = [flab for flab, _ in basis]
         self._vectors[q] = [vec for _, vec in basis]
+
+    def _columns(self, q: int) -> dict:
+        """{sid: {unknown: form}}: each degree-q unknown, a label on a
+        maximal simplex, restricted to every simplex of dimension >= q
+        along the face maps that found the simplex."""
+        sset = self.sset
+        columns = {top: {(top, lab): {lab: 1} for lab in
+                         _simplex_labels(sset.dim_of(top), q, self.cap)}
+                   for top in self._maximal}
+        for sid, i, fsid in self._tree:
+            if sset.dim_of(fsid) >= q:
+                columns[fsid] = {key: _restrict(sset.dim_of(sid), i, form)
+                                 for key, form in columns[sid].items()}
+        return columns
 
     def dim(self, q: int) -> int:
         return len(self._vectors.get(q, ()))
@@ -594,36 +592,25 @@ class SullivanComplex:
         return vec
 
     def element(self, q: int, vec_or_index) -> SullivanElement:
-        vec = self._label_vector(q, vec_or_index)
-        if self.standard_n is not None:
-            n = self.standard_n
-            top_form = _form_of(simplex_context(n),
-                                ((lab, c) for (_, lab), c in vec.items()))
-            return _family_from_top(self.sset, n, q, top_form)
-        return _family_from_vector(self.sset, q, vec)
+        return SullivanElement(self.sset, q, {
+            sid: _form_of(simplex_context(self.sset.dim_of(sid)),
+                          labels.items())
+            for sid, labels in self.simplex_labels(q, vec_or_index).items()})
 
     def simplex_labels(self, q: int, vec_or_index) -> dict:
         """{sid: {label: c}}: a degree-q family (as in `element`) on each
         simplex of dimension >= q, in monomial labels, without forms.
 
-        On a standard simplex the top-cell labels are restricted face by
-        face through `_face_image`; the file's faces are the standard
-        ones, so face i of a simplex drops its position i.
+        The labels on the maximal simplices are restricted face by face
+        through `_face_image`, along the face maps that found each
+        simplex: face i of a simplex drops its position i.
         """
         on: dict = {}
         for (sid, lab), c in self._label_vector(q, vec_or_index).items():
             on.setdefault(sid, {})[lab] = c
-        if self.standard_n is None:
-            return on
-        sset = self.sset
-        for sid in sorted(sset.simplices, key=sset.dim_of, reverse=True):
-            dim, labels = sset.dim_of(sid), on.get(sid)
-            if dim <= q or not labels:
-                continue
-            for i in range(dim + 1):
-                fsid = sset.face(sid, i)
-                if fsid not in on:
-                    on[fsid] = _restrict(dim, i, labels)
+        for sid, i, fsid in self._tree:
+            if sid in on and self.sset.dim_of(fsid) >= q:
+                on[fsid] = _restrict(self.sset.dim_of(sid), i, on[sid])
         return on
 
     def d_matrix(self, q: int) -> list:

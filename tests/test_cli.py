@@ -6,7 +6,7 @@ import pytest
 
 from adelweil.cli import main, resolve_input
 from adelweil.parsing import MAX_CHAIN, MAX_RANK
-from adelweil.simplicial import boundary_simplex_sset
+from adelweil.simplicial import boundary_simplex_sset, standard_simplex_sset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,8 +146,9 @@ def test_renumbered_standard_simplex_keeps_its_ranks(capsys, tmp_path):
 ], ids=["no-vertices", "renumbered-3-5-8"])
 def test_standard_simplex_report_ignores_the_vertices(capsys, tmp_path,
                                                       edit):
-    # a standard simplex is recognized by its ids and faces; the vertex
-    # numbers, or their absence, leave every line but the input alone
+    # the family solve reads positions off the faces, never off the
+    # vertex numbers, so the vertex numbers, or their absence, leave
+    # every line but the input alone
     data = json.loads(Path(resolve_input("delta2.json")).read_text())
     edit(data)
     path = tmp_path / "delta2-edited.json"
@@ -411,16 +412,31 @@ def test_out_of_range_weight_cap_exits_5(capsys, space, cap):
     assert f"weight cap {cap} " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("n, cap, code, message", [
-    (4, "10", 0, None),
-    (4, "11", 5, "weight 11 has 13120 labels, past the cap of 12000"),
-    (5, None, 5, "weight 8 has 37550 labels, past the cap of 12000"),
-    (6, None, 5, "weight 9 has 322308 labels, past the cap of 12000"),
-], ids=["bd4-cap10", "bd4-cap11", "bd5", "bd6"])
-def test_family_label_cap(capsys, tmp_path, n, cap, code, message):
+@pytest.mark.parametrize("space, cap, code, message", [
+    (boundary_simplex_sset(4), "10", 0, None),
+    (boundary_simplex_sset(4), "11", 5,
+     "weight 11 has 13120 labels, past the cap of 12000"),
+    (boundary_simplex_sset(5), None, 5,
+     "weight 8 has 37550 labels, past the cap of 12000"),
+    (boundary_simplex_sset(6), None, 5,
+     "weight 9 has 322308 labels, past the cap of 12000"),
+    # a standard simplex counts its labels like any other space; the
+    # 3-simplex is the shipped delta3.json
+    (standard_simplex_sset(3), None, 0, None),
+    (standard_simplex_sset(3), "19", 5,
+     "weight 19 has 13201 labels, past the cap of 12000"),
+    (standard_simplex_sset(4), "9", 5,
+     "weight 9 has 13441 labels, past the cap of 12000"),
+    (standard_simplex_sset(5), None, 5,
+     "weight 9 has 77505 labels, past the cap of 12000"),
+    (standard_simplex_sset(6), None, 5,
+     "weight 10 has 627199 labels, past the cap of 12000"),
+], ids=["bd4-cap10", "bd4-cap11", "bd5", "bd6", "delta3", "delta3-cap19",
+        "delta4-cap9", "delta5", "delta6"])
+def test_family_label_cap(capsys, tmp_path, space, cap, code, message):
     # the boundary of the 4-simplex at cap 10 is the largest admitted
-    path = tmp_path / f"boundary-delta{n}.json"
-    path.write_text(json.dumps(boundary_simplex_sset(n).to_json()))
+    path = tmp_path / f"{space.name}.json"
+    path.write_text(json.dumps(space.to_json()))
     flags = [] if cap is None else ["--weight-cap", cap]
     started = time.perf_counter()
     got, _, err = run(capsys, ["derham", str(path)] + flags)
@@ -428,6 +444,23 @@ def test_family_label_cap(capsys, tmp_path, n, cap, code, message):
     if message is not None:
         assert time.perf_counter() - started < 5
         assert message in err and "Traceback" not in err
+
+
+def test_one_simplex_per_dimension_is_solved_face_by_face(capsys, tmp_path):
+    # every face of the 22-simplex is the one stored simplex of its
+    # dimension, on C(23, k) vertex subsets; the solve takes one block of
+    # equations per face map, never one per subset
+    D = 22
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "name": "chain", "simplices": {f"s{m}": m for m in range(D + 1)},
+        "faces": {f"s{m}": [f"s{m - 1}"] * (m + 1)
+                  for m in range(1, D + 1)}}))
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["derham", str(path), "--weight-cap", "1"])
+    assert time.perf_counter() - started < 5
+    assert code == 0, err
+    assert out.endswith("status: PASS\n")
 
 
 def _low_cap_runs():

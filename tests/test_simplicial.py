@@ -145,6 +145,21 @@ def test_integration_drops_lower_degrees_and_rejects_base():
     cctx = chain_context(1, ("f",))
     with pytest.raises(DimensionMismatch):
         integrate_over_simplex(cctx.df("f"))
+    # base variables in the top coefficient, or in its denominator
+    f = cctx.ring_var("f")
+    for coeff in (f, f * f - f, 1 / (f + 1), 1 / (cctx.t_coeff(1) + 1)):
+        with pytest.raises(DimensionMismatch):
+            integrate_over_simplex(cctx.form_scalar(coeff) * cctx.dt(1))
+    # a base variable below the top degree is dropped with its term
+    assert integrate_over_simplex(cctx.form_scalar(f) + cctx.dt(1)) == 1
+
+
+def test_integration_is_the_fiber_integral_over_a_point():
+    ctx = simplex_context(2)
+    form = (ctx.t(1) * ctx.t(1) * 3 + ctx.t(2) + 1) * ctx.dt(1) * ctx.dt(2)
+    # 3/12 + 1/6 + 1/2
+    assert integrate_over_simplex(form) == Q(11, 12)
+    assert fiber_integrate(form).terms[()].num.constant_term() == Q(11, 12)
 
 
 def test_fiber_integration_keeps_base_directions():

@@ -29,7 +29,8 @@ from adelweil.sullivan import (
     sparse_nullspace, sullivan_basis, sullivan_view, verify_de_rham,
 )
 
-# spaces whose coordinates come from the compatibility solve
+# spaces with more than one maximal simplex, so with compatibility
+# equations
 GENERAL = {"boundary-2": boundary_simplex_sset(2),
            "points-2": disjoint_points(2),
            "boundary-3": boundary_simplex_sset(3)}
@@ -195,20 +196,24 @@ def test_face_images_match_the_form_pullback(m):
                 assert closed == _coords(image), (m, i, lab)
 
 
-def _torus_7() -> FiniteSimplicialSet:
-    """The Moebius-Csaszar torus: triangles {i, i+1, i+3}, {i, i+2, i+3}."""
-    triangles = {tuple(sorted({i, (i + s) % 7, (i + 3) % 7}))
-                 for i in range(7) for s in (1, 2)}
+def _spanned(name: str, tops) -> FiniteSimplicialSet:
+    """The simplices spanned by the vertex tuples `tops` and their faces."""
     simplices, faces, vertices = {}, {}, {}
-    for tri in triangles:
-        for size in (1, 2, 3):
-            for vs in itertools.combinations(tri, size):
+    for top in tops:
+        for size in range(1, len(top) + 1):
+            for vs in itertools.combinations(top, size):
                 sid = "".join(map(str, vs))
                 simplices[sid], vertices[sid] = size - 1, vs
                 if size > 1:
                     faces[sid] = ["".join(map(str, vs[:k] + vs[k + 1:]))
                                   for k in range(size)]
-    return FiniteSimplicialSet("torus-7", simplices, faces, vertices)
+    return FiniteSimplicialSet(name, simplices, faces, vertices)
+
+
+def _torus_7() -> FiniteSimplicialSet:
+    """The Moebius-Csaszar torus: triangles {i, i+1, i+3}, {i, i+2, i+3}."""
+    return _spanned("torus-7", {tuple(sorted({i, (i + s) % 7, (i + 3) % 7}))
+                                for i in range(7) for s in (1, 2)})
 
 
 def test_comparison_on_the_seven_vertex_torus():
@@ -218,6 +223,37 @@ def test_comparison_on_the_seven_vertex_torus():
     assert res["sullivan_ranks"] == res["cochain_ranks"] == [1, 2, 1, 0]
     assert res["multiplicativity_pairs"] == 11
     assert res["ok"], res
+
+
+# spaces with glued face maps: an edge whose two faces are one vertex,
+# two edges on the same two vertices, two triangles that share a vertex
+# only, and (nothing glued) an edge beside an isolated point
+GLUED = {
+    "one-vertex-loop": (FiniteSimplicialSet(
+        "one-vertex-loop", {"v": 0, "e": 1}, {"e": ["v", "v"]}), [1, 1, 0]),
+    "two-gon": (FiniteSimplicialSet(
+        "two-gon", {"a": 0, "b": 0, "e": 1, "f": 1},
+        {"e": ["b", "a"], "f": ["b", "a"]}), [1, 1, 0]),
+    "triangles-at-a-vertex": (_spanned("triangles-at-a-vertex",
+                                       [(0, 1, 2), (0, 3, 4)]),
+                              [1, 0, 0, 0]),
+    "edge-and-point": (_spanned("edge-and-point", [(0, 1), (2,)]),
+                       [2, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("name", GLUED)
+def test_faces_reached_by_several_paths(name, cap):
+    S, ranks = GLUED[name]
+    res = verify_de_rham(S, cap)
+    assert res["ok"], res
+    assert res["sullivan_ranks"] == res["cochain_ranks"] == ranks
+    # the basis families agree along every face, by pullback of forms
+    cx = SullivanComplex(S, res["weight_cap"])
+    for q in range(S.dimension + 1):
+        assert all(cx.element(q, k).is_compatible()
+                   for k in range(cx.dim(q)))
 
 
 def test_cup_pairing_on_the_seven_vertex_torus():
@@ -265,7 +301,7 @@ def _delta2_without_vertices() -> FiniteSimplicialSet:
 @pytest.mark.parametrize("space", [_delta2_renumbered,
                                    _delta2_without_vertices])
 def test_standard_simplex_basis_ignores_the_vertex_numbers(space):
-    # the face maps read positions off the standard simplex
+    # the face maps read positions off the faces, not the vertex numbers
     S, ref = space(), standard_simplex_sset(2)
     for q in range(3):
         basis = sullivan_basis(S, q, 3)
@@ -429,9 +465,13 @@ def test_one_complex_per_comparison(monkeypatch, name, cap):
     except CapInsufficient:
         assert cap == 0
     assert builds == [S.dimension + 4 if cap is None else cap]
+    # the unknowns are C(m, q) C(cap - q + m, m) labels per maximal
+    # m-simplex and degree q: the four triangles of the boundary, and the
+    # one triangle of the standard simplex, which goes through the solve
     if name == "boundary-3":
-        # C(m, q) C(4 - q + m, m) labels per m-simplex and degree q
-        assert sum(labels) == 222
+        assert sum(labels) == 164
+    if name == "simplex-2":
+        assert labels[:3] == [28, 42, 15] and sum(labels) == 85
 
 
 def _whitney_by_forms(m, I):
