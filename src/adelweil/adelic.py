@@ -14,7 +14,6 @@ residue formula) is exact symbolic computation in that algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -39,18 +38,23 @@ from .dgforms import (
 from .simplicial import fiber_integrate
 
 
-@dataclass(frozen=True)
 class Chain:
     """Ordered point labels (x_0, .., x_l), generic first."""
 
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, labels):
+        self.labels = tuple(labels)
         if not self.labels:
             raise DimensionMismatch("a chain needs at least one point")
         if len(set(self.labels)) != len(self.labels):
             raise DimensionMismatch(f"repeated labels in chain {self.labels}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Chain):
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)
 
     @property
     def length(self) -> int:
@@ -60,7 +64,6 @@ class Chain:
         return "(" + ", ".join(self.labels) + ")"
 
 
-@dataclass
 class ChartModel:
     """One affine chart: coordinates, frames, and vector-field data.
 
@@ -72,12 +75,15 @@ class ChartModel:
     localization identities.
     """
 
-    base_vars: tuple[str, ...]
-    rank: int
-    frames: dict = field(default_factory=dict)
-    points: dict = field(default_factory=dict)
-    a: list | None = None
-    lift: RingMatrix | None = None
+    def __init__(self, base_vars: tuple[str, ...], rank: int,
+                 frames: dict | None = None, points: dict | None = None,
+                 a: list | None = None, lift: RingMatrix | None = None):
+        self.base_vars = base_vars
+        self.rank = rank
+        self.frames = {} if frames is None else frames
+        self.points = {} if points is None else points
+        self.a = a
+        self.lift = lift
 
     def ring(self) -> DGContext:
         return polynomial_context(self.base_vars)
@@ -124,14 +130,15 @@ def covertex_lift(values: dict, chain: Chain, ctx: DGContext) -> DiffForm:
     return acc
 
 
-@dataclass
 class ChainConnection:
     """Mixed connection matrix on one chain."""
 
-    ctx: DGContext
-    chain: Chain
-    theta: FormMatrix
-    rank: int
+    def __init__(self, ctx: DGContext, chain: Chain, theta: FormMatrix,
+                 rank: int):
+        self.ctx = ctx
+        self.chain = chain
+        self.theta = theta
+        self.rank = rank
 
     def curvature(self) -> FormMatrix:
         return matrix_curvature(self.theta)

@@ -8,7 +8,6 @@ could not be parsed, 4 precision exhausted, 5 a search cap was hit.
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .adelic import (
@@ -43,7 +42,8 @@ LOCALIZATION_CHAIN = ("q1", "inf")
 def resolve_input(name: str) -> str:
     if Path(name).is_file():
         return name
-    packaged = resources.files(__package__).joinpath("data").joinpath(name)
+    # the shipped data sits next to this module
+    packaged = Path(__file__).parent / "data" / name
     if packaged.is_file():
         return str(packaged)
     raise ParseError(f"no such input file {name!r}")

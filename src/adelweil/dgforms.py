@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -53,27 +52,30 @@ from .exactalg import (
 )
 
 
-@dataclass(frozen=True)
 class DGContext:
     """Variable bookkeeping for one algebra of forms."""
 
-    simplex_vars: tuple[str, ...]
-    base_vars: tuple[str, ...]
-    inert_vars: tuple[str, ...] = ()
-    even_vars: tuple[str, ...] = field(init=False)
-    odd_names: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self):
-        overlap = (set(self.simplex_vars) & set(self.base_vars)
-                   | set(self.simplex_vars) & set(self.inert_vars)
-                   | set(self.base_vars) & set(self.inert_vars))
+    def __init__(self, simplex_vars: tuple[str, ...],
+                 base_vars: tuple[str, ...], inert_vars: tuple[str, ...] = ()):
+        overlap = (set(simplex_vars) & set(base_vars)
+                   | set(simplex_vars) & set(inert_vars)
+                   | set(base_vars) & set(inert_vars))
         if overlap:
             raise DimensionMismatch(f"variables used twice: {sorted(overlap)}")
-        object.__setattr__(self, "even_vars",
-                           self.simplex_vars + self.base_vars + self.inert_vars)
-        object.__setattr__(self, "odd_names",
-                           tuple(f"d {v}" for v in
-                                 self.simplex_vars + self.base_vars))
+        self.simplex_vars = simplex_vars
+        self.base_vars = base_vars
+        self.inert_vars = inert_vars
+        self.even_vars = simplex_vars + base_vars + inert_vars
+        self.odd_names = tuple(f"d {v}" for v in simplex_vars + base_vars)
+
+    def __eq__(self, other):
+        if not isinstance(other, DGContext):
+            return NotImplemented
+        return (self.simplex_vars, self.base_vars, self.inert_vars) == \
+            (other.simplex_vars, other.base_vars, other.inert_vars)
+
+    def __hash__(self):
+        return hash((self.simplex_vars, self.base_vars, self.inert_vars))
 
     # odd generators 0..S-1 are simplex, S..S+B-1 are base
     @property

@@ -9,7 +9,7 @@ with exact `fractions.Fraction` coefficients:
 * `TruncatedSeries` -- power series cut at a total degree, the working
   model of a complete local ring at a rational point.  It has no
   arithmetic of its own: each operation is `MultiPoly`'s, truncated
-  once;
+  once, and a product forms no term pair at or past the precision;
 * `RatFunc` -- quotients of polynomials, used as functions regular
   along a chain; equality is decided by cross multiplication, so no
   multivariate gcd is ever required.
@@ -42,6 +42,7 @@ so every function in this module is safe to call from parallel workers.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -238,6 +239,15 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        return self.mul(other)
+
+    __rmul__ = __mul__
+
+    def mul(self, other, bound: int | None = None):
+        """self * other.  With a `bound`, no term pair of total degree
+        `bound` or more is formed: other's terms are taken by degree,
+        and each term of self meets only those below the bound, so a
+        series product costs the pairs it keeps."""
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
@@ -247,9 +257,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
+        right = list(other.coeffs.items())
+        if bound is not None:
+            right.sort(key=lambda kv: sum(kv[0]))
+            degrees = [sum(e) for e, _ in right]
         coeffs: dict = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            pairs = right if bound is None else \
+                right[:bisect.bisect_left(degrees, bound - sum(e1))]
+            for e2, c2 in pairs:
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 s = coeffs.get(exp, ZERO) + c1 * c2
                 if s:
@@ -257,8 +273,6 @@ class MultiPoly:
                 else:
                     coeffs.pop(exp, None)
         return MultiPoly(self.vars, coeffs)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         """self ** n by n multiplications by the base.
@@ -402,9 +416,10 @@ class TruncatedSeries:
     """Power series known exactly below a total-degree bound.
 
     `prec` is the first unknown degree: all monomials of total degree
-    < prec are stored, everything above is undetermined.  Each +, -, *
-    and ** is the `MultiPoly` operation on the stored parts, truncated
-    once to the weaker precision of the operands; `compose` is
+    < prec are stored, everything above is undetermined.  Each +, - and
+    * is the `MultiPoly` operation on the stored parts, truncated once
+    to the weaker precision of the operands (a product bounded by it,
+    `MultiPoly.mul`); ** is repeated *, and `compose` is
     `poly_substitute` into series.  It is no `MultiPoly` subclass, so
     code that takes a polynomial as exact in every degree never
     mistakes a series for one.
@@ -473,12 +488,18 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         a, b, prec = self._join(other)
-        return TruncatedSeries.from_poly(a * b, prec)
+        return TruncatedSeries.from_poly(a.mul(b, prec), prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return TruncatedSeries.from_poly(self.to_poly() ** n, self.prec)
+        """self ** n by n truncated products, as `MultiPoly.__pow__`."""
+        if n < 0:
+            raise ValueError("negative power of a series")
+        result = TruncatedSeries.const(self.vars, 1, self.prec)
+        for _ in range(n):
+            result = result * self
+        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
@@ -650,6 +671,9 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            # a normal form times a nonzero scalar stays normal
+            return RatFunc(self.num * other, self.den, normalize=False)
         other = self._coerce(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 

@@ -5,16 +5,17 @@ a list of result items in a fixed order, and an overall status.  Exact
 rationals are rendered as p/q strings so the JSON form is lossless.
 """
 
-import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import format_rational
 
 
 def digest_path(path: str) -> str:
+    # loaded here: only a report with inputs computes a digest
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())
@@ -41,13 +42,13 @@ def _jsonable(value):
     return value
 
 
-@dataclass
 class Report:
     """Ordered result items for one command invocation."""
 
-    command: str
-    inputs: list = field(default_factory=list)
-    items: list = field(default_factory=list)
+    def __init__(self, command: str):
+        self.command = command
+        self.inputs: list = []
+        self.items: list = []
 
     def add_input(self, path: str) -> None:
         # basename only: content digest carries the identity, paths vary

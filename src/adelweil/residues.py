@@ -15,7 +15,6 @@ determinant has residue l = the colength, the local degree identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -53,7 +52,6 @@ def _require_series_like(x, vars):
     return MultiPoly.const(vars, x)
 
 
-@dataclass
 class GeneralizedFraction:
     """Numerator coefficient of the top form over an ordered denominator list.
 
@@ -62,16 +60,12 @@ class GeneralizedFraction:
     routines.  Denominator entries must vanish at the origin.
     """
 
-    vars: tuple[str, ...]
-    numerator: object
-    denominators: tuple
-
-    def __post_init__(self):
-        self.vars = tuple(self.vars)
+    def __init__(self, vars, numerator, denominators):
+        self.vars = tuple(vars)
         n = len(self.vars)
-        self.numerator = _require_series_like(self.numerator, self.vars)
+        self.numerator = _require_series_like(numerator, self.vars)
         self.denominators = tuple(
-            _require_series_like(d, self.vars) for d in self.denominators)
+            _require_series_like(d, self.vars) for d in denominators)
         if len(self.denominators) != n:
             raise ParseError(
                 f"{len(self.denominators)} denominators for {n} variables")
@@ -191,7 +185,6 @@ def residue_general(gf: GeneralizedFraction, precision: int | None = None,
 # -- zero-locus invariants ---------------------------------------------------
 
 
-@dataclass
 class LocalZeroData:
     """An isolated zero of a vector field with a lifted endomorphism.
 
@@ -200,14 +193,11 @@ class LocalZeroData:
     same coordinate ring.
     """
 
-    vars: tuple[str, ...]
-    rank: int
-    a: tuple
-    lift: RingMatrix
-
-    def __post_init__(self):
-        self.vars = tuple(self.vars)
-        self.a = tuple(_require_series_like(x, self.vars) for x in self.a)
+    def __init__(self, vars, rank: int, a, lift: RingMatrix):
+        self.vars = tuple(vars)
+        self.rank = rank
+        self.a = tuple(_require_series_like(x, self.vars) for x in a)
+        self.lift = lift
         if len(self.a) != len(self.vars):
             raise DimensionMismatch(
                 f"{len(self.a)} components for {len(self.vars)} coordinates")

@@ -11,7 +11,6 @@ component over chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -40,20 +39,24 @@ from .residues import (
 )
 
 
-@dataclass
 class Scenario:
     """Named verification instance over one projective space or curve."""
 
-    name: str
-    n: int
-    r: int
-    zeros: dict = field(default_factory=dict)
-    expected: Fraction | None = None
-    expected_poly: str | None = None
-    provenance: str = ""
-    chart: ChartModel | None = None
-    curve: dict | None = None
-    whitney: tuple | None = None
+    def __init__(self, name: str, n: int, r: int, zeros: dict | None = None,
+                 expected: Fraction | None = None,
+                 expected_poly: str | None = None, provenance: str = "",
+                 chart: ChartModel | None = None, curve: dict | None = None,
+                 whitney: tuple | None = None):
+        self.name = name
+        self.n = n
+        self.r = r
+        self.zeros = {} if zeros is None else zeros
+        self.expected = expected
+        self.expected_poly = expected_poly
+        self.provenance = provenance
+        self.chart = chart
+        self.curve = curve
+        self.whitney = whitney
 
 
 def canonical_invariant(scn: Scenario) -> InvariantPolynomial:

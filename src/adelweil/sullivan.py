@@ -38,9 +38,11 @@ are least columns, and everything is read off that one echelon:
   before it and d keeps the leading block (the weight check);
 - the cocycles are the kernel of the echelon, with one basis vector per
   free label;
-- the cohomology representatives are the basis cocycles at the free
-  labels that are no pivot of the previous coboundary's pivot columns,
-  once those columns are read at the free labels.
+- the previous coboundary's rows at those free labels span all its
+  rows, so only they are eliminated, and the ones that enlarge its
+  echelon fix a coboundary by its values there;
+- the cohomology representatives are the basis cocycles at the other
+  free labels.
 The representatives are exact because d∘d = 0, checked on the whole
 view, makes every coboundary a cocycle, and a cocycle's values at the
 free labels are its coordinates on the basis cocycles.
@@ -93,7 +95,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -645,13 +646,6 @@ def sullivan_basis(S: FiniteSimplicialSet, q: int, w: int) -> list:
 # -- cochain complexes and cohomology ----------------------------------------
 
 
-def _row_span(rows) -> LinearSpan:
-    span = LinearSpan()
-    span.extend(rows)
-    return span
-
-
-@dataclass
 class CochainComplexView:
     """Bases and sparse coboundaries of a finite rational complex.
 
@@ -659,10 +653,13 @@ class CochainComplexView:
     per label of degree q + 1, columns indexing the degree-q labels.
     """
 
-    labels: list
-    mats: list
+    def __init__(self, labels: list, mats: list):
+        self.labels = labels
+        self.mats = mats
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the shapes and d∘d = 0."""
         for q, mat in enumerate(self.mats):
             if q + 1 >= len(self.labels) or \
                     len(mat) != len(self.labels[q + 1]) or \
@@ -682,11 +679,28 @@ class CochainComplexView:
 
     @cached_property
     def echelons(self) -> list:
-        """The row echelon form of each coboundary, built on first use.
+        """(echelon, rows) for each coboundary, built on first use, top
+        degree first.
 
-        `ranks` and `representatives` read every leading block off these.
+        The rows of mats[q] at the free labels of the echelon above
+        span all of its rows: each coboundary is a cocycle (d∘d = 0),
+        and a cocycle is fixed by its values at those labels.  So only
+        they are eliminated, fewest nonzeros first, and `rows` keeps the
+        labels whose row enlarged the span.  A coboundary's values at
+        them fix it, since those rows span the rest.  `ranks` and
+        `representatives` read every leading block off these.
         """
-        return [_row_span(mat) for mat in self.mats]
+        out = [None] * len(self.mats)
+        free = range(len(self.labels[len(self.mats)]))
+        for q in reversed(range(len(self.mats))):
+            mat, span, rows = self.mats[q], LinearSpan(), set()
+            for i in sorted(free, key=lambda i: len(mat[i])):
+                if span.add(mat[i]):
+                    rows.add(i)
+            out[q] = (span, rows)
+            free = [j for j in range(len(self.labels[q]))
+                    if j not in span.pivots]
+        return out
 
     def ranks(self, dims: list | None = None) -> list:
         """Cohomology ranks per degree of the leading blocks `dims`.
@@ -700,7 +714,7 @@ class CochainComplexView:
         """
         dims = dims or [len(labels) for labels in self.labels]
         r = [sum(1 for p in span.pivots if p < dims[q])
-             for q, span in enumerate(self.echelons)] + [0]
+             for q, (span, _) in enumerate(self.echelons)] + [0]
         return [dims[q] - r[q] - (r[q - 1] if q else 0)
                 for q in range(len(dims))]
 
@@ -711,33 +725,24 @@ class CochainComplexView:
             for i, row in enumerate(self.mats[q - 1]):
                 for j, x in row.items():
                     columns.setdefault(j, {})[i] = x
-        return _row_span(columns.values())
+        span = LinearSpan()
+        span.extend(columns.values())
+        return span
 
     def representatives(self, q: int) -> list:
         """Cocycles {index: c} whose classes span degree-q cohomology.
 
         The cocycles are the kernel of the echelon of mats[q], with one
-        basis vector per free label.  A cocycle is the sum of its values
-        at the free labels times those vectors, so coboundaries
-        (cocycles, as d∘d = 0) are compared on the free labels alone.
-        The pivot columns of mats[q-1] are a basis of the coboundaries;
-        the kernel vectors at the free labels that are no pivot of those
-        columns, read at the free labels, complete them to a basis of
-        the cocycles.
+        basis vector per free label.  The rows of mats[q-1] that built
+        its echelon sit at free labels, and a coboundary's values there
+        fix it, so no nonzero coboundary lies in the span of the kernel
+        vectors at the other free labels: those complete the
+        coboundaries to a basis of the cocycles.
         """
-        echelon = self.echelons[q] if q < len(self.mats) else LinearSpan()
-        kernel = dict(echelon.kernel(range(len(self.labels[q]))))
-        columns: dict = {}
-        if q > 0:
-            basis = set(self.echelons[q - 1].pivots)
-            for i, row in enumerate(self.mats[q - 1]):
-                if i in kernel:
-                    for j, x in row.items():
-                        if j in basis:
-                            columns.setdefault(j, {})[i] = x
-        coboundaries = _row_span(columns.values())
-        return [vec for f, vec in kernel.items()
-                if f not in coboundaries.pivots]
+        echelon = self.echelons[q][0] if q < len(self.mats) else LinearSpan()
+        rows = self.echelons[q - 1][1] if q > 0 else set()
+        return [vec for f, vec in echelon.kernel(range(len(self.labels[q])))
+                if f not in rows]
 
 
 def cochain_complex(S: FiniteSimplicialSet) -> CochainComplexView:

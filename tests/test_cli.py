@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,7 +8,9 @@ import pytest
 
 from adelweil.cli import main, resolve_input
 from adelweil.parsing import MAX_CHAIN, MAX_RANK
-from adelweil.simplicial import boundary_simplex_sset, standard_simplex_sset
+from adelweil.simplicial import (
+    MAX_DIMENSION, boundary_simplex_sset, standard_simplex_sset,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,6 +26,31 @@ def check_golden(capsys, argv, name):
     assert code == 0, err
     expect = (GOLDEN / name).read_text()
     assert out == expect
+
+
+# a cold process, without site hooks that load modules of their own:
+# which modules `import adelweil.cli` loads, then one residue report
+FOOTPRINT_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import adelweil.cli
+print(sorted(set(sys.argv[2:]) & set(sys.modules)))
+adelweil.cli.main(["residue", "fraction-cusp.json"])
+"""
+
+
+def test_import_loads_only_what_a_run_uses():
+    # dataclasses pulls in inspect, and hashlib OpenSSL; a digest loads
+    # hashlib when a report computes one
+    unused = ["dataclasses", "inspect", "hashlib", "_hashlib"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT_CHILD,
+         str(Path(__file__).resolve().parent.parent / "src"), *unused],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, report = proc.stdout.split("\n", 1)
+    assert loaded == "[]"
+    assert "input: fraction-cusp.json sha256=2e6e35f2b3ca" in report
 
 
 def test_residue_report_text(capsys):
@@ -446,21 +475,41 @@ def test_family_label_cap(capsys, tmp_path, space, cap, code, message):
         assert message in err and "Traceback" not in err
 
 
-def test_one_simplex_per_dimension_is_solved_face_by_face(capsys, tmp_path):
-    # every face of the 22-simplex is the one stored simplex of its
-    # dimension, on C(23, k) vertex subsets; the solve takes one block of
-    # equations per face map, never one per subset
-    D = 22
+def _chain_file(tmp_path, D):
+    # one simplex per dimension: every face of s_m is s_(m-1)
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({
         "name": "chain", "simplices": {f"s{m}": m for m in range(D + 1)},
         "faces": {f"s{m}": [f"s{m - 1}"] * (m + 1)
                   for m in range(1, D + 1)}}))
+    return path
+
+
+def test_one_simplex_per_dimension_is_solved_face_by_face(capsys, tmp_path):
+    # every face of the 22-simplex is the one stored simplex of its
+    # dimension, on C(23, k) vertex subsets; the solve takes one block of
+    # equations per face map, never one per subset
+    path = _chain_file(tmp_path, 22)
     started = time.perf_counter()
     code, out, err = run(capsys, ["derham", str(path), "--weight-cap", "1"])
     assert time.perf_counter() - started < 5
     assert code == 0, err
     assert out.endswith("status: PASS\n")
+
+
+def test_simplex_dimension_cap(capsys, tmp_path):
+    # O(m^2) simplicial identities per m-simplex: past the cap, the set
+    # is refused before they are checked
+    path = _chain_file(tmp_path, 400)
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["derham", str(path), "--weight-cap", "0"])
+    assert time.perf_counter() - started < 5
+    assert code == 5, err
+    assert (f"has dimension {MAX_DIMENSION + 1}, "
+            f"past the cap of {MAX_DIMENSION}") in err
+    code, _, err = run(capsys, ["derham", str(_chain_file(
+        tmp_path, MAX_DIMENSION)), "--weight-cap", "0"])
+    assert code == 0, err
 
 
 def _low_cap_runs():

@@ -164,6 +164,22 @@ def test_series_arithmetic_matches_the_truncated_loops(p, q, m, n, k):
         (a * b).coefficient((prec, 0))
 
 
+@given(SERIES_PARTS, SERIES_PARTS, st.integers(min_value=0, max_value=11))
+def test_bounded_product_is_the_truncated_product(p, q, bound):
+    assert p.mul(q, bound) == (p * q).truncate(bound)
+    assert p.mul(q, bound).coeffs == truncated_product(p.coeffs, q.coeffs,
+                                                       bound)
+
+
+def test_dense_series_power_matches_the_truncated_power():
+    # (1 + f1 + 2 f2)^7 has 36 terms; its untruncated 7th power 1,275
+    a = TruncatedSeries.from_poly((1 + f1 + 2 * f2) ** 7, 8)
+    assert (a ** 7).coeffs == truncated_power(a.coeffs, 7, 2, 8)
+    assert (a * a).coeffs == truncated_product(a.coeffs, a.coeffs, 8)
+    with pytest.raises(ValueError):
+        a ** -1
+
+
 @given(polys(V2, max_degree=5, max_terms=4),
        polys(V2, max_degree=3, max_terms=3, min_degree=1),
        polys(V2, max_degree=3, max_terms=3, min_degree=1), PRECS, PRECS)
