@@ -24,7 +24,7 @@ by column labels, reduced incrementally, with rank, membership, normal
 forms, the reduced row echelon form and a kernel basis.  Its
 rows are fraction free: each stored row is a primitive integer row,
 and a vector being reduced is one rational scale times such a row.
-Every integer step is the step over Fractions times a nonzero
+Every integer step is the step over Fractions times a positive
 rational, so the pivots and spans are the same, and the reduced row
 echelon form read out at the end, unique for the span and the label
 order, is the same exact one.
@@ -1024,10 +1024,20 @@ def _combine(a: int, x: dict, b: int, y: dict) -> dict:
     return out
 
 
+def _primitive(row: dict) -> tuple[dict, int]:
+    """(row / g, g) for the content g of an integer row; g = 1 when the
+    row is empty."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {c: x // g for c, x in row.items()}, g
+    return row, 1
+
+
 def _integral(vec: dict) -> tuple[dict, int, int]:
     """(row, num, den): a primitive integer row with vec = num/den * row.
 
-    An all-int vector is already an integer row, with den 1.
+    An all-int vector is already an integer row, with den 1.  The row
+    is a new dict, never vec itself.
     """
     vec = {c: v for c, v in vec.items() if v}
     if all(type(v) is int for v in vec.values()):
@@ -1036,34 +1046,38 @@ def _integral(vec: dict) -> tuple[dict, int, int]:
         den = math.lcm(*(v.denominator for v in vec.values()))
         vec = {c: v.numerator * (den // v.denominator)
                for c, v in vec.items()}
-    g = math.gcd(*vec.values())
-    if g > 1:
-        vec = {c: v // g for c, v in vec.items()}
-    return vec, g or 1, den
+    vec, num = _primitive(vec)
+    return vec, num, den
 
 
 class LinearSpan:
     """The exact elimination kernel: incremental sparse row echelon form.
 
     Every row reduction in the package runs here.  Vectors are dicts
-    keyed by hashable column labels; a total order on labels (``key``)
-    makes pivot choice deterministic.  The pivot of a stored row is the
-    least label it touches.  `reduce` clears every pivot label from a
-    vector, which leaves its normal form on the non-pivot labels.
-    `reduced_rows` and `kernel` read out the reduced row echelon form,
-    which is unique for a fixed label order.
+    keyed by hashable column labels; a total order on labels makes
+    pivot choice deterministic: the order `key` gives, or the labels'
+    own order when `key` is None (so int columns need no key call).
+    The pivot of a stored row is the least label it touches.  `reduce`
+    clears every pivot label from a vector, which leaves its normal form
+    on the non-pivot labels.  `reduced_rows` and `kernel` read out the
+    reduced row echelon form, which is unique for a fixed label order.
 
-    Rows are fraction free: each stored row is a primitive integer row
-    (content 1), and a vector carries one rational scale instead of a
-    Fraction per entry.  A vector is split once into that scale and a
-    primitive row; clearing pivot c, where the stored row R has R[c] = p
-    and the row W has W[c] = v, is W <- (p/g) W - (v/g) R with
-    g = gcd(p, v), then W is divided by its content.  The scale, kept
-    as two ints, records what that did to the true vector.  Each step is
-    the usual one (rows scaled to 1 at the pivot) times a nonzero
-    rational, so the supports, the pivots and the order of entries are
-    the same, and the span is the same.  The true residual is rebuilt
-    from the scale as exact Fractions, and `reduced_rows` divides each
+    Rows are fraction free (Bareiss, Math. Comp. 22, 1968): each stored
+    row is a primitive integer row (content 1), and a vector carries one
+    rational scale instead of a Fraction per entry.  A vector is split
+    once into that scale and a primitive row; clearing pivot c, where
+    the stored row R has R[c] = p and the row W has W[c] = v, is
+    W <- a W - b R with g = gcd(p, v), a = p/g and b = v/g.  When p
+    divides v (a = 1, the usual case) R is subtracted from W in place;
+    otherwise W is scaled into a new row and divided by its content.
+    The content is otherwise taken once, at the end, so the row left is
+    primitive.  The scale, kept as two ints, records what that did to
+    the true vector.  Each step is the usual one (rows scaled to 1 at
+    the pivot) times a positive rational, since a has the sign of p and
+    the contents are positive, so the supports, the pivots and the
+    order of entries are the same, the span is the same, and so is the
+    primitive row at the end.  The true residual is rebuilt from the
+    scale as exact Fractions, and `reduced_rows` divides each
     back-substituted integer row by its pivot entry, which gives the
     reduced row echelon form: it depends only on the span and the label
     order.
@@ -1076,7 +1090,7 @@ class LinearSpan:
     """
 
     def __init__(self, key=None):
-        self.key = key or (lambda c: c)
+        self.key = key
         self.pivots: dict = {}       # column -> primitive integer row
 
     @property
@@ -1088,27 +1102,39 @@ class LinearSpan:
         row, num, den = _integral(vec)
         pivots, key = self.pivots, self.key
         # pivots met in row, least first; eliminating one only brings in
-        # labels above it, so the least live entry is the next to clear
-        queue = [(key(c), c) for c in row if c in pivots]
+        # labels above it, so the least live entry is the next to clear.
+        # With a key the heap holds (key, label) pairs, else labels.
+        queue = [c if key is None else (key(c), c) for c in row if c in pivots]
         heapq.heapify(queue)
+        content = False         # whether row may have content above 1
         while queue:
-            hit = heapq.heappop(queue)[1]
+            hit = heapq.heappop(queue)
+            if key is not None:
+                hit = hit[1]
             v = row.get(hit)
             if v is None:
                 continue        # cancelled since it was queued
             stored = pivots[hit]
-            for c in stored.keys() - row.keys():
-                if c in pivots:
-                    heapq.heappush(queue, (key(c), c))
+            for c in stored:
+                if c not in row and c in pivots:
+                    heapq.heappush(queue, c if key is None else (key(c), c))
             p = stored[hit]
             g = math.gcd(p, v)
             a, b = p // g, v // g
-            row = _combine(a, row, b, stored)
-            den *= a
-            g = math.gcd(*row.values()) or 1
-            if g > 1:
-                row = {c: x // g for c, x in row.items()}
-                num *= g
+            if a == 1:
+                for c, x in stored.items():
+                    s = row.get(c, 0) - b * x
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+                content = True
+            else:
+                row, g = _primitive(_combine(a, row, b, stored))
+                num, den, content = num * g, den * a, False
+        if content:
+            row, g = _primitive(row)
+            num *= g
         return row, num, den
 
     def reduce(self, vec: dict) -> dict:
@@ -1137,20 +1163,10 @@ class LinearSpan:
         for vec in sorted(vectors, key=len):
             self.add(vec)
 
-    def _back_substituted(self, keep=None) -> dict:
+    def _back_substituted(self) -> dict:
         """Integer rows, {pivot: row}, in label order, each 0 at every
-        other pivot; scaled to 1 at its own pivot, a row is reduced.
-
-        With `keep`, a set of labels forming a prefix of the label
-        order, only the rows whose pivot lies in it, cut to it.  Every
-        other row starts past the prefix, and row operations commute
-        with dropping columns, so these are the reduced rows of the
-        columns in `keep`.
-        """
+        other pivot; scaled to 1 at its own pivot, a row is reduced."""
         pivots = self.pivots
-        if keep is not None:
-            pivots = {p: {c: x for c, x in row.items() if c in keep}
-                      for p, row in pivots.items() if p in keep}
         order = sorted(pivots, key=self.key)
         done: dict = {}
         for p in reversed(order):
@@ -1160,8 +1176,7 @@ class LinearSpan:
                 lead = done[c][c]
                 g = math.gcd(lead, row[c])
                 row = _combine(lead // g, row, row[c] // g, done[c])
-            g = math.gcd(*row.values())
-            done[p] = {c: x // g for c, x in row.items()} if g > 1 else row
+            done[p] = _primitive(row)[0]
         return {p: done[p] for p in order}
 
     def reduced_rows(self) -> dict:
@@ -1178,13 +1193,8 @@ class LinearSpan:
         return out
 
     def kernel(self, labels) -> list:
-        """Solutions of the stored rows read as equations over `labels`.
-
-        `labels` is a prefix of the label order: every label the rows
-        touch, or only the first ones.  The solutions supported on a
-        prefix are those of the rows with pivot in it, cut to it (see
-        `_back_substituted`), so one echelon gives the kernel of every
-        leading block of columns.
+        """Solutions of the stored rows read as equations over `labels`,
+        which must hold every label the rows touch.
 
         Returns one (free label, vector) pair per label of `labels` that
         is not a pivot, in the order of `labels`; the vector is 1 at its
@@ -1195,13 +1205,10 @@ class LinearSpan:
         integral, as on the family spaces of `sullivan`, yields integer
         vectors.
         """
-        labels = list(labels)
-        rows = self._back_substituted(set(labels))
+        rows = self._back_substituted()
         basis = {lab: {lab: 1} for lab in labels if lab not in rows}
         for p in self.pivots:
-            row = rows.get(p)
-            if row is None:
-                continue
+            row = rows[p]
             lead = row[p]
             for c, x in row.items():
                 if c != p:

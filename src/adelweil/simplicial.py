@@ -423,7 +423,9 @@ def _subsets_sset(name: str, n: int, top: bool) -> FiniteSimplicialSet:
     return FiniteSimplicialSet(name, simplices, faces, vertices)
 
 
-@lru_cache(maxsize=None)
+# bounded like every module-level cache; with n <= 9, every simplex and
+# every boundary the constructors admit fit
+@lru_cache(maxsize=16)
 def standard_simplex_sset(n: int) -> FiniteSimplicialSet:
     """The standard n-simplex: nonempty vertex subsets of {0..n}."""
     if n > 9:
@@ -431,7 +433,7 @@ def standard_simplex_sset(n: int) -> FiniteSimplicialSet:
     return _subsets_sset(f"simplex-{n}", n, top=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def boundary_simplex_sset(n: int) -> FiniteSimplicialSet:
     """The boundary of the n-simplex (all proper faces)."""
     if n > 9:
@@ -441,7 +443,7 @@ def boundary_simplex_sset(n: int) -> FiniteSimplicialSet:
     return _subsets_sset(f"boundary-{n}", n, top=False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def disjoint_points(k: int) -> FiniteSimplicialSet:
     return FiniteSimplicialSet(f"points-{k}",
                                {f"p{i}": 0 for i in range(k)}, {})

@@ -71,10 +71,13 @@ Coefficients stay Python ints from the label caches to the d∘d check:
 face images are signed multinomials, d has the signed exponents, the
 compatibility rows are differences of face images, and `LinearSpan.kernel`
 returns an int wherever the reduced entry is integral (every entry, on
-the shipped spaces and the 7-vertex torus).  Coordinates and
-coboundaries add up from 0, so a Fraction appears only where a kernel
-entry is not integral; equality stays exact either way.  Forms,
-cochains and reports are Fractions.
+the shipped spaces and the 7-vertex torus).  The columns are ints too:
+`sparse_nullspace` numbers the labels of a degree once, in solve order,
+and eliminates in the natural order of those numbers; a degree with no
+equations (a standard simplex, the top degree) builds no span.
+Coordinates and coboundaries add up from 0, so a Fraction appears only
+where a kernel entry is not integral; equality stays exact either way.
+Forms, cochains and reports are Fractions.
 
 The comparison integrates and multiplies families on these labels too,
 without building forms.  A family's labels on the maximal simplices are
@@ -122,10 +125,12 @@ HARD_DEGREE_CAP = 12
 HARD_WEIGHT_CAP = 24
 
 # hard cap on the labels of every simplex at the weight cap, whatever the
-# space: in process on 2 vCPUs, the boundary of the 4-simplex takes 0.6 s
-# at the default cap 7 (4,160 labels), 2.2 s at cap 9 (7,800) and 3.5-4.8 s
-# at cap 10 (10,230, the largest admitted; cap 11 has 13,120); the
-# 3-simplex has 1,121 at its default cap 7 and the 5-simplex 77,505 at 9
+# space: in process on 2 vCPUs, the boundary of the 4-simplex takes
+# 0.21-0.25 s at the default cap 7 (4,160 labels), 0.71-0.99 s at cap 9
+# (7,800) and 1.05-1.71 s at cap 10 (10,230, the largest admitted; cap 11
+# has 13,120), and the dimension-22 chain 4.5-5.3 s at cap 2 (cap 3 has
+# 93,633); the 3-simplex has 1,121 at its default cap 7 and the
+# 5-simplex 77,505 at 9
 MAX_FAMILY_LABELS = 12_000
 
 
@@ -151,7 +156,17 @@ def _weight(lab) -> int:
     return sum(exp) + len(mono)
 
 
-@lru_cache(maxsize=None)
+# The label caches are bounded so that a long-lived process stays
+# bounded.  Each bound is a power of two above the entries left by a
+# derham pass, by verify-all and by verify_de_rham on the boundary of
+# the 4-simplex at cap 10 (the largest admitted sphere), run in one
+# process: 91 weight blocks, 6,314 face images and 1,658 derivatives.
+# The dimension-22 chain at cap 2 makes 143,972 face images, but reads
+# each soon after it is made: at 8,192 it misses 22 more times.
+# Whitney forms are built for one cochain, of a class no family hits,
+# one per dimension and face it meets: 4 on the boundary of the
+# 4-simplex at cap 0, at most C(11, 5) = 462 on a set of dimension 9.
+@lru_cache(maxsize=256)
 def _simplex_weight_block(m: int, q: int, w: int) -> tuple:
     """Monomial labels on the m-simplex of degree q and weight exactly w."""
     if q > m or w < q:
@@ -176,7 +191,7 @@ def _form_of(ctx, pairs) -> DiffForm:
                           for mono, cs in terms.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _face_image(m: int, i: int, lab) -> tuple:
     """Pullback of t^a dt_I along face(m, i), as (label, coeff) pairs.
 
@@ -212,7 +227,7 @@ def _face_image(m: int, i: int, lab) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _monomial_d(lab) -> tuple:
     """d(t^a dt_I) = sum_j a_j t^(a - e_j) dt_j dt_I, as (label, coeff) pairs.
 
@@ -277,7 +292,7 @@ def _product_integral(m: int, u: dict, v: dict):
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _whitney_form(m: int, face_vertices: tuple) -> tuple:
     """Whitney's form omega_I of the face I of the m-simplex, as (label,
     coeff) pairs.
@@ -366,10 +381,19 @@ def sparse_nullspace(rows: list, order: dict) -> list:
     order position.  Returns one (free label, solution vector) pair per
     free label, in label order; the vector is 1 at its own free label
     and 0 at every other free label.
+
+    The labels are numbered once in that order and eliminated as int
+    columns, in their natural order; with no equations every label is
+    free, and no span is built.
     """
-    span = LinearSpan(key=order.__getitem__)
-    span.extend(rows)
-    return span.kernel(sorted(order, key=order.__getitem__))
+    labels = sorted(order, key=order.__getitem__)
+    if not rows:
+        return [(lab, {lab: 1}) for lab in labels]
+    column = {lab: k for k, lab in enumerate(labels)}
+    span = LinearSpan()
+    span.extend({column[lab]: c for lab, c in row.items()} for row in rows)
+    return [(labels[f], {labels[k]: x for k, x in vec.items()})
+            for f, vec in span.kernel(range(len(labels)))]
 
 
 # -- compatible families -----------------------------------------------------

@@ -6,9 +6,13 @@ permutation expansion, the sum of principal minors over index subsets
 and the cofactor adjugate.  They use only +, - and * of the entries,
 so they hold over any commutative ring, even forms included, but they
 cost n! products: the tests run them at ranks up to 6.
+
+`gauss_jordan` is the textbook reduced row echelon form over Fractions,
+the oracle of the fraction-free `LinearSpan` kernel.
 """
 
 import itertools
+from fractions import Fraction
 
 
 def perm_sign(perm) -> int:
@@ -69,3 +73,25 @@ def cofactor_adjugate(rows, one) -> list:
             row.append(-c if (i + j) % 2 else c)
         adj.append(row)
     return adj
+
+
+def gauss_jordan(rows, n):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan.
+
+    Returns {pivot column: dense row}, each row 1 at its pivot and 0 at
+    every other pivot column.
+    """
+    M = [[Fraction(x) for x in row] for row in rows]
+    out, r = {}, 0
+    for col in range(n):
+        k = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if k is None:
+            continue
+        M[r], M[k] = M[k], M[r]
+        M[r] = [x / M[r][col] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col]:
+                M[i] = [x - M[i][col] * y for x, y in zip(M[i], M[r])]
+        out[col] = M[r]
+        r += 1
+    return {col: M[i] for i, col in enumerate(out)}

@@ -16,7 +16,7 @@ from adelweil.exactalg import (
     grlex_key, macaulay_span, parse_rational,
 )
 
-from matrix_oracles import perm_det
+from matrix_oracles import gauss_jordan, perm_det
 from residue_oracles import three_equal_colength
 from ring_oracles import (
     evaluate_loop, subs_loop, truncated_compose, truncated_power,
@@ -391,28 +391,6 @@ def test_insertion_order_leaves_the_echelon_form_unchanged(case):
     assert (span.rank == n) == (RingMatrix(square).det() != 0)
 
 
-def _gauss_jordan(rows, n):
-    """Reduced row echelon form by plain Fraction Gauss-Jordan.
-
-    Returns {pivot column: dense row}, each row 1 at its pivot and 0 at
-    every other pivot column.
-    """
-    M = [list(row) for row in rows]
-    out, r = {}, 0
-    for col in range(n):
-        k = next((i for i in range(r, len(M)) if M[i][col]), None)
-        if k is None:
-            continue
-        M[r], M[k] = M[k], M[r]
-        M[r] = [x / M[r][col] for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][col]:
-                M[i] = [x - M[i][col] * y for x, y in zip(M[i], M[r])]
-        out[col] = M[r]
-        r += 1
-    return {col: M[i] for i, col in enumerate(out)}
-
-
 def _sparse(row):
     return {j: x for j, x in enumerate(row) if x}
 
@@ -434,7 +412,7 @@ _entries = st.one_of(
 def test_integer_rows_match_fraction_gauss_jordan(case):
     A, b, coeffs = case
     n = len(b)
-    ref = _gauss_jordan(A, n)
+    ref = gauss_jordan(A, n)
     span = LinearSpan()
     for row in A:
         span.add(_sparse(row))
@@ -459,6 +437,67 @@ def test_integer_rows_match_fraction_gauss_jordan(case):
     target = [sum((c * row[j] for c, row in zip(coeffs, A)), Q(0))
               for j in range(n)]
     assert span.contains(_sparse(target))
+
+
+# ints and rationals up to 60 in size, about half the entries zero: pivots
+# other than 1 and -1, and rows with content above 1, are common
+_wide = st.one_of(st.just(0), st.integers(min_value=-60, max_value=60),
+                  fractions(max_num=60, max_den=12))
+
+
+def _typed(vec):
+    return {c: (x, type(x)) for c, x in vec.items()}
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(_wide, min_size=n, max_size=n), max_size=8),
+        st.lists(_wide, min_size=n, max_size=n),
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=8, max_size=8),
+        st.permutations(range(n)))))
+def test_linear_span_matches_gauss_jordan_in_any_label_order(case):
+    A, b, coeffs, perm = case
+    n = len(b)
+    rows, vec = [_sparse(row) for row in A], _sparse(b)
+    passed = [list(r.items()) for r in rows + [vec]]
+    for key in (None, perm.__getitem__):
+        # the oracle eliminates the columns in label order, cols[j] first
+        cols = sorted(range(n), key=key)
+        ref = {cols[j]: {cols[k]: x for k, x in enumerate(row) if x}
+               for j, row in gauss_jordan([[r[c] for c in cols] for r in A],
+                                          n).items()}
+        span = LinearSpan(key=key)
+        for row in rows:
+            span.add(row)
+        assert span.rank == len(ref) and set(span.pivots) == set(ref)
+        assert span.reduced_rows() == ref
+        # kernel: 1 at its free label, minus the rref column at each
+        # pivot; an int where that is integral, else a Fraction
+        expect = []
+        for f in cols:
+            if f not in ref:
+                at = {p: -row[f] for p, row in ref.items() if f in row}
+                expect.append((f, _typed({f: 1, **{
+                    p: x.numerator if x.denominator == 1 else x
+                    for p, x in at.items()}})))
+        assert [(f, _typed(v)) for f, v in span.kernel(cols)] == expect
+        # reduce: b minus its pivot entries times the rref
+        residual = {c: Q(x) for c, x in vec.items()}
+        for p, row in ref.items():
+            for c, x in row.items():
+                residual[c] = residual.get(c, 0) - vec.get(p, 0) * x
+        residual = {c: x for c, x in residual.items() if x}
+        assert span.reduce(vec) == residual
+        assert span.contains(vec) == (not residual)
+        target = {}
+        for c, row in zip(coeffs, rows):
+            for j, x in row.items():
+                target[j] = target.get(j, 0) + c * x
+        assert span.contains(target)
+        # no call writes to the dicts it was passed
+        assert [list(r.items()) for r in rows + [vec]] == passed
 
 
 def test_linear_span_contains_its_combinations():

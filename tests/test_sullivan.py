@@ -686,3 +686,28 @@ def test_comparison_builds_no_forms(monkeypatch, space, cap):
     # the counting wrappers do see the form route
     SullivanComplex(space, 1).element(0, 0).integrate()
     assert calls
+
+
+def test_module_caches_stay_within_their_bounds():
+    # comparisons at many distinct caps, low ones included so that
+    # Whitney forms are built, and more point sets than their cache holds
+    for cap in range(13):
+        for S in (boundary_simplex_sset(2), standard_simplex_sset(cap % 4),
+                  disjoint_points(cap + 1)):
+            try:
+                verify_de_rham(S, cap)
+            except CapInsufficient:
+                assert cap < S.dimension
+    for cap in range(9):
+        try:
+            verify_de_rham(boundary_simplex_sset(3), cap)
+        except CapInsufficient:
+            assert cap < 2
+    for k in range(40):
+        disjoint_points(k)
+    for cache in (_simplex_weight_block, _face_image, _monomial_d,
+                  _whitney_form, standard_simplex_sset,
+                  boundary_simplex_sset, disjoint_points):
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
