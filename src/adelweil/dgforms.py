@@ -23,17 +23,13 @@ that one primitive.
 
 `InvariantPolynomial` is a polynomial in the elementary invariants
 P_1 = trace .. P_r = det, the coefficients of the characteristic
-polynomial det(1 + tau M); `invariant_eval` and `polarize` evaluate it
-on a matrix over any commutative ring, forms included.  `transgression`
+polynomial det(1 + tau M); `invariant_eval` evaluates it on a matrix
+over any commutative ring, forms included.  `transgression`
 is `invariant_eval` on the curvature of the homotopy connection s theta
 followed by the fibre integral over s.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
-from fractions import Fraction
 
 from .errors import (
     ContextMismatch,
@@ -81,10 +77,6 @@ class DGContext:
     @property
     def simplex_odd_count(self) -> int:
         return len(self.simplex_vars)
-
-    @property
-    def odd_count(self) -> int:
-        return len(self.simplex_vars) + len(self.base_vars)
 
     def odd_index(self, name: str) -> int:
         """Odd generator index for a simplex or base variable name."""
@@ -171,11 +163,6 @@ class DGContext:
 def polynomial_context(base_vars, inert_vars=()) -> DGContext:
     """Context with base variables only (no simplex factor)."""
     return DGContext((), tuple(base_vars), tuple(inert_vars))
-
-
-def simplex_context(l: int, prefix: str = "t") -> DGContext:
-    """Forms on the l-simplex in the coordinates t_1..t_l."""
-    return DGContext(tuple(f"{prefix}{i}" for i in range(1, l + 1)), ())
 
 
 def chain_context(l: int, base_vars, inert_vars=()) -> DGContext:
@@ -713,33 +700,6 @@ def matrix_curvature(theta: FormMatrix) -> FormMatrix:
     return theta.d() - (theta @ theta)
 
 
-def polarize(P: InvariantPolynomial, Ms: list[RingMatrix], one=None):
-    """Full polarization of P by inclusion-exclusion.
-
-    `one` is the ring's unit, as in `invariant_eval`.
-
-    P~(M_1..M_m) = (1/m!) sum over nonempty S of (-1)^(m-|S|) P(sum_S M_i);
-    it is symmetric, multilinear, and restores P on the diagonal.
-    """
-    m = P.degree
-    if len(Ms) != m:
-        raise DegreeError(f"polarization of degree {m} needs {m} arguments")
-    acc = None
-    for picks in itertools.product((0, 1), repeat=m):
-        size = sum(picks)
-        if not size:
-            continue
-        total = None
-        for flag, M in zip(picks, Ms):
-            if flag:
-                total = M if total is None else total + M
-        value = invariant_eval(P, total, one)
-        if (m - size) % 2:
-            value = -value
-        acc = value if acc is None else acc + value
-    return acc * Fraction(1, math.factorial(m))
-
-
 def transgression(P: InvariantPolynomial, theta: FormMatrix) -> DiffForm:
     """Chern-Simons transgression of P at a degree-1 connection matrix.
 
@@ -789,25 +749,3 @@ def transgression(P: InvariantPolynomial, theta: FormMatrix) -> DiffForm:
     # variables as ctx does, so its terms are a form of ctx
     return DiffForm(ctx, fiber_integrate(invariant_eval(P, curvature)).terms)
 
-
-def chern_character(R: FormMatrix) -> DiffForm:
-    """Trace of exp(R), exact because form-degree is bounded.
-
-    A curvature matrix has entries of positive degree, so its powers
-    vanish once the degree exceeds the number of odd generators.
-    """
-    m, n = R.shape
-    if m != n:
-        raise DimensionMismatch("character of a non-square matrix")
-    acc = R.ctx.form_scalar(m)
-    power = R
-    k = 1
-    bound = R.ctx.odd_count + 1
-    while not power.is_zero():
-        acc = acc + power.trace().map_coefficients(
-            lambda c: c * Fraction(1, math.factorial(k)))
-        k += 1
-        if k > bound:
-            raise DegreeError("matrix is not nilpotent in this context")
-        power = power @ R
-    return acc

@@ -61,10 +61,6 @@ class OddEntries(DegreeError):
 
 # -- simplicial --------------------------------------------------------------
 
-class Incomposable(DimensionMismatch):
-    """Composition of simplex maps with mismatched endpoints."""
-
-
 class NotAComplex(EngineError):
     """A coboundary square is nonzero."""
 

@@ -1,11 +1,10 @@
-"""Simplex category, polynomial forms on simplices, exact integration.
+"""Polynomial forms on simplices, exact integration, simplicial sets.
 
-Morphisms of the simplex category are monotone maps of vertex sets;
-pulling forms back along them is variable substitution.  Integration
-over a simplex is the Dirichlet integral, done exactly in rationals.
-The cochain side (normalized cochains on a finite simplicial set, the
-front/back-face product) lives here too, together with the comparison
-map rho sending a form to the cochain of its face integrals.
+A `DeltaMorphism` is a monotone map of vertex sets; pulling a form back
+along one is variable substitution.  Integration over a simplex is the
+Dirichlet integral, done exactly in rationals.  The cochain side
+(normalized cochains on a finite simplicial set, the front/back-face
+product) lives here too.
 """
 
 from __future__ import annotations
@@ -20,11 +19,12 @@ from .errors import (
     CapExceeded,
     ContextMismatch,
     DimensionMismatch,
-    Incomposable,
     ParseError,
 )
 from .dgforms import DGContext, DiffForm
-from .exactalg import MultiPoly, RatFunc, parse_integer, rat
+from .exactalg import (
+    MultiPoly, RatFunc, format_rational, parse_integer, rat,
+)
 
 
 # -- the simplex category ----------------------------------------------------
@@ -61,68 +61,6 @@ class DeltaMorphism:
     def preimage(self, j: int) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v == j)
 
-    def factor(self) -> tuple["DeltaMorphism", "DeltaMorphism"]:
-        """Unique epi-mono factorization (epi first, then mono)."""
-        image = sorted(set(self.values))
-        p = len(image) - 1
-        mono = DeltaMorphism(p, self.target, tuple(image))
-        position = {v: k for k, v in enumerate(image)}
-        epi = DeltaMorphism(self.source, p,
-                            tuple(position[v] for v in self.values))
-        return epi, mono
-
-    def face_indices(self) -> tuple[int, ...]:
-        """Vertices missed by the mono part, descending.
-
-        The mono part equals face(..) generators composed in this order.
-        """
-        _, mono = self.factor()
-        missed = sorted(set(range(self.target + 1)) - set(mono.values),
-                        reverse=True)
-        return tuple(missed)
-
-    def degeneracy_indices(self) -> tuple[int, ...]:
-        """Collapsed positions of the epi part, ascending."""
-        epi, _ = self.factor()
-        return tuple(sorted(epi.values[i]
-                            for i in range(1, len(epi.values))
-                            if epi.values[i] == epi.values[i - 1]))
-
-
-def identity_morphism(n: int) -> DeltaMorphism:
-    return DeltaMorphism(n, n, tuple(range(n + 1)))
-
-
-def face(n: int, i: int) -> DeltaMorphism:
-    """Coface [n-1] -> [n] skipping vertex i."""
-    if not 0 <= i <= n:
-        raise DimensionMismatch(f"face index {i} outside [0, {n}]")
-    return DeltaMorphism(n - 1, n,
-                         tuple(v for v in range(n + 1) if v != i))
-
-
-def degeneracy(n: int, i: int) -> DeltaMorphism:
-    """Codegeneracy [n+1] -> [n] repeating vertex i."""
-    if not 0 <= i <= n:
-        raise DimensionMismatch(f"degeneracy index {i} outside [0, {n}]")
-    return DeltaMorphism(n + 1, n,
-                         tuple(min(v, n) if v <= i else v - 1
-                               for v in range(n + 2)))
-
-
-def vertex_inclusion(n: int, i: int) -> DeltaMorphism:
-    return DeltaMorphism(0, n, (i,))
-
-
-def compose(sigma: DeltaMorphism, tau: DeltaMorphism) -> DeltaMorphism:
-    """The composite sigma after tau."""
-    if tau.target != sigma.source:
-        raise Incomposable(
-            f"[{tau.source}]->[{tau.target}] then "
-            f"[{sigma.source}]->[{sigma.target}] do not compose")
-    return DeltaMorphism(tau.source, sigma.target,
-                         tuple(sigma(v) for v in tau.values))
-
 
 # -- forms on simplices ------------------------------------------------------
 
@@ -155,12 +93,6 @@ def pullback_along(sigma: DeltaMorphism, form: DiffForm) -> DiffForm:
         even_images[src.simplex_vars[j - 1]] = even
         odd_images[j - 1] = odd
     return form.substitute(tgt, even_images, odd_images)
-
-
-def vertex_value(form: DiffForm, i: int) -> DiffForm:
-    """Evaluate at vertex i of the simplex factor (a base-level form)."""
-    n = len(form.ctx.simplex_vars)
-    return pullback_along(vertex_inclusion(n, i), form)
 
 
 def dirichlet_integral(l: int, exponents, a0: int = 0) -> Fraction:
@@ -499,11 +431,6 @@ class Cochain:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "Cochain":
-        c = rat(c)
-        return Cochain(self.sset, self.degree,
-                       {s: c * v for s, v in self.values.items()})
-
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.sset == other.sset
                 and self.degree == other.degree
@@ -522,15 +449,10 @@ class Cochain:
                 vals[sid] = total
         return Cochain(self.sset, q, vals)
 
-    def render(self) -> str:
-        from .exactalg import format_rational
-        if not self.values:
-            return "0"
-        return " + ".join(f"{format_rational(v)}*<{s}>"
-                          for s, v in sorted(self.values.items()))
-
     def __repr__(self):
-        return f"Cochain(deg {self.degree}: {self.render()})"
+        values = " + ".join(f"{format_rational(v)}*<{s}>"
+                            for s, v in sorted(self.values.items()))
+        return f"Cochain(deg {self.degree}: {values or 0})"
 
 
 def aw_product(a: Cochain, b: Cochain) -> Cochain:
@@ -548,19 +470,3 @@ def aw_product(a: Cochain, b: Cochain) -> Cochain:
             vals[sid] = v
     return Cochain(a.sset, p + q, vals)
 
-
-def rho(form: DiffForm, n: int | None = None) -> Cochain:
-    """Integrate a form over every face of the standard simplex.
-
-    Sends a degree-q form on the n-simplex to the q-cochain whose value
-    on a face is the integral of the pullback; this is a chain map.
-    """
-    if n is None:
-        n = len(form.ctx.simplex_vars)
-    q = form.degree()
-    sset = standard_simplex_sset(n)
-    vals = {}
-    for sid in sset.simplices_of(q):
-        sigma = DeltaMorphism(q, n, sset.vertex_tuple(sid))
-        vals[sid] = integrate_over_simplex(pullback_along(sigma, form))
-    return Cochain(sset, q, vals)

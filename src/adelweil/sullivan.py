@@ -20,8 +20,7 @@ has none: its coordinates are the top-cell monomials.
 
 Polynomial degree plus form degree ("weight") is not preserved by
 vertex evaluations, so the family spaces are filtered, not graded, by
-weight: sullivan_basis(S, q, w) is the space of families all of whose
-terms have weight at most w.
+weight: a family has weight at most w when all of its terms do.
 
 Face pullbacks and d never raise weight (d keeps it).  The compatibility
 solve lists the labels of each degree by weight first, so the families
@@ -88,9 +87,9 @@ q)!, the Dirichlet integral.  The product of t^a dt_I and t^b dt_J on
 a simplex of dimension |I| + |J| is top-degree only when J is the
 complement of I, and then it is the wedge sign (-1 to the number of
 pairs j < i, i in I, j in J) times t^(a+b) dt_1..dt_(|I|+|J|).
-`SullivanComplex.element` builds forms from those labels, and the
-`SullivanElement` operations stay as the form route, which the tests use
-as the independent oracle.
+The independent oracle of these labels, the form route (a `DiffForm`
+on every simplex, pulled back and integrated form by form), lives in
+tests/derham_oracles.py.
 """
 
 from __future__ import annotations
@@ -104,24 +103,17 @@ from .errors import (
     CapExceeded,
     CapInsufficient,
     CheckFailed,
-    ContextMismatch,
-    DegreeError,
     DimensionMismatch,
     NotAComplex,
 )
-from .exactalg import LinearSpan, MultiPoly
-from .dgforms import DiffForm, simplex_context
+from .exactalg import LinearSpan
 from .simplicial import (
     Cochain,
     FiniteSimplicialSet,
     aw_product,
     dirichlet_integral,
-    face,
-    integrate_over_simplex,
-    pullback_along,
 )
 
-HARD_DEGREE_CAP = 12
 HARD_WEIGHT_CAP = 24
 
 # hard cap on the labels of every simplex at the weight cap, whatever the
@@ -180,15 +172,6 @@ def _simplex_labels(m: int, q: int, cap: int) -> tuple:
     """Monomial labels on the m-simplex, degree q, weight-ascending to cap."""
     return tuple(lab for w in range(q, cap + 1)
                  for lab in _simplex_weight_block(m, q, w))
-
-
-def _form_of(ctx, pairs) -> DiffForm:
-    """The form sum of c t^exp dt_mono over ((exp, mono), c) pairs."""
-    terms: dict = {}
-    for (exp, mono), c in pairs:
-        terms.setdefault(mono, {})[exp] = c
-    return DiffForm(ctx, {mono: ctx.ring_poly(MultiPoly(ctx.even_vars, cs))
-                          for mono, cs in terms.items()})
 
 
 @lru_cache(maxsize=8192)
@@ -399,98 +382,6 @@ def sparse_nullspace(rows: list, order: dict) -> list:
 # -- compatible families -----------------------------------------------------
 
 
-class SullivanElement:
-    """A form on every nondegenerate simplex, compatible along faces."""
-
-    __slots__ = ("sset", "degree", "forms")
-
-    def __init__(self, sset: FiniteSimplicialSet, degree: int, forms: dict):
-        self.sset = sset
-        self.degree = degree
-        self.forms = {}
-        for sid, form in forms.items():
-            if sid not in sset.simplices:
-                raise DimensionMismatch(f"unknown simplex {sid!r}")
-            if not form.is_zero():
-                if form.degree() != degree:
-                    raise DegreeError(
-                        f"form on {sid!r} has degree {form.degree()}, "
-                        f"family has degree {degree}")
-                self.forms[sid] = form
-
-    def form_on(self, sid: str) -> DiffForm:
-        form = self.forms.get(sid)
-        if form is None:
-            return simplex_context(self.sset.dim_of(sid)).zero_form()
-        return form
-
-    def is_zero(self) -> bool:
-        return not self.forms
-
-    def is_compatible(self) -> bool:
-        for sid, dim in self.sset.simplices.items():
-            for i in range(dim + 1):
-                if dim == 0:
-                    break
-                pulled = pullback_along(face(dim, i), self.form_on(sid))
-                if pulled != self.form_on(self.sset.face(sid, i)):
-                    return False
-        return True
-
-    def __add__(self, other: "SullivanElement") -> "SullivanElement":
-        if self.sset != other.sset:
-            raise ContextMismatch("families on different simplicial sets")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise DegreeError("family degrees differ")
-        forms = dict(self.forms)
-        for sid, form in other.forms.items():
-            forms[sid] = forms[sid] + form if sid in forms else form
-        return SullivanElement(self.sset, self.degree, forms)
-
-    def __neg__(self):
-        return SullivanElement(self.sset, self.degree,
-                               {s: -f for s, f in self.forms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "SullivanElement":
-        return SullivanElement(self.sset, self.degree,
-                               {s: f * c for s, f in self.forms.items()})
-
-    def __mul__(self, other: "SullivanElement") -> "SullivanElement":
-        if self.sset != other.sset:
-            raise ContextMismatch("families on different simplicial sets")
-        forms = {}
-        for sid in self.forms:
-            if sid in other.forms:
-                forms[sid] = self.forms[sid] * other.forms[sid]
-        return SullivanElement(self.sset, self.degree + other.degree, forms)
-
-    def d(self) -> "SullivanElement":
-        return SullivanElement(self.sset, self.degree + 1,
-                               {s: f.d() for s, f in self.forms.items()})
-
-    def integrate(self) -> Cochain:
-        vals = {}
-        for sid in self.sset.simplices_of(self.degree):
-            vals[sid] = integrate_over_simplex(self.form_on(sid))
-        return Cochain(self.sset, self.degree, vals)
-
-    def __eq__(self, other):
-        if not isinstance(other, SullivanElement):
-            return NotImplemented
-        return (self.sset == other.sset and self.degree == other.degree
-                and (self - other).is_zero())
-
-
-# -- bases and complexes -----------------------------------------------------
-
-
 class SullivanComplex:
     """Exact coordinates for the family complex of one simplicial set.
 
@@ -616,15 +507,9 @@ class SullivanComplex:
                     vec.pop(lab, None)
         return vec
 
-    def element(self, q: int, vec_or_index) -> SullivanElement:
-        return SullivanElement(self.sset, q, {
-            sid: _form_of(simplex_context(self.sset.dim_of(sid)),
-                          labels.items())
-            for sid, labels in self.simplex_labels(q, vec_or_index).items()})
-
     def simplex_labels(self, q: int, vec_or_index) -> dict:
-        """{sid: {label: c}}: a degree-q family (as in `element`) on each
-        simplex of dimension >= q, in monomial labels, without forms.
+        """{sid: {label: c}}: a degree-q family (as `_label_vector` reads
+        it) on each simplex of dimension >= q, in monomial labels.
 
         The labels on the maximal simplices are restricted face by face
         through `_face_image`, along the face maps that found each
@@ -655,16 +540,6 @@ class SullivanComplex:
                     if r is not None:
                         rows[r][k] = rows[r].get(k, 0) + c * v
         return [{k: v for k, v in row.items() if v} for row in rows]
-
-
-def sullivan_basis(S: FiniteSimplicialSet, q: int, w: int) -> list:
-    """Basis of the compatible families of degree q and weight <= w."""
-    if q > S.dimension + HARD_DEGREE_CAP:
-        raise CapExceeded(f"degree {q} is past the hard cap")
-    if q > S.dimension:
-        return []
-    cx = SullivanComplex(S, w)
-    return [cx.element(q, k) for k in range(cx.dim(q))]
 
 
 # -- cochain complexes and cohomology ----------------------------------------

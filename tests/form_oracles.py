@@ -17,13 +17,17 @@ argument is split into odd monomials times scalar coefficient matrices,
 P~ is the scalar `polarize` of the coefficient matrices times the
 product of the monomials in argument order, and the s-integral of the
 j-th binomial term is the weight m C(m-1, j) / (m + j).
+
+`polarize` is the full polarization of an invariant polynomial by
+inclusion-exclusion, over any commutative ring.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from adelweil.dgforms import DGContext, DiffForm, _merge_odd, polarize
+from adelweil.dgforms import DGContext, DiffForm, _merge_odd, invariant_eval
+from adelweil.errors import DegreeError
 from adelweil.exactalg import RingMatrix
 from adelweil.simplicial import _drop_simplex_vars, dirichlet_integral
 
@@ -48,6 +52,33 @@ def ratfunc_fiber_integral(form) -> DiffForm:
         rest = tuple(i - l for i in mono[l:])
         acc = acc + DiffForm(base, {rest: num_acc / den})
     return acc
+
+
+def polarize(P, Ms: list, one=None):
+    """Full polarization of P by inclusion-exclusion.
+
+    `one` is the ring's unit, as in `invariant_eval`.
+
+    P~(M_1..M_m) = (1/m!) sum over nonempty S of (-1)^(m-|S|) P(sum_S M_i);
+    it is symmetric, multilinear, and restores P on the diagonal.
+    """
+    m = P.degree
+    if len(Ms) != m:
+        raise DegreeError(f"polarization of degree {m} needs {m} arguments")
+    acc = None
+    for picks in itertools.product((0, 1), repeat=m):
+        size = sum(picks)
+        if not size:
+            continue
+        total = None
+        for flag, M in zip(picks, Ms):
+            if flag:
+                total = M if total is None else total + M
+        value = invariant_eval(P, total, one)
+        if (m - size) % 2:
+            value = -value
+        acc = value if acc is None else acc + value
+    return acc * Fraction(1, math.factorial(m))
 
 
 def odd_decomposition(M) -> dict:

@@ -9,15 +9,16 @@ from adelweil.adelic import Chain, block_frames, mixed_connection
 from adelweil.cli import resolve_input
 from adelweil.dgforms import (
     DGContext, DiffForm, FormMatrix, InvariantPolynomial, chain_context,
-    chern_character, invariant_eval, matrix_curvature,
-    polarize, polynomial_context, transgression,
+    invariant_eval, matrix_curvature, polynomial_context, transgression,
 )
 from adelweil.errors import DegreeError, DimensionMismatch, OddEntries
 from adelweil.exactalg import RingMatrix
 from adelweil.parsing import load_json, scenario_from_json
 from adelweil.simplicial import fiber_integrate
 
-from form_oracles import polarized_transgression, ratfunc_fiber_integral
+from form_oracles import (
+    polarize, polarized_transgression, ratfunc_fiber_integral,
+)
 from strategies import fractions, polys
 
 CTX = chain_context(1, ("f",))
@@ -379,18 +380,3 @@ def test_transgression_substitutes_nothing(monkeypatch):
     with pytest.raises(AssertionError):
         theta[0, 0].substitute(theta.ctx)
 
-
-def test_chern_character_of_rank_one_curvature():
-    ctx = chain_context(1, ("f",))
-    theta = FormMatrix(ctx, [[ctx.form_scalar(ctx.ring_var("f"))
-                              * ctx.dt(1)]])
-    R = matrix_curvature(theta)
-    ch = chern_character(R)
-    # rank one: 1 + c1 (higher powers vanish by odd-degree bound)
-    assert ch == ctx.form_scalar(1) + R[0, 0]
-
-
-def test_character_requires_nilpotency():
-    M = FormMatrix(CTX, [[CTX.form_scalar(1)]])
-    with pytest.raises(DegreeError):
-        chern_character(M)
