@@ -88,7 +88,8 @@ def cmd_bott(args) -> Report:
     rep = Report(command="bott")
     rep.add_input(path)
     scn = scenario_from_json(load_json(path))
-    P = parse_invariant_text(args.poly, scn.r) if args.poly else None
+    P = parse_invariant_text(args.poly, scn.r) \
+        if args.poly is not None else None
     res = bott_sum(scn, P, stability=args.stability)
     rep.add("scenario", name=res["scenario"], poly=res["poly"])
     for row in res["rows"]:

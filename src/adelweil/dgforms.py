@@ -156,9 +156,6 @@ class DGContext:
     def d_by_name(self, name: str) -> "DiffForm":
         return DiffForm(self, {(self.odd_index(name),): self.ring_const(1)})
 
-    def f(self, name: str) -> "DiffForm":
-        return self.form_scalar(self.ring_var(name))
-
 
 def polynomial_context(base_vars, inert_vars=()) -> DGContext:
     """Context with base variables only (no simplex factor)."""
@@ -227,12 +224,9 @@ class DiffForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self) -> set[int]:
-        return {len(m) for m in self.terms}
-
     def degree(self) -> int:
         """Degree of a homogeneous form (0 for the zero form)."""
-        degs = self.degrees()
+        degs = {len(m) for m in self.terms}
         if not degs:
             return 0
         if len(degs) > 1:
@@ -396,9 +390,6 @@ class DiffForm:
                     terms[new] = s
         return DiffForm(self.ctx, terms)
 
-    def map_coefficients(self, fn) -> "DiffForm":
-        return DiffForm(self.ctx, {m: fn(c) for m, c in self.terms.items()})
-
     def substitute(self, target: DGContext, even_images: dict | None = None,
                    odd_images: dict | None = None) -> "DiffForm":
         """DGA homomorphism into another context.
@@ -511,12 +502,6 @@ class FormMatrix(RingMatrix):
         return FormMatrix(self.ctx, rows)
 
     @classmethod
-    def identity(cls, ctx: DGContext, r: int) -> "FormMatrix":
-        one, zero = ctx.one_form(), ctx.zero_form()
-        return cls(ctx, [[one if i == j else zero for j in range(r)]
-                         for i in range(r)])
-
-    @classmethod
     def zero(cls, ctx: DGContext, r: int, c: int | None = None) -> "FormMatrix":
         c = r if c is None else c
         z = ctx.zero_form()
@@ -548,15 +533,6 @@ class FormMatrix(RingMatrix):
 
     def contract(self, components: dict) -> "FormMatrix":
         return self.map(lambda x: x.contract(components))
-
-    def trace(self) -> DiffForm:
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("trace of a non-square matrix")
-        acc = self.ctx.zero_form()
-        for i in range(m):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.rows for x in row)

@@ -136,7 +136,7 @@ class MultiPoly:
 
     Example
     -------
-    >>> f, g = MultiPoly.variables(("f", "g"))
+    >>> f, g = (MultiPoly.var(("f", "g"), name) for name in "fg")
     >>> ((f + g) * (f - g)).render()
     'f^2 - g^2'
     """
@@ -174,10 +174,6 @@ class MultiPoly:
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
         return cls(vars, {tuple(exp): ONE})
-
-    @classmethod
-    def variables(cls, vars) -> list["MultiPoly"]:
-        return [cls.var(vars, name) for name in vars]
 
     # -- predicates ----------------------------------------------------------
 
@@ -640,11 +636,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def as_poly(self) -> MultiPoly:
-        if not self.den.is_constant():
-            raise DimensionMismatch(f"{self.render()} is not a polynomial")
-        return self.num * (1 / self.den.constant_term())
-
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
             return other
@@ -923,15 +914,11 @@ class RingMatrix:
     def __eq__(self, other):
         return isinstance(other, RingMatrix) and self.rows == other.rows
 
-    def render(self) -> str:
-        def show(x):
-            return x.render() if hasattr(x, "render") else format_rational(x)
-        return "[" + ", ".join(
-            "[" + ", ".join(show(x) for x in row) + "]"
-            for row in self.rows) + "]"
-
     def __repr__(self):
-        return f"{type(self).__name__}({self.render()})"
+        rows = ("[" + ", ".join(x.render() if hasattr(x, "render")
+                                else format_rational(x) for x in row) + "]"
+                for row in self.rows)
+        return f"{type(self).__name__}([{', '.join(rows)}])"
 
 
 def _dot(xs, ys):
@@ -945,9 +932,9 @@ def _dot(xs, ys):
 class QMatrix:
     """Dense matrix of Fractions: a container over the `LinearSpan` kernel.
 
-    Every elimination (`rref`, `rank`, `nullspace`, `solve`, `inv`)
-    feeds the rows to a `LinearSpan` with the column index as label
-    order and reads the answer out of it.  Determinants are
+    Every elimination (`rref`, and `solve` and `inv` through it) feeds
+    the rows to a `LinearSpan` with the column index as label order and
+    reads the answer out of it.  Determinants are
     `RingMatrix`'s.
     """
 
@@ -961,28 +948,16 @@ class QMatrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def _span(self) -> "LinearSpan":
-        span = LinearSpan()
-        span.extend({j: x for j, x in enumerate(row) if x}
-                    for row in self.rows)
-        return span
-
     def rref(self) -> tuple["QMatrix", list[int]]:
         """Reduced row echelon form and pivot column indices."""
         m, n = self.shape
-        red = self._span().reduced_rows()
+        span = LinearSpan()
+        span.extend({j: x for j, x in enumerate(row) if x}
+                    for row in self.rows)
+        red = span.reduced_rows()
         rows = [[row.get(j, ZERO) for j in range(n)] for row in red.values()]
         rows += [[ZERO] * n for _ in range(m - len(rows))]
         return QMatrix(rows), list(red)
-
-    def rank(self) -> int:
-        return self._span().rank
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """Deterministic basis of the kernel (one vector per free column)."""
-        n = self.shape[1]
-        return [[Fraction(vec.get(j, 0)) for j in range(n)]
-                for _, vec in self._span().kernel(range(n))]
 
     def solve(self, b: list) -> list[Fraction] | None:
         """One solution of A x = b, or None if inconsistent."""
@@ -1279,7 +1254,8 @@ def artinian_length(generators, cap: int = LENGTH_CAP) -> int:
 
     Example
     -------
-    >>> f1, f2 = MultiPoly.variables(("f1", "f2"))
+    >>> V = ("f1", "f2")
+    >>> f1, f2 = (MultiPoly.var(V, name) for name in V)
     >>> artinian_length([f1**2 - f2**3, f2**2])
     4
     """

@@ -209,6 +209,10 @@ def _bounded_rank(rank: int, where: str) -> int:
 
 
 def chain_from_labels(labels, where: str) -> Chain:
+    if not labels:
+        raise ParseError(f"{where} names no point")
+    if len(set(labels)) != len(labels):
+        raise ParseError(f"{where} repeats a label: {', '.join(labels)}")
     if len(labels) > MAX_CHAIN:
         raise CapExceeded(
             f"{where} has {len(labels)} labels, past the cap of {MAX_CHAIN}")

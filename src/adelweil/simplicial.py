@@ -2,9 +2,9 @@
 
 A `DeltaMorphism` is a monotone map of vertex sets; pulling a form back
 along one is variable substitution.  Integration over a simplex is the
-Dirichlet integral, done exactly in rationals.  The cochain side
-(normalized cochains on a finite simplicial set, the front/back-face
-product) lives here too.
+Dirichlet integral, done exactly in rationals.  Of the cochain side
+only the front/back-face product lives here, on plain {sid: value}
+dicts; the coboundary is `sullivan.cochain_complex`, in coordinates.
 """
 
 from __future__ import annotations
@@ -15,16 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import (
-    CapExceeded,
-    ContextMismatch,
-    DimensionMismatch,
-    ParseError,
-)
+from .errors import CapExceeded, DimensionMismatch, ParseError
 from .dgforms import DGContext, DiffForm
-from .exactalg import (
-    MultiPoly, RatFunc, format_rational, parse_integer, rat,
-)
+from .exactalg import MultiPoly, RatFunc, parse_integer
 
 
 # -- the simplex category ----------------------------------------------------
@@ -289,12 +282,6 @@ class FiniteSimplicialSet:
         dim = self.simplices[sid]
         return self.subface(sid, range(dim - q, dim + 1))
 
-    def vertex_tuple(self, sid: str) -> tuple[int, ...]:
-        if self.vertices is None or sid not in self.vertices:
-            raise DimensionMismatch(
-                f"{self.name}: no vertex coordinates for {sid!r}")
-        return tuple(self.vertices[sid])
-
     def __eq__(self, other):
         return (isinstance(other, FiniteSimplicialSet)
                 and self.simplices == other.simplices
@@ -384,89 +371,19 @@ def disjoint_points(k: int) -> FiniteSimplicialSet:
 # -- normalized cochains -----------------------------------------------------
 
 
-class Cochain:
-    """Rational cochain on the nondegenerate q-simplices of a set.
-
-    Normalization is implicit: degenerate simplices are never stored,
-    and the cochain is zero on them.
-    """
-
-    __slots__ = ("sset", "degree", "values")
-
-    def __init__(self, sset: FiniteSimplicialSet, degree: int, values=None):
-        self.sset = sset
-        self.degree = degree
-        self.values = {}
-        for sid, v in (values or {}).items():
-            if sset.simplices.get(sid) != degree:
-                raise DimensionMismatch(
-                    f"{sid!r} is not a {degree}-simplex of {sset.name}")
-            v = rat(v)
-            if v:
-                self.values[sid] = v
-
-    def __call__(self, sid: str) -> Fraction:
-        return self.values.get(sid, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def _check(self, other: "Cochain"):
-        if self.sset != other.sset:
-            raise ContextMismatch("cochains on different simplicial sets")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check(other)
-        if self.degree != other.degree:
-            raise DimensionMismatch("cochain degrees differ")
-        vals = dict(self.values)
-        for sid, v in other.values.items():
-            vals[sid] = vals.get(sid, Fraction(0)) + v
-        return Cochain(self.sset, self.degree, vals)
-
-    def __neg__(self):
-        return Cochain(self.sset, self.degree,
-                       {s: -v for s, v in self.values.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.sset == other.sset
-                and self.degree == other.degree
-                and self.values == other.values)
-
-    def coboundary(self) -> "Cochain":
-        """Alternating sum of face restrictions, one degree up."""
-        q = self.degree + 1
-        vals = {}
-        for sid in self.sset.simplices_of(q):
-            total = Fraction(0)
-            for i in range(q + 1):
-                v = self(self.sset.face(sid, i))
-                total += v if i % 2 == 0 else -v
-            if total:
-                vals[sid] = total
-        return Cochain(self.sset, q, vals)
-
-    def __repr__(self):
-        values = " + ".join(f"{format_rational(v)}*<{s}>"
-                            for s, v in sorted(self.values.items()))
-        return f"Cochain(deg {self.degree}: {values or 0})"
-
-
-def aw_product(a: Cochain, b: Cochain) -> Cochain:
-    """Front/back-face cochain product (associative, not commutative).
+def aw_product(S: FiniteSimplicialSet, p: int, a: dict, q: int,
+               b: dict) -> dict:
+    """Front/back-face product of a p-cochain a and a q-cochain b, each
+    {sid: value} on the nondegenerate simplices (associative, not
+    commutative).
 
     On a (p+q)-simplex the value is a on the first p+1 vertices times
-    b on the last q+1.
+    b on the last q+1.  Normalized cochains vanish on degenerate
+    simplices, which are never stored.
     """
-    a._check(b)
-    p, q = a.degree, b.degree
-    vals = {}
-    for sid in a.sset.simplices_of(p + q):
-        v = a(a.sset.front_face(sid, p)) * b(b.sset.back_face(sid, q))
+    out = {}
+    for sid in S.simplices_of(p + q):
+        v = a.get(S.front_face(sid, p), 0) * b.get(S.back_face(sid, q), 0)
         if v:
-            vals[sid] = v
-    return Cochain(a.sset, p + q, vals)
-
+            out[sid] = v
+    return out

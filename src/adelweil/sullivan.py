@@ -87,9 +87,13 @@ q)!, the Dirichlet integral.  The product of t^a dt_I and t^b dt_J on
 a simplex of dimension |I| + |J| is top-degree only when J is the
 complement of I, and then it is the wedge sign (-1 to the number of
 pairs j < i, i in I, j in J) times t^(a+b) dt_1..dt_(|I|+|J|).
-The independent oracle of these labels, the form route (a `DiffForm`
-on every simplex, pulled back and integrated form by form), lives in
-tests/derham_oracles.py.
+Integrals, products and multiplicativity defects are normalized
+cochains kept as {sid: value} dicts (`simplicial.aw_product` multiplies
+them), each read once as an index vector of `cochain_complex`, whose
+`mats` are the one coboundary.  The independent oracles of these
+labels and of that coboundary, the form route (a `DiffForm` on every
+simplex, pulled back and integrated form by form) and a face-walking
+coboundary, live in tests/derham_oracles.py.
 """
 
 from __future__ import annotations
@@ -107,12 +111,7 @@ from .errors import (
     NotAComplex,
 )
 from .exactalg import LinearSpan
-from .simplicial import (
-    Cochain,
-    FiniteSimplicialSet,
-    aw_product,
-    dirichlet_integral,
-)
+from .simplicial import FiniteSimplicialSet, aw_product, dirichlet_integral
 
 HARD_WEIGHT_CAP = 24
 
@@ -382,6 +381,19 @@ def sparse_nullspace(rows: list, order: dict) -> list:
 # -- compatible families -----------------------------------------------------
 
 
+def _check_label_budget(sset: FiniteSimplicialSet, cap: int) -> None:
+    """Refuse a family complex with more than MAX_FAMILY_LABELS labels at
+    the cap: C(m, q) dt-monomials times C(cap - q + m, m) t-monomials of
+    weight <= cap on each m-simplex, summed over the degrees q."""
+    count = sum(math.comb(m, q) * math.comb(cap - q + m, m)
+                for m in map(sset.dim_of, sset.simplices)
+                for q in range(min(m, cap) + 1))
+    if count > MAX_FAMILY_LABELS:
+        raise CapExceeded(
+            f"the family complex at weight {cap} has "
+            f"{count} labels, past the cap of {MAX_FAMILY_LABELS}")
+
+
 class SullivanComplex:
     """Exact coordinates for the family complex of one simplicial set.
 
@@ -394,18 +406,10 @@ class SullivanComplex:
         if weight_cap > HARD_WEIGHT_CAP:
             raise CapExceeded(
                 f"weight cap {weight_cap} above hard cap {HARD_WEIGHT_CAP}")
+        _check_label_budget(sset, weight_cap)
         self.sset = sset
         self.cap = weight_cap
         self.L = sset.dimension
-        # C(m, q) dt-monomials times C(cap - q + m, m) t-monomials of
-        # weight <= cap on each m-simplex, summed over the degrees q
-        count = sum(math.comb(m, q) * math.comb(weight_cap - q + m, m)
-                    for m in map(sset.dim_of, sset.simplices)
-                    for q in range(min(m, self.L + 1, weight_cap) + 1))
-        if count > MAX_FAMILY_LABELS:
-            raise CapExceeded(
-                f"the family complex at weight {weight_cap} has "
-                f"{count} labels, past the cap of {MAX_FAMILY_LABELS}")
         faces = {fsid for fs in sset.faces.values() for fsid in fs}
         self._maximal = sorted(set(sset.simplices) - faces)
         # each simplex is read as the face of one maximal simplex on some
@@ -687,33 +691,28 @@ def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
 
 
 def _whitney_verdict(S: FiniteSimplicialSet, cap: int,
-                     cview: CochainComplexView, images: list,
-                     hit: list) -> None:
+                     cview: CochainComplexView, q: int, z: dict) -> None:
     """Tell a low cap from a failed comparison, by Whitney forms.
 
-    hit[q] spans the classes the families hit, read against images[q].
-    Each cochain class z outside it has a Whitney form E(z) that hits
-    it.  When E(z) has weight above the cap, CapInsufficient names the
-    degree and that weight.  Within the cap, E(z) is checked to be a
-    family cocycle integrating to z, which leaves the comparison failed;
-    a Whitney form that fails that check raises CheckFailed.
+    z = {index: c} is a degree-q cocycle of `cview` whose class no
+    family of the cap hits.  Its Whitney form E(z) hits it.  When E(z)
+    has weight above the cap, CapInsufficient names the degree and that
+    weight.  Within the cap, E(z) is checked to be a family cocycle
+    integrating to z, which leaves the comparison failed; a Whitney
+    form that fails that check raises CheckFailed.
     """
-    for q, classes in enumerate(hit):
-        for z in cview.representatives(q):
-            if not classes.add(images[q].reduce(z)):
-                continue
-            values = {cview.labels[q][i]: c for i, c in z.items()}
-            family = _whitney_family(S, q, values)
-            weight = max(_weight(lab) for on in family.values() for lab in on)
-            if weight > cap:
-                raise CapInsufficient(
-                    f"a degree-{q} cochain class is hit by no family of "
-                    f"weight at most {cap}; its Whitney form, which hits "
-                    f"it, has weight {weight}")
-            if not _hits_as_family_cocycle(S, q, family, values):
-                raise CheckFailed(
-                    f"the Whitney form of a degree-{q} cochain class is "
-                    f"not a family cocycle integrating to it")
+    values = {cview.labels[q][i]: c for i, c in z.items()}
+    family = _whitney_family(S, q, values)
+    weight = max(_weight(lab) for on in family.values() for lab in on)
+    if weight > cap:
+        raise CapInsufficient(
+            f"a degree-{q} cochain class is hit by no family of "
+            f"weight at most {cap}; its Whitney form, which hits "
+            f"it, has weight {weight}")
+    if not _hits_as_family_cocycle(S, q, family, values):
+        raise CheckFailed(
+            f"the Whitney form of a degree-{q} cochain class is "
+            f"not a family cocycle integrating to it")
 
 
 def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dict:
@@ -723,9 +722,12 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     cohomology ranks, checks the integration map induces an isomorphism
     on the computed range, and checks that each sampled multiplicativity
     defect lies in the span of the coboundaries.  Raises CapExceeded up
-    front for a cap outside 0..HARD_WEIGHT_CAP, and CapInsufficient when
-    a cochain class is hit by no family of the cap and its Whitney form
-    lies above it (`_whitney_verdict`).
+    front for a cap outside 0..HARD_WEIGHT_CAP or a family complex past
+    MAX_FAMILY_LABELS, and CapInsufficient when a cochain class is hit
+    by no family of the cap and its Whitney form lies above it
+    (`_whitney_verdict`).  A class of degree above the cap is refused so
+    before the family complex is built: a degree-q family has weight at
+    least q.
 
     One family complex at the cap serves every lower cap through its
     leading blocks, and one echelon of each of its coboundaries serves
@@ -740,37 +742,46 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     if not 0 <= cap <= HARD_WEIGHT_CAP:
         raise CapExceeded(f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP}")
 
+    _check_label_budget(S, cap)
+    cview = cochain_complex(S)
+    coch_ranks = cview.ranks()
+    # a degree-q family has weight at least q, so no family of the cap
+    # hits a class of degree above it: the first such class is refused
+    # before any family solve
+    for q in range(cap + 1, L + 1):
+        for z in cview.representatives(q)[:1]:
+            _whitney_verdict(S, cap, cview, q, z)
+
     cx = SullivanComplex(S, cap)
     view = sullivan_view(cx)    # d∘d checked on every block at once
     per_weight = _weight_ranks(cx, view)
     sull_ranks = per_weight[-1]
-
-    cview = cochain_complex(S)
-    coch_ranks = cview.ranks()
     ranks_match = sull_ranks == coch_ranks
 
-    # induced map on cohomology: inject family classes into cochain
-    # classes; a cocycle's class is its residual against the coboundaries
+    # cochains are {sid: value} dicts, each read as an index vector once.
+    # The induced map on cohomology injects family classes into cochain
+    # classes: closed under cview's coboundary, a cocycle's class is its
+    # residual against the coboundaries
     reps = []
     for q, sids in enumerate(cview.labels):
         reps.append([])
         for vec in view.representatives(q):
             on = cx.simplex_labels(q, vec)
-            reps[q].append((on, Cochain(S, q, {
-                sid: _label_integral(on[sid]) for sid in sids if sid in on})))
-    orders = [{sid: i for i, sid in enumerate(labels)}
-              for labels in cview.labels]
+            reps[q].append((on, {sid: _label_integral(on[sid])
+                                 for sid in sids if sid in on}))
     images = [cview.image_span(q) for q in range(L + 2)]
     induced_ok = True
     induced_details = []
     hit = []
-    for q in range(L + 2):
+    for q, sids in enumerate(cview.labels):
         classes = LinearSpan()
         injected = 0
-        for _, coch in reps[q]:
-            vec = {orders[q][sid]: v for sid, v in coch.values.items()}
-            if coch.coboundary().is_zero() and \
-                    classes.add(images[q].reduce(vec)):
+        for _, integral in reps[q]:
+            vec = {i: integral[sid] for i, sid in enumerate(sids)
+                   if integral.get(sid)}
+            closed = not any(sum(x * vec.get(j, 0) for j, x in row.items())
+                             for row in cview.mats[q])
+            if closed and classes.add(images[q].reduce(vec)):
                 injected += 1
             else:
                 induced_ok = False
@@ -781,7 +792,10 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
                                 "injected": injected,
                                 "target_rank": coch_ranks[q]})
     if not (ranks_match and induced_ok):
-        _whitney_verdict(S, cap, cview, images, hit)
+        for q, classes in enumerate(hit):
+            for z in cview.representatives(q):
+                if classes.add(images[q].reduce(z)):
+                    _whitney_verdict(S, cap, cview, q, z)
 
     # multiplicativity: the integration map fails to be a ring map only
     # by a coboundary
@@ -792,12 +806,14 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
         if p + q > L:
             continue
         pairs += 1
-        cup = Cochain(S, p + q, {
-            sid: _product_integral(p + q, u[sid], v[sid])
-            for sid in cview.labels[p + q] if sid in u and sid in v})
-        defect = cup - aw_product(iu, iv)
-        target = {orders[p + q][sid]: x for sid, x in defect.values.items()}
-        mult_ok &= images[p + q].contains(target)
+        aw = aw_product(S, p, iu, q, iv)
+        defect = {}
+        for i, sid in enumerate(cview.labels[p + q]):
+            cup = _product_integral(p + q, u[sid], v[sid]) \
+                if sid in u and sid in v else 0
+            if cup != aw.get(sid, 0):
+                defect[i] = cup - aw.get(sid, 0)
+        mult_ok &= images[p + q].contains(defect)
 
     ok = ranks_match and induced_ok and mult_ok
     return {

@@ -11,6 +11,10 @@ The morphisms of the simplex category are built here too, as
 `DeltaMorphism` values: cofaces, codegeneracies, vertex inclusions and
 composites, with `vertex_value` and `rho`, which sends a form on the
 standard simplex to the cochain of its face integrals.
+
+Cochains are {sid: value} dicts without zero values.  `coboundary`
+walks the faces of each simplex; it is the independent oracle of the
+coboundary matrices of `sullivan.cochain_complex`.
 """
 
 from adelweil.dgforms import DiffForm, chain_context
@@ -19,7 +23,7 @@ from adelweil.errors import (
 )
 from adelweil.exactalg import MultiPoly
 from adelweil.simplicial import (
-    Cochain, DeltaMorphism, FiniteSimplicialSet, integrate_over_simplex,
+    DeltaMorphism, FiniteSimplicialSet, integrate_over_simplex,
     pullback_along, standard_simplex_sset,
 )
 from adelweil.sullivan import SullivanComplex
@@ -71,7 +75,19 @@ def vertex_value(form: DiffForm, i: int) -> DiffForm:
     return pullback_along(vertex_inclusion(n, i), form)
 
 
-def rho(form: DiffForm, n: int | None = None) -> Cochain:
+def coboundary(S: FiniteSimplicialSet, q: int, values: dict) -> dict:
+    """The coboundary of the q-cochain {sid: value}: on each
+    (q+1)-simplex, the alternating sum of the values on its faces."""
+    out = {}
+    for sid in S.simplices_of(q + 1):
+        total = sum((-1) ** i * values.get(S.face(sid, i), 0)
+                    for i in range(q + 2))
+        if total:
+            out[sid] = total
+    return out
+
+
+def rho(form: DiffForm, n: int | None = None) -> dict:
     """Integrate a form over every face of the standard simplex.
 
     Sends a degree-q form on the n-simplex to the q-cochain whose value
@@ -83,9 +99,9 @@ def rho(form: DiffForm, n: int | None = None) -> Cochain:
     sset = standard_simplex_sset(n)
     vals = {}
     for sid in sset.simplices_of(q):
-        sigma = DeltaMorphism(q, n, sset.vertex_tuple(sid))
+        sigma = DeltaMorphism(q, n, sset.vertices[sid])
         vals[sid] = integrate_over_simplex(pullback_along(sigma, form))
-    return Cochain(sset, q, vals)
+    return {sid: v for sid, v in vals.items() if v}
 
 
 # -- families of forms -------------------------------------------------------
@@ -176,11 +192,12 @@ class SullivanElement:
         return SullivanElement(self.sset, self.degree + 1,
                                {s: f.d() for s, f in self.forms.items()})
 
-    def integrate(self) -> Cochain:
+    def integrate(self) -> dict:
+        """The q-cochain {sid: value} of the forms' integrals."""
         vals = {}
         for sid in self.sset.simplices_of(self.degree):
             vals[sid] = integrate_over_simplex(self.form_on(sid))
-        return Cochain(self.sset, self.degree, vals)
+        return {sid: v for sid, v in vals.items() if v}
 
     def __eq__(self, other):
         if not isinstance(other, SullivanElement):

@@ -121,5 +121,5 @@ def polarized_transgression(P, theta) -> DiffForm:
         # slots: theta, then (m-1-j) copies of s A, then j copies of s^2 B
         weight = Fraction(m * math.comb(m - 1, j), m + j)
         value = polarize_mixed(P, [theta] + [A] * (m - 1 - j) + [B] * j)
-        acc = acc + value.map_coefficients(lambda c: c * weight)
+        acc = acc + value * weight
     return acc

@@ -228,17 +228,33 @@ def test_degree_mismatch_exits_2(capsys):
     assert code == 2 and "degree" in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["chern", "p1-o1.json"], "needs --chain"),
+@pytest.mark.parametrize("argv, message, whitney_chain", [
+    (["chern", "p1-o1.json"], "needs --chain", None),
     (["chern", "p1-whitney.json", "--chain", "x0"],
-     "--chain applies to chart scenarios only"),
+     "--chain applies to chart scenarios only", None),
     (["residue", "fraction-cusp.json", "--precision", "0"],
-     "--precision must be at least 1, not 0"),
+     "--precision must be at least 1, not 0", None),
     (["residue", "fraction-cusp.json", "--precision", "-3"],
-     "--precision must be at least 1, not -3"),
+     "--precision must be at least 1, not -3", None),
+    (["chern", "p1-o1.json", "--chain", ","], "--chain names no point",
+     None),
+    (["chern", "p1-o1.json", "--chain", "x0,x0"],
+     "--chain repeats a label: x0, x0", None),
+    (["chern", "p1-whitney.json"], "whitney chain names no point", []),
+    (["chern", "p1-whitney.json"],
+     "whitney chain repeats a label: x0, p0, x0", ["x0", "p0", "x0"]),
+    (["bott", "p1-o1.json", "--poly", ""], "empty expression", None),
 ], ids=["chart-without-chain", "whitney-with-chain", "precision-0",
-        "precision-negative"])
-def test_options_that_cannot_apply_exit_3(capsys, argv, message):
+        "precision-negative", "empty-chain", "repeated-chain",
+        "empty-whitney-chain", "repeated-whitney-chain", "empty-poly"])
+def test_options_that_cannot_apply_exit_3(capsys, tmp_path, monkeypatch,
+                                          argv, message, whitney_chain):
+    # nothing is checked on a misused option or chain: exit 3, never 2
+    if whitney_chain is not None:
+        data = json.loads(Path(resolve_input(argv[1])).read_text())
+        data["whitney"]["chain"] = whitney_chain
+        (tmp_path / argv[1]).write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
     assert message in err
@@ -495,6 +511,21 @@ def test_one_simplex_per_dimension_is_solved_face_by_face(capsys, tmp_path):
     assert time.perf_counter() - started < 5
     assert code == 0, err
     assert out.endswith("status: PASS\n")
+
+
+def test_a_class_above_the_cap_is_refused_before_the_solve(capsys,
+                                                          tmp_path):
+    # the dimension-25 chain has a degree-25 class; at cap 2 its family
+    # complex (11,726 labels) is within the budget, but no family of
+    # weight 2 reaches degree 25, so the refusal comes first
+    path = _chain_file(tmp_path, 25)
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["derham", str(path), "--weight-cap", "2"])
+    assert time.perf_counter() - started < 1
+    assert code == 5 and out == ""
+    assert err == ("error: a degree-25 cochain class is hit by no family "
+                   "of weight at most 2; its Whitney form, which hits it, "
+                   "has weight 25\n")
 
 
 def test_simplex_dimension_cap(capsys, tmp_path):

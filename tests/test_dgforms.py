@@ -150,7 +150,7 @@ def test_substitution_is_a_dga_homomorphism(a, b):
 
 def test_inert_coefficients_expand_the_form():
     ctx = chain_context(1, ("f",), ("s",))
-    s = ctx.f("s")
+    s = ctx.form_scalar(ctx.ring_var("s"))
     w = ctx.df("f") + s * ctx.dt(1) + s * s * ctx.form_scalar(3)
     assert w.inert_coefficient("s", 0) == ctx.df("f")
     assert w.inert_coefficient("s", 1) == ctx.dt(1)
@@ -221,7 +221,7 @@ def test_even_entry_guard(where):
         with pytest.raises(OddEntries):
             invariant_eval(P, M)
         with pytest.raises(OddEntries):
-            polarize(P, [M, FormMatrix.identity(CTX, 2)])
+            polarize(P, [M, FormMatrix.from_ring(CTX, [[1, 0], [0, 1]])])
     assert M.invariant(0) == CTX.one_form()
 
 

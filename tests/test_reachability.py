@@ -20,12 +20,17 @@ A function of src/adelweil/*.py is keyed by the line of its first
 decorator, the line `co_firstlineno` reports (`ast` gives the `def`
 line).  It passes when the battery enters it, when a rule allows it, or
 when ALLOWED names it, or a class or function around it, with a reason.
-The rules allow the names in `adelweil.__all__`, dunder methods, every
-name the benchmark reads (the tracer's TARGETS, and what
-perfbench/child.py reads off the package), and whatever is defined
-inside an allowed class or function.  An ALLOWED entry is listed only
-if it carries one of the paper's applications or a failure-only branch,
-and it must excuse a function the battery does not enter.
+The rules allow:
+- the names in `adelweil.__all__` themselves, not the methods of an
+  exported class;
+- dunder methods;
+- every name the benchmark reads (the tracer's TARGETS, and what
+  perfbench/child.py reads off the package), and whatever is defined
+  inside one.
+An ALLOWED entry is listed only if it carries one of the paper's
+applications, a failure-only branch, or a read of the benchmark that
+the rules cannot see (a method called on an object it built), and it
+must excuse a function the battery does not enter.
 """
 
 import ast
@@ -57,6 +62,18 @@ ALLOWED = {
         "runs only when a de Rham comparison fails within the cap",
     ("simplicial", "DeltaMorphism"):
         "pullback_along's argument type; the tracer reads pullback_along",
+    ("exactalg", "TruncatedSeries"):
+        "Gauss-Bonnet and the transformation law expand in series",
+    ("exactalg", "MultiPoly.coefficient"):
+        "simple_zero_invariant reads the linear terms of the field",
+    ("dgforms", "DGContext.dt"):
+        "the forms workload of perfbench/child.py builds connections "
+        "with it",
+    ("dgforms", "DiffForm.degree"):
+        "transgression, which only the forms workload runs, checks that "
+        "its entries are 1-forms",
+    ("sullivan", "SullivanComplex.dim"):
+        "the tracer's _family_dims hook reads the family dimensions",
 }
 
 CHAINS = ("x0", "x0,p0", "x0,p0,q1", "q1,inf")
@@ -148,13 +165,17 @@ def _child_reads() -> set:
     return out
 
 
-def _allowed_by_rule() -> set:
+def _exported() -> set:
+    """(module, name) of each name in `adelweil.__all__`."""
     import adelweil
 
-    return ({(getattr(adelweil, name).__module__.rpartition(".")[2], name)
-             for name in adelweil.__all__}
-            | {(module, path) for module, path, *_ in _targets()}
-            | _child_reads())
+    return {(getattr(adelweil, name).__module__.rpartition(".")[2], name)
+            for name in adelweil.__all__}
+
+
+def _benchmark_reads() -> set:
+    return {(module, path) for module, path, *_ in _targets()} \
+        | _child_reads()
 
 
 def _covering(allowed, module: str, name: str):
@@ -176,11 +197,11 @@ def test_every_function_is_reached_or_allowed():
     codes, entered = _entered()
     assert Counter(codes["cli"]) == {0: 83, 3: 12, 5: 1}
     assert codes["scripts"] == [0, 0, 0]
-    ruled = _allowed_by_rule()
+    exported, read = _exported(), _benchmark_reads()
     unreached, excused = [], set()
     for (module, line), name in sorted(_functions().items()):
         if (module, line) in entered or _dunder(name) or \
-                _covering(ruled, module, name):
+                (module, name) in exported or _covering(read, module, name):
             continue
         entry = _covering(ALLOWED, module, name)
         if entry:

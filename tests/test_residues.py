@@ -27,7 +27,7 @@ from strategies import fractions, polys
 V1 = ("f",)
 V2 = ("f1", "f2")
 f = MultiPoly.var(V1, "f")
-f1, f2 = MultiPoly.variables(V2)
+f1, f2 = [MultiPoly.var(V2, v) for v in V2]
 one2 = MultiPoly.const(V2, 1)
 P1 = InvariantPolynomial.elementary(1, 1)
 P2 = InvariantPolynomial.elementary(2, 2)
@@ -198,7 +198,7 @@ def test_monomial_denominators_read_one_signed_coefficient(case):
     # [g df / f_p(1)^k_p(1), .., f_p(n)^k_p(n)] is sign(p) times the
     # coefficient of f^(k - 1) in g
     ks, perm, g = case
-    xs = MultiPoly.variables(g.vars)
+    xs = [MultiPoly.var(g.vars, v) for v in g.vars]
     dens = tuple(xs[i] ** ks[i] for i in perm)
     expect = (-1) ** _inversions(perm) * \
         g.coeffs.get(tuple(k - 1 for k in ks), Q(0))

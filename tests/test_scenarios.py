@@ -116,7 +116,7 @@ def _jordan_zeros(blocks, change):
     S = QMatrix(change)
     A = (RingMatrix(change) @ RingMatrix(J) @ RingMatrix(S.inv().rows)).rows
     vars = tuple(f"y{i}" for i in range(1, n + 1))
-    ys = MultiPoly.variables(vars)
+    ys = [MultiPoly.var(vars, v) for v in vars]
     zeros = []
     for s in starts:
         v = [row[s] for row in change]

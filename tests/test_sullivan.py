@@ -31,6 +31,7 @@ from adelweil.sullivan import (
 
 import derham_oracles
 from derham_oracles import _form_of, element, face, sullivan_basis
+from strategies import fractions
 
 # spaces with more than one maximal simplex, so with compatibility
 # equations
@@ -53,7 +54,7 @@ def test_sparse_nullspace_matches_dense_rank(raw_rows):
     dense = QMatrix([[Q(dict(row).get(j, 0)) for j in range(5)]
                      for row in [list(r.items()) for r in rows]]
                     or [[Q(0)] * 5])
-    assert len(basis) == 5 - dense.rank()
+    assert len(basis) == 5 - len(dense.rref()[1])
     for _, vec in basis:
         for row in rows:
             total = sum(c * vec.get(lab, Q(0)) for lab, c in row.items())
@@ -82,7 +83,8 @@ def test_integration_commutes_with_the_differential():
     for q in (0, 1):
         for w in range(1, 4):
             for u in sullivan_basis(S, q, w):
-                assert u.d().integrate() == u.integrate().coboundary()
+                assert u.d().integrate() == \
+                    derham_oracles.coboundary(S, q, u.integrate())
 
 
 def test_cochain_cohomology_of_the_circle_model():
@@ -157,8 +159,12 @@ def test_cached_label_values_are_read_only():
 
 
 def _coords(form) -> dict:
-    return {(exp, mono): v for mono, c in form.terms.items()
-            for exp, v in c.as_poly().coeffs.items()}
+    out = {}
+    for mono, c in form.terms.items():
+        assert c.den.is_constant()
+        out.update({(exp, mono): v / c.den.constant_term()
+                    for exp, v in c.num.coeffs.items()})
+    return out
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -275,7 +281,7 @@ def test_cup_pairing_on_the_seven_vertex_torus():
         # the residual against the coboundaries is the class in H^2
         cup = (a * b).integrate()
         residual = image.reduce(
-            {order[sid]: v for sid, v in cup.values.items()})
+            {order[sid]: v for sid, v in cup.items()})
         assert len(residual) <= 1
         return sum(residual.values(), Q(0))
 
@@ -320,14 +326,45 @@ def _shipped_spaces() -> dict:
     return spaces
 
 
+def _chain(D: int) -> FiniteSimplicialSet:
+    # one simplex per dimension: every face of s_m is s_(m-1)
+    return FiniteSimplicialSet(
+        f"chain-{D}", {f"s{m}": m for m in range(D + 1)},
+        {f"s{m}": [f"s{m - 1}"] * (m + 1) for m in range(1, D + 1)})
+
+
 def _space(name: str) -> FiniteSimplicialSet:
     if name == "torus-7":
         return _torus_7()
+    if name.startswith("chain-"):
+        return _chain(int(name[6:]))
     if name == "simplex-2-renumbered":
         return _delta2_renumbered()
     if name in ("boundary-3", "boundary-4"):
         return boundary_simplex_sset(int(name[-1]))
     return _shipped_spaces()[name]
+
+
+@pytest.mark.parametrize("name", [*_shipped_spaces(), "boundary-3",
+                                  "boundary-4", "chain-6"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cochain_coboundary_matches_the_face_walking_oracle(name, data):
+    # the one coboundary of the package, cochain_complex's mats, applied
+    # to a random rational cochain, against the alternating face sum
+    S = _space(name)
+    C = cochain_complex(S)
+    q = data.draw(st.integers(min_value=0, max_value=S.dimension))
+    vec = data.draw(st.dictionaries(
+        st.integers(min_value=0, max_value=len(C.labels[q]) - 1),
+        fractions()))
+    delta = {}
+    for r, row in enumerate(C.mats[q]):
+        v = sum(x * vec.get(j, 0) for j, x in row.items())
+        if v:
+            delta[C.labels[q + 1][r]] = v
+    values = {C.labels[q][i]: v for i, v in vec.items()}
+    assert delta == derham_oracles.coboundary(S, q, values)
 
 
 @pytest.mark.parametrize("name", [*_shipped_spaces(), "torus-7"])
@@ -449,7 +486,8 @@ def test_one_elimination_per_coboundary(monkeypatch):
     ("boundary-3", 4), ("simplex-2", None), ("torus-7", 2),
     ("boundary-2", 0)])
 def test_one_complex_per_comparison(monkeypatch, name, cap):
-    # one SullivanComplex, built at the weight cap itself
+    # one SullivanComplex, built at the weight cap itself; none when a
+    # class lies in a degree above the cap (boundary-2 at cap 0)
     S, builds, labels = _space(name), [], []
     init, solve = SullivanComplex.__init__, sullivan.sparse_nullspace
 
@@ -467,6 +505,8 @@ def test_one_complex_per_comparison(monkeypatch, name, cap):
         verify_de_rham(S, cap)
     except CapInsufficient:
         assert cap == 0
+        assert builds == labels == []
+        return
     assert builds == [S.dimension + 4 if cap is None else cap]
     # the unknowns are C(m, q) C(cap - q + m, m) labels per maximal
     # m-simplex and degree q: the four triangles of the boundary, and the
@@ -521,7 +561,7 @@ def test_whitney_map_is_a_chain_map_inverting_integration(name):
         for sid in S.simplices_of(q):
             z = {sid: 1}
             E = _whitney_family(S, q, z)
-            dz = simplicial.Cochain(S, q, z).coboundary().values
+            dz = derham_oracles.coboundary(S, q, z)
             dE = _whitney_family(S, q + 1, dz)
             for tau, m in S.simplices.items():
                 on = E.get(tau, {})
@@ -537,6 +577,33 @@ def test_whitney_map_is_a_chain_map_inverting_integration(name):
             assert _hits_as_family_cocycle(S, q, E, z)
             # a cocycle's Whitney form has weight q
             assert max(_weight(lab) for on in E.values() for lab in on) == q
+
+
+@pytest.mark.parametrize("name, cap, q", [
+    ("boundary-2", 0, 1), ("boundary-3", 1, 2), ("boundary-4", 2, 3),
+    ("torus-7", 1, 2), ("chain-7", 2, 7)])
+def test_a_class_above_the_cap_is_refused_before_any_family_solve(
+        monkeypatch, name, cap, q):
+    # a degree-q family has weight at least q: with a class in a degree
+    # above the cap, the refusal needs no family complex.  Its message
+    # names the Whitney form's weight, as the verdict after a solve does
+    # (tests/data/derham-results.json keeps those messages)
+    S = _space(name)
+    C = cochain_complex(S)
+    z = C.representatives(q)[0]
+    family = _whitney_family(S, q, {C.labels[q][i]: c for i, c in z.items()})
+    assert max(_weight(lab) for on in family.values() for lab in on) == q
+    message = (f"a degree-{q} cochain class is hit by no family of weight "
+               f"at most {cap}; its Whitney form, which hits it, has "
+               f"weight {q}")
+
+    def no_solve(self, sset, weight_cap):
+        raise AssertionError("a family complex was built")
+
+    monkeypatch.setattr(SullivanComplex, "__init__", no_solve)
+    with pytest.raises(CapInsufficient) as refused:
+        verify_de_rham(S, cap)
+    assert str(refused.value) == message
 
 
 def _flipped_whitney(m, I):
@@ -602,7 +669,7 @@ def _label_and_form_integrals(S, cap):
         for on, u in families[q]:
             form = u.integrate()
             for sid in S.simplices_of(q):
-                yield _label_integral(on.get(sid, {})), form(sid)
+                yield _label_integral(on.get(sid, {})), form.get(sid, 0)
     for p, q in itertools.product(range(L + 1), repeat=2):
         if p + q > L:
             continue
@@ -611,7 +678,7 @@ def _label_and_form_integrals(S, cap):
             form = (u * v).integrate()
             for sid in S.simplices_of(p + q):
                 yield _product_integral(p + q, on_u.get(sid, {}),
-                                        on_v.get(sid, {})), form(sid)
+                                        on_v.get(sid, {})), form.get(sid, 0)
 
 
 # the cap keeps the DiffForm products of every pair within seconds
