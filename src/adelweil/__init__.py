@@ -12,7 +12,7 @@ from .adelic import (
 )
 from .dgforms import DGContext, DiffForm, FormMatrix, InvariantPolynomial
 from .errors import EngineError
-from .exactalg import MultiPoly, QMatrix, RatFunc, RingMatrix, TruncatedSeries
+from .exactalg import MultiPoly, RatFunc, RingMatrix, TruncatedSeries
 from .residues import (
     GeneralizedFraction, LocalZeroData, gauss_bonnet_local, local_invariant,
     residue_general, simple_zero_invariant,
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Chain", "ChartModel", "DGContext", "DiffForm", "EngineError",
     "FiniteSimplicialSet", "FormMatrix", "GeneralizedFraction",
-    "InvariantPolynomial", "LocalZeroData", "MultiPoly", "QMatrix",
-    "RatFunc", "RingMatrix", "SullivanComplex", "TruncatedSeries",
+    "InvariantPolynomial", "LocalZeroData", "MultiPoly", "RatFunc",
+    "RingMatrix", "SullivanComplex", "TruncatedSeries",
     "bott_sum", "chern_form_component", "chern_series",
     "curve_adelic_integral", "fiber_integrate", "gauss_bonnet_local",
     "local_invariant", "localization_check", "mixed_connection",

@@ -28,7 +28,7 @@ Every integer step is the step over Fractions times a positive
 rational, so the pivots and spans are the same, and the reduced row
 echelon form read out at the end, unique for the span and the label
 order, is the same exact one.
-`QMatrix` is the dense container that feeds its rows to that kernel.
+`QMatrix` stays only because the benchmark tracer wraps its `rref` and `solve`.
 `RingMatrix` is a matrix over any of these rings; its determinant,
 invariants and inverse all read one division-free characteristic
 polynomial.
@@ -930,38 +930,33 @@ def _dot(xs, ys):
 
 
 class QMatrix:
-    """Dense matrix of Fractions: a container over the `LinearSpan` kernel.
+    """Dense matrix of Fractions, kept for `perfbench/tracer.py`.
 
-    Every elimination (`rref`, and `solve` and `inv` through it) feeds
-    the rows to a `LinearSpan` with the column index as label order and
-    reads the answer out of it.  Determinants are
-    `RingMatrix`'s.
+    The package has no dense matrix path: every elimination runs in
+    `LinearSpan`.  The benchmark tracer still wraps `rref` and `solve`
+    by name, so the class keeps those two, each feeding the rows to a
+    `LinearSpan` with the column index as label order.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = [[x if isinstance(x, Fraction) else Fraction(x)
-                      for x in row] for row in rows]
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        self.rows = [[Fraction(x) for x in row] for row in rows]
 
     def rref(self) -> tuple["QMatrix", list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        m, n = self.shape
+        n = len(self.rows[0]) if self.rows else 0
         span = LinearSpan()
         span.extend({j: x for j, x in enumerate(row) if x}
                     for row in self.rows)
         red = span.reduced_rows()
         rows = [[row.get(j, ZERO) for j in range(n)] for row in red.values()]
-        rows += [[ZERO] * n for _ in range(m - len(rows))]
+        rows += [[ZERO] * n for _ in range(len(self.rows) - len(rows))]
         return QMatrix(rows), list(red)
 
     def solve(self, b: list) -> list[Fraction] | None:
         """One solution of A x = b, or None if inconsistent."""
-        m, n = self.shape
+        n = len(self.rows[0]) if self.rows else 0
         aug = QMatrix([row + [Fraction(bv)] for row, bv in zip(self.rows, b)])
         red, pivots = aug.rref()
         if n in pivots:
@@ -970,17 +965,6 @@ class QMatrix:
         for r, col in enumerate(pivots):
             x[col] = red.rows[r][n]
         return x
-
-    def inv(self) -> "QMatrix":
-        m, n = self.shape
-        if m != n:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        aug = QMatrix([row + [ONE if i == j else ZERO for j in range(n)]
-                       for i, row in enumerate(self.rows)])
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise NotAUnit("singular matrix")
-        return QMatrix([row[n:] for row in red.rows])
 
 
 def _combine(a: int, x: dict, b: int, y: dict) -> dict:

@@ -223,11 +223,16 @@ def _var_tuple(value, where: str) -> tuple:
     if not isinstance(value, (list, tuple)) or \
             not all(isinstance(v, str) for v in value):
         raise ParseError(f"{where}: variables must be a list of names")
+    if len(set(value)) != len(value):
+        raise ParseError(f"{where}: variables repeat a name: "
+                         f"{', '.join(value)}")
     return tuple(value)
 
 
 def fraction_from_json(data: dict) -> GeneralizedFraction:
     vars = _var_tuple(_require(data, "vars", "fraction"), "fraction")
+    if not vars:
+        raise ParseError("fraction names no variable")
     num = parse_polynomial(_require(data, "numerator", "fraction"), vars)
     dens = [parse_polynomial(d, vars)
             for d in _require(data, "denominators", "fraction", list)]
@@ -271,6 +276,8 @@ def chart_from_json(data: dict) -> ChartModel:
 def scenario_from_json(data: dict) -> Scenario:
     name = _require(data, "name", "scenario")
     n = _require(data, "n", "scenario", int)
+    if n < 1:
+        raise ParseError(f"scenario: 'n' must be at least 1, not {n}")
     r = _bounded_rank(_require(data, "r", "scenario", int), "scenario")
     zeros = {}
     raw_zeros = _require(data, "zeros", "scenario", list)
@@ -282,6 +289,9 @@ def scenario_from_json(data: dict) -> Scenario:
             raise ParseError(f"zero {k}: 'label' must be a string")
         vars = _var_tuple(_require(z, "coords", f"zero {label}"),
                           f"zero {label}")
+        if len(vars) != n:
+            raise ParseError(
+                f"zero {label}: {len(vars)} coordinates, not n = {n}")
         a = tuple(parse_polynomial(x, vars)
                   for x in _require(z, "a", f"zero {label}", list))
         lift = _matrix_from_json(_require(z, "lambda", f"zero {label}"), vars)

@@ -7,9 +7,9 @@ stops at the first truncation whose quotient dimension repeats, which
 Nakayama's lemma certifies; its last Macaulay span gives a monomial
 basis of the local algebra Q = k[[f]]/(a) and normal forms in it.  The
 Bezoutian of a, read in Q (x) Q, is dual to the residue pairing
-(Scheja-Storch 1975; Becker-Cardinal-Roy-Szafraniec 1996), so one l x l
-solve gives the residue functional.  Each answer carries its
-certificate: the Bezoutian matrix is invertible and the Jacobian
+(Scheja-Storch 1975; Becker-Cardinal-Roy-Szafraniec 1996), so one
+sparse elimination gives the residue functional.  Each answer carries
+its certificate: the Bezoutian matrix is invertible and the Jacobian
 determinant has residue l = the colength, the local degree identity.
 """
 
@@ -21,7 +21,6 @@ from .errors import (
     DegreeError,
     DimensionMismatch,
     IdentityFailed,
-    NotAUnit,
     NotInvertibleChange,
     NotSimple,
     ParseError,
@@ -30,8 +29,8 @@ from .exactalg import (
     LENGTH_CAP,
     ONE,
     ZERO,
+    LinearSpan,
     MultiPoly,
-    QMatrix,
     RingMatrix,
     TruncatedSeries,
     macaulay_span,
@@ -95,8 +94,9 @@ def _divided_difference(p: MultiPoly, j: int, xy: tuple) -> MultiPoly:
 
 
 def _local_residue(gf: GeneralizedFraction, l: int, T: int,
-                   span) -> Fraction:
-    """Res[g dx / a] read off the local algebra Q = k[x]/((a) + m^T).
+                   span) -> tuple[Fraction, Fraction]:
+    """(Res[g dx / a], Res[J dx / a]) read off the local algebra
+    Q = k[x]/((a) + m^T), for J the Jacobian determinant of a.
 
     `span` is the Macaulay span of a at T, and m^(T-1) lies in (a), so
     its non-pivot monomials are a basis of Q and `LinearSpan.reduce`
@@ -104,11 +104,12 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
     lives in degree >= d, so m^s vanishes in Q for s = 1 + the largest
     basis degree; only terms of g below s and of a below 2s are read.
     The Bezoutian Delta(x, y) of a, mapped to Q (x) Q as sum B_ab e_a(x)
-    e_b(y), is dual to the residue pairing (Scheja-Storch), so B^-1 is
-    the Gram matrix of the pairing and its first row, at the monomial 1,
-    is the residue functional.  Certified: B is invertible and the
-    Jacobian determinant has residue l (the local degree identity), or
-    IdentityFailed.
+    e_b(y), is dual to the residue pairing (Scheja-Storch), so the
+    residue functional lambda, by basis index, solves B^T lambda = e_1
+    at the monomial 1.  It is read off one elimination: the sparse rows
+    of B^T, the row of the monomial 1 carrying -1 at column dim Q,
+    reduce to [I | -lambda].  Certified: B is invertible and
+    Res[J dx / a] = l (the local degree identity), or IdentityFailed.
     """
     vars, n = gf.vars, len(gf.vars)
     basis = [m for m in _monomials_below(n, T) if m not in span.pivots]
@@ -126,7 +127,7 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
     delta = RingMatrix([[_divided_difference(ai, j, xy) for j in range(n)]
                         for ai in a]).det()
     forms: dict = {}
-    B = [[ZERO] * len(basis) for _ in basis]
+    rows = [{} for _ in basis]          # row q of B^T: {p: B_pq}
     for exp, c in delta.coeffs.items():
         for half in (exp[:n], exp[n:]):
             if half not in forms:
@@ -134,13 +135,17 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
         ys = forms[exp[n:]]
         for p, u in forms[exp[:n]].items():
             for q, v in ys.items():
-                B[p][q] += c * u * v
-    try:
-        functional = QMatrix(B).inv().rows[index[(0,) * n]]
-    except NotAUnit:
+                rows[q][p] = rows[q].get(p, ZERO) + c * u * v
+    dim = len(basis)
+    rows[index[(0,) * n]][dim] = -ONE
+    elimination = LinearSpan()
+    elimination.extend(rows)
+    reduced = elimination.reduced_rows()
+    if list(reduced) != list(range(dim)):
         raise IdentityFailed(
             "the Bezoutian of the denominators is singular on their "
-            "local algebra") from None
+            "local algebra")
+    functional = [-row.get(dim, ZERO) for row in reduced.values()]
 
     def residue(g) -> Fraction:
         return sum((functional[k] * c
@@ -151,24 +156,24 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
     if degree != l:
         raise IdentityFailed(
             f"the Jacobian has residue {degree}, not the colength {l}")
-    return residue(gf.numerator)
+    return residue(gf.numerator), degree
 
 
 def _residue_and_length(gf: GeneralizedFraction, precision: int | None,
-                        stability: bool) -> tuple[Fraction, int]:
-    """(residue, colength), both read off the span that certified l."""
+                        stability: bool) -> tuple[Fraction, Fraction, int]:
+    """(residue, Jacobian residue, colength) off the span certifying l."""
     l, T, span = _colength_and_span(gf.denominators, cap=LENGTH_CAP)
     if (precision or 0) > T:
         T, span = precision, macaulay_span(gf.denominators, precision)
-    value = _local_residue(gf, l, T, span)
+    value, degree = _local_residue(gf, l, T, span)
     if stability:
-        again = _local_residue(gf, l, T + 1,
-                               macaulay_span(gf.denominators, T + 1))
+        again, _ = _local_residue(gf, l, T + 1,
+                                  macaulay_span(gf.denominators, T + 1))
         if again != value:
             raise IdentityFailed(
                 f"residue changed between truncations {T} and {T + 1}: "
                 f"{value} vs {again}")
-    return value, l
+    return value, degree, l
 
 
 def residue_general(gf: GeneralizedFraction, precision: int | None = None,
@@ -270,19 +275,19 @@ def _const_term(x) -> Fraction:
     return Fraction(x)
 
 
-def gauss_bonnet_local(a, vars=None, stability: bool = False):
+def gauss_bonnet_local(a, stability: bool = False):
     """Residue of the Jacobian fraction next to the colength.
 
-    Returns (residue, length); the two agree for every finite-colength
-    sequence, which is the local degree identity.  The length is the one
-    colength the residue computation certifies.
+    Returns (residue, length) over the variables of a[0]; the two agree
+    for every finite-colength sequence, the local degree identity.  The
+    residue is the one the residue engine's certificate reads.
     """
     a = list(a)
-    if vars is None:
-        vars = a[0].vars
-    jac = RingMatrix([[ai.diff(v) for v in vars] for ai in a])
-    gf = GeneralizedFraction(vars, jac.det(), a)
-    return _residue_and_length(gf, None, stability)
+    if not a:
+        raise DimensionMismatch("empty generator list")
+    gf = GeneralizedFraction(a[0].vars, 0, a)
+    _, degree, l = _residue_and_length(gf, None, stability)
+    return degree, l
 
 
 def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,

@@ -338,6 +338,28 @@ def test_hostile_input_exits_3(capsys, tmp_path, command, data):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("residue", {"vars": ["f", "f"], "numerator": "1",
+                 "denominators": ["f", "f"]},
+     "fraction: variables repeat a name: f, f"),
+    ("residue", {"vars": [], "numerator": "1", "denominators": []},
+     "fraction names no variable"),
+    ("bott", dict(NO_ZEROS, chart=dict(CHART, vars=["f", "f"])),
+     "chart: variables repeat a name: f, f"),
+    ("bott", _edited("p1-o1.json", lambda d: d.update(n=0)),
+     "scenario: 'n' must be at least 1, not 0"),
+    ("bott", _edited("p1-o1.json", lambda d: d.update(n=2)),
+     "zero p0: 1 coordinates, not n = 2"),
+], ids=["repeated-vars", "no-vars", "repeated-chart-vars", "n-0",
+        "coords-not-n"])
+def test_malformed_variable_lists_exit_3(capsys, tmp_path, command, data,
+                                         message):
+    # refused as input, before any engine runs: exit 3, never 2 or 5
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, [command, str(path)]) == (3, "", f"error: {message}\n")
+
+
 def _fraction(numerator):
     return {"vars": ["f1", "f2"], "numerator": numerator,
             "denominators": ["f1", "f2"]}

@@ -261,13 +261,26 @@ def test_qmatrix_solve_detects_inconsistency():
     assert A.solve([Q(1), Q(2)]) is not None
 
 
-def test_qmatrix_inverse():
-    A = QMatrix([[Q(2), Q(1)], [Q(1), Q(1)]])
-    inv = A.inv()
-    ident = [[Q(1), Q(0)], [Q(0), Q(1)]]
-    prod = [[sum(A.rows[i][k] * inv.rows[k][j] for k in range(2))
+def _inverse(rows) -> list:
+    """A^-1, read off the reduced rows of [A | I] in one `LinearSpan`."""
+    n = len(rows)
+    span = LinearSpan()
+    span.extend({**{j: x for j, x in enumerate(row) if x}, n + i: 1}
+                for i, row in enumerate(rows))
+    red = span.reduced_rows()
+    assert list(red) == list(range(n))
+    return [[row.get(n + j, Q(0)) for j in range(n)] for row in red.values()]
+
+
+def test_linear_span_inverse():
+    A = [[Q(2), Q(1)], [Q(1), Q(1)]]
+    inv = _inverse(A)
+    oracle = gauss_jordan([row + [Q(i == j) for j in range(2)]
+                           for i, row in enumerate(A)], 4)
+    assert inv == [row[2:] for row in oracle.values()]
+    prod = [[sum(A[i][k] * inv[k][j] for k in range(2))
              for j in range(2)] for i in range(2)]
-    assert prod == ident
+    assert prod == [[Q(1), Q(0)], [Q(0), Q(1)]]
 
 
 def _rank(A: QMatrix) -> int:
@@ -277,7 +290,7 @@ def _rank(A: QMatrix) -> int:
 def _kernel(A: QMatrix) -> list:
     """A basis of the kernel of A, one vector per free column, read off
     the `LinearSpan` of its rows."""
-    n = A.shape[1]
+    n = len(A.rows[0])
     span = LinearSpan()
     span.extend({j: x for j, x in enumerate(row) if x} for row in A.rows)
     return [[vec.get(j, 0) for j in range(n)]
@@ -294,7 +307,7 @@ def test_kernel_vectors_are_killed():
 
 def test_qmatrix_results_stay_fractions():
     # the kernel hands out ints where an entry is integral; QMatrix
-    # answers are Fractions all the same, integral or not
+    # answers and reduced rows are Fractions all the same, integral or not
     A = QMatrix([[1, 2, 3], [2, 4, 6], [0, 2, 1]])
     assert _kernel(A) == [[-2, Q(-1, 2), 1]]
     red, pivots = A.rref()
@@ -302,8 +315,9 @@ def test_qmatrix_results_stay_fractions():
     assert red.rows == [[1, 0, 2], [0, 1, Q(1, 2)], [0, 0, 0]]
     solution = QMatrix([[2, 0], [0, 4]]).solve([2, 4])
     assert solution == [1, 1]
-    inverse = QMatrix([[2, 0], [0, 1]]).inv().rows
-    assert inverse == [[Q(1, 2), 0], [0, 1]]
+    inverse = _inverse([[2, 0], [0, 1]])
+    assert inverse == [row[2:] for row in gauss_jordan(
+        [[2, 0, 1, 0], [0, 1, 0, 1]], 4).values()] == [[Q(1, 2), 0], [0, 1]]
     for rows in (red.rows, [solution], inverse):
         assert all(type(x) is Q for row in rows for x in row)
 
@@ -326,7 +340,7 @@ def _mat_vec(rows, x):
 def test_elimination_kernel_against_independent_oracles(case):
     raw, x0 = case
     A = QMatrix(raw)
-    m, n = A.shape
+    m, n = len(raw), len(raw[0])
     rank = _rank(A)
     null = _kernel(A)
     for vec in null:

@@ -23,7 +23,8 @@ when ALLOWED names it, or a class or function around it, with a reason.
 The rules allow:
 - the names in `adelweil.__all__` themselves, not the methods of an
   exported class;
-- dunder methods;
+- dunder methods themselves: a function nested in a dunder method must
+  be reached or listed, as a method of an exported class must;
 - every name the benchmark reads (the tracer's TARGETS, and what
   perfbench/child.py reads off the package), and whatever is defined
   inside one.
@@ -191,6 +192,25 @@ def _covering(allowed, module: str, name: str):
 def _dunder(name: str) -> bool:
     last = name.rpartition(".")[2]
     return last.startswith("__") and last.endswith("__")
+
+
+def test_rules_read_dotted_names():
+    # no child run: a dunder is a dunder method itself, and an entry
+    # covers its own name and whatever is defined inside it
+    assert _dunder("RingMatrix.__repr__") and _dunder("__getattr__")
+    assert not _dunder("RingMatrix.__repr__.show")
+    assert not _dunder("RingMatrix.render") and not _dunder("_dunder")
+    allowed = {("exactalg", "QMatrix.rref"), ("residues", "_local_residue")}
+    for name in ("QMatrix.rref", "QMatrix.rref.inner"):
+        assert _covering(allowed, "exactalg", name) == \
+            ("exactalg", "QMatrix.rref")
+    assert _covering(allowed, "residues", "_local_residue.coords") == \
+        ("residues", "_local_residue")
+    for module, name in (("exactalg", "QMatrix"),
+                         ("exactalg", "QMatrix.solve"),
+                         ("exactalg", "QMatrix.rrefs"),
+                         ("residues", "QMatrix.rref")):
+        assert _covering(allowed, module, name) is None
 
 
 def test_every_function_is_reached_or_allowed():

@@ -8,19 +8,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adelweil import exactalg, residues, scenarios
-from adelweil.cli import main, resolve_input
+from adelweil.cli import FRACTION_FILES, SCENARIO_FILES, main, resolve_input
 from adelweil.dgforms import InvariantPolynomial
 from adelweil.errors import (
-    DegreeError, IdentityFailed, NotFinite, NotInvertibleChange, NotSimple,
-    ParseError, PrecisionExhausted,
+    DegreeError, DimensionMismatch, IdentityFailed, NotFinite,
+    NotInvertibleChange, NotSimple, ParseError, PrecisionExhausted,
 )
 from adelweil.exactalg import MultiPoly, RingMatrix, TruncatedSeries
-from adelweil.parsing import fraction_from_json
+from adelweil.parsing import fraction_from_json, scenario_from_json
 from adelweil.residues import (
     GeneralizedFraction, LocalZeroData, coordinate_change_check,
     gauss_bonnet_local, local_invariant, residue_general,
     simple_zero_invariant,
 )
+from adelweil.scenarios import bott_sum, curve_adelic_integral
 
 from strategies import fractions, polys
 
@@ -68,13 +69,67 @@ def test_unit_factors_are_divided_out():
 def test_general_path_agrees_with_known_lengths():
     assert residue_general(GeneralizedFraction(V2, one2, (f1, f1 + f2)),
                            stability=True) == 1
-    assert gauss_bonnet_local((f,), V1) == (1, 1)
-    assert gauss_bonnet_local((f1 ** 2, f2 ** 3), V2) == (6, 6)
-    assert gauss_bonnet_local((f1 ** 2 - f2 ** 3, f2 ** 2), V2,
+    assert gauss_bonnet_local((f,)) == (1, 1)
+    assert gauss_bonnet_local((f1 ** 2, f2 ** 3)) == (6, 6)
+    assert gauss_bonnet_local((f1 ** 2 - f2 ** 3, f2 ** 2),
                               stability=True) == (4, 4)
     # colength 13: f1^13 is the least power of f1 in the ideal
     assert residue_general(GeneralizedFraction(
         V2, f1 ** 12, (f1 ** 13 + f2, f2))) == 1
+
+
+def test_gauss_bonnet_reads_the_certificates_jacobian(monkeypatch):
+    # one Jacobian determinant per truncation read: n^2 derivatives of
+    # the components, and no second determinant for the returned residue
+    taken = []
+    real = MultiPoly.diff
+    monkeypatch.setattr(MultiPoly, "diff",
+                        lambda p, name: taken.append(name) or real(p, name))
+    a = (f1 ** 2 - f2 ** 3, f2 ** 2)
+    assert gauss_bonnet_local(a) == (4, 4) and len(taken) == 4
+    taken.clear()
+    assert gauss_bonnet_local(a, stability=True) == (4, 4)
+    assert len(taken) == 8
+
+
+def test_gauss_bonnet_needs_a_component():
+    for count in (gauss_bonnet_local, exactalg.artinian_length):
+        with pytest.raises(DimensionMismatch, match="empty generator list"):
+            count([])
+
+
+def _shipped_values() -> list:
+    """The residue engine's answers on the shipped data, with the
+    verdicts that check them."""
+    out = []
+    for name in FRACTION_FILES:
+        data = json.loads(Path(resolve_input(name)).read_text())
+        gf = fraction_from_json(data)
+        values = [residue_general(gf), residue_general(gf, precision=8),
+                  residue_general(gf, stability=True)]
+        out.append((values, values == [Q(data["expected"])] * 3))
+    for name in SCENARIO_FILES:
+        scn = scenario_from_json(
+            json.loads(Path(resolve_input(name)).read_text()))
+        res = bott_sum(scn)
+        out.append((res["rows"], res["total"], res["matches"]))
+        if scn.curve is not None:
+            value = curve_adelic_integral(scn)
+            out.append((value, value == scn.expected))
+    out.append(gauss_bonnet_local((f1 ** 2 - f2 ** 3, f2 ** 2)))
+    return out
+
+
+def test_no_residue_path_runs_a_dense_elimination(monkeypatch):
+    expected = _shipped_values()
+    assert all(row[-1] is not False for row in expected[:-1])
+
+    def refuse(*args):
+        raise AssertionError("a dense QMatrix elimination ran")
+
+    monkeypatch.setattr(exactalg.QMatrix, "rref", refuse)
+    monkeypatch.setattr(exactalg.QMatrix, "solve", refuse)
+    assert _shipped_values() == expected
 
 
 def test_certificate_rejects_a_wrong_colength(monkeypatch):
@@ -144,7 +199,7 @@ def test_a_colength_that_repeats_at_the_cap_has_a_residue():
     gf = GeneralizedFraction(V2, f1 ** 22, (f1 ** 23, f2))
     assert residue_general(gf) == 1
     with pytest.raises(NotFinite, match="below truncation 24"):
-        gauss_bonnet_local((f1 ** 24, f2), V2)
+        gauss_bonnet_local((f1 ** 24, f2))
 
 
 def test_a_series_denominator_is_read_below_twice_the_loewy_length():

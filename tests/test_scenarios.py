@@ -12,7 +12,7 @@ from adelweil.dgforms import InvariantPolynomial
 from adelweil.errors import (
     DegreeMismatch, ParseError, PoleAtInfinityUnhandled, RepeatedWeights,
 )
-from adelweil.exactalg import MultiPoly, QMatrix, RatFunc, RingMatrix
+from adelweil.exactalg import MultiPoly, RatFunc, RingMatrix
 from adelweil.residues import LocalZeroData, local_invariant
 from adelweil.scenarios import (
     bott_sum, canonical_invariant, curve_adelic_integral, curve_chain_rows,
@@ -113,8 +113,8 @@ def _jordan_zeros(blocks, change):
             if i + 1 < s + k:
                 J[i][i + 1] = Q(1)
         s += k
-    S = QMatrix(change)
-    A = (RingMatrix(change) @ RingMatrix(J) @ RingMatrix(S.inv().rows)).rows
+    S = RingMatrix(change).map(Q)
+    A = (S @ RingMatrix(J) @ S.inv()).rows
     vars = tuple(f"y{i}" for i in range(1, n + 1))
     ys = [MultiPoly.var(vars, v) for v in vars]
     zeros = []
