@@ -326,21 +326,19 @@ def action_deficiency(model: ChartModel, conn: ChainConnection) -> FormMatrix:
 TAU = "tau"
 
 
-def localization_check(model: ChartModel, chain: Chain,
-                       P: InvariantPolynomial | None = None,
-                       pi_override: dict | None = None) -> bool:
+def localization_check(model: ChartModel, chain: Chain) -> bool:
     """Verify both localization identities on one chain, exactly.
 
     (a) contraction of the (1,1) curvature equals the simplex
-    differential of L; (b) with eta built from P(L + tau R), the
-    projector, and the geometric series in tau D''(pi), the tau^(n-1)
-    coefficient satisfies D'' eta + P(R^(1,1)) = 0.  Raises
-    IdentityFailed with the offending residual; a projector that does
-    not contract to 1 against the vector field trips (b).
+    differential of L; (b) with eta built from P(L + tau R) for P the
+    top-degree invariant `top_degree(rank, n)`, the projector, and the
+    geometric series in tau D''(pi), the tau^(n-1) coefficient satisfies
+    D'' eta + P(R^(1,1)) = 0.  Raises IdentityFailed with the offending
+    residual; a projector that does not contract to 1 against the vector
+    field trips (b).
     """
     n = len(model.base_vars)
-    if P is None:
-        P = InvariantPolynomial.top_degree(model.rank, n)
+    P = InvariantPolynomial.top_degree(model.rank, n)
     conn = mixed_connection(model, chain, inert=(TAU,))
     ctx = conn.ctx
     R11 = conn.curvature_11()
@@ -352,8 +350,7 @@ def localization_check(model: ChartModel, chain: Chain,
             "contraction of curvature differs from d''L: "
             + residual_a.render())
 
-    pis = pi_override or {label: projector(model, label)
-                          for label in chain.labels}
+    pis = {label: projector(model, label) for label in chain.labels}
     pi = covertex_lift(pis, chain, ctx)
     tau = ctx.form_scalar(ctx.ring_var(TAU))
     dpi = pi.d_simplex()

@@ -157,9 +157,9 @@ class DGContext:
         return DiffForm(self, {(self.odd_index(name),): self.ring_const(1)})
 
 
-def polynomial_context(base_vars, inert_vars=()) -> DGContext:
+def polynomial_context(base_vars) -> DGContext:
     """Context with base variables only (no simplex factor)."""
-    return DGContext((), tuple(base_vars), tuple(inert_vars))
+    return DGContext((), tuple(base_vars))
 
 
 def chain_context(l: int, base_vars, inert_vars=()) -> DGContext:
@@ -502,10 +502,9 @@ class FormMatrix(RingMatrix):
         return FormMatrix(self.ctx, rows)
 
     @classmethod
-    def zero(cls, ctx: DGContext, r: int, c: int | None = None) -> "FormMatrix":
-        c = r if c is None else c
+    def zero(cls, ctx: DGContext, r: int) -> "FormMatrix":
         z = ctx.zero_form()
-        return cls(ctx, [[z for _ in range(c)] for _ in range(r)])
+        return cls(ctx, [[z for _ in range(r)] for _ in range(r)])
 
     @classmethod
     def from_ring(cls, ctx: DGContext, rows) -> "FormMatrix":

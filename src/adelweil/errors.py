@@ -107,10 +107,6 @@ class RepeatedWeights(EngineError):
     """Torus weights must be pairwise distinct."""
 
 
-class PoleAtInfinityUnhandled(EngineError):
-    """Frame data omits a chart covering a pole of the section."""
-
-
 class UnknownChain(MissingPoint):
     """A requested chain uses labels absent from the scenario."""
 

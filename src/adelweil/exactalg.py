@@ -62,10 +62,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rat(value, den=None) -> Fraction:
+def rat(value) -> Fraction:
     """Coerce to an exact rational."""
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -1226,15 +1224,16 @@ def macaulay_span(generators, T: int) -> "LinearSpan":
     return span
 
 
-def artinian_length(generators, cap: int = LENGTH_CAP) -> int:
+def artinian_length(generators) -> int:
     """Colength of the ideal generated by a regular sequence at the origin.
 
     The quotient by (generators) + m^T is read off the Macaulay span for
     T = 2, 3, ..; at T = 1 it is the field.  At the first T whose
     dimension equals the one at T - 1, m^(T-1) lies in (generators) + m^T,
     so by Nakayama's lemma it lies in the ideal: that dimension is the
-    colength.  Raises NotFinite when no dimension repeats up to the cap,
-    as for a sequence that is not regular (its dimensions grow forever).
+    colength.  Raises NotFinite when no dimension repeats up to
+    T = LENGTH_CAP, as for a sequence that is not regular (its
+    dimensions grow forever).
 
     Example
     -------
@@ -1243,14 +1242,15 @@ def artinian_length(generators, cap: int = LENGTH_CAP) -> int:
     >>> artinian_length([f1**2 - f2**3, f2**2])
     4
     """
-    return _colength_and_span(generators, cap)[0]
+    return _colength_and_span(generators)[0]
 
 
-def _colength_and_span(generators, cap: int = LENGTH_CAP) -> tuple:
+def _colength_and_span(generators) -> tuple:
     """(l, T, span): the colength, and the truncation and span that
-    certified it; (0, None, None) for a unit ideal.  Every monomial of
-    degree >= T - 1 is a pivot, so the non-pivot monomials are a basis
-    of the local algebra k[[f]]/(generators).
+    certified it; (0, None, None) for a unit ideal.  The search stops
+    at T = LENGTH_CAP.  Every monomial of degree >= T - 1 is a pivot, so
+    the non-pivot monomials are a basis of the local algebra
+    k[[f]]/(generators).
     """
     gens = list(generators)
     for g in gens:
@@ -1266,13 +1266,13 @@ def _colength_and_span(generators, cap: int = LENGTH_CAP) -> tuple:
         return 0, None, None
 
     history = [1]       # quotient dimensions from T = 1
-    for T in range(2, cap + 1):
+    for T in range(2, LENGTH_CAP + 1):
         span = macaulay_span(gens, T)
         history.append(math.comb(n + T - 1, n) - span.rank)
         if history[-1] == history[-2]:
             return history[-1], T, span
-    raise NotFinite(f"colength did not stabilise below truncation {cap} "
-                    f"(history {history[1:]})")
+    raise NotFinite(f"colength did not stabilise below truncation "
+                    f"{LENGTH_CAP} (history {history[1:]})")
 
 
 def _unit_exp(n: int, i: int) -> tuple[int, ...]:

@@ -187,7 +187,7 @@ def load_json(path: str) -> dict:
         raise ParseError(f"{path} nests JSON too deeply") from None
 
 
-_JSON_NAMES = {dict: "an object", list: "an array"}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string"}
 
 
 def _require(data: dict, key: str, where: str, kind=None):
@@ -274,11 +274,13 @@ def chart_from_json(data: dict) -> ChartModel:
 
 
 def scenario_from_json(data: dict) -> Scenario:
-    name = _require(data, "name", "scenario")
+    name = _require(data, "name", "scenario", str)
     n = _require(data, "n", "scenario", int)
     if n < 1:
         raise ParseError(f"scenario: 'n' must be at least 1, not {n}")
     r = _bounded_rank(_require(data, "r", "scenario", int), "scenario")
+    if r < 1:
+        raise ParseError(f"scenario: 'r' must be at least 1, not {r}")
     zeros = {}
     raw_zeros = _require(data, "zeros", "scenario", list)
     for k, z in enumerate(raw_zeros):
@@ -287,6 +289,8 @@ def scenario_from_json(data: dict) -> Scenario:
         label = z.get("label", f"p{k}")
         if not isinstance(label, str):
             raise ParseError(f"zero {k}: 'label' must be a string")
+        if label in zeros:
+            raise ParseError(f"scenario: zeros repeat the label {label!r}")
         vars = _var_tuple(_require(z, "coords", f"zero {label}"),
                           f"zero {label}")
         if len(vars) != n:
@@ -294,26 +298,26 @@ def scenario_from_json(data: dict) -> Scenario:
                 f"zero {label}: {len(vars)} coordinates, not n = {n}")
         a = tuple(parse_polynomial(x, vars)
                   for x in _require(z, "a", f"zero {label}", list))
-        lift = _matrix_from_json(_require(z, "lambda", f"zero {label}"), vars)
+        if len(a) != n:
+            raise ParseError(
+                f"zero {label}: {len(a)} components, not n = {n}")
+        lift = _matrix_from_json(_require(z, "lambda", f"zero {label}"),
+                                 vars, (r, r), f"zero {label}: 'lambda'")
         zeros[label] = LocalZeroData(vars, r, a, lift)
-    scn = Scenario(
-        name=name, n=n, r=r, zeros=zeros,
-        expected=(parse_rational(data["expected"])
-                  if "expected" in data else None),
-        expected_poly=data.get("expected_poly"),
-        provenance=data.get("provenance", ""),
-    )
+    expected = (parse_rational(data["expected"])
+                if "expected" in data else None)
+    expected_poly = (_require(data, "expected_poly", "scenario", str)
+                     if "expected_poly" in data else None)
+    chart = curve = whitney = None
     if "chart" in data:
-        scn.chart = chart_from_json(data["chart"])
+        chart = chart_from_json(data["chart"])
     if "curve" in data:
         cv = data["curve"]
-        scn.curve = {
+        curve = {
             "degree": _require(cv, "degree", "curve", int),
             "section": parse_polynomial(_require(cv, "section", "curve"),
                                         ("f",)),
         }
-        if "infinity_chart" in cv:
-            scn.curve["infinity_chart"] = cv["infinity_chart"]
     if "whitney" in data:
         w = data["whitney"]
         sub = chart_from_json(_require(w, "sub", "whitney"))
@@ -328,8 +332,11 @@ def scenario_from_json(data: dict) -> Scenario:
         if not all(isinstance(lab, str) for lab in labels):
             raise ParseError("whitney: chain labels must be strings")
         chain = chain_from_labels(labels, "whitney chain")
-        scn.whitney = (sub, quot, mixing, chain)
-    return scn
+        whitney = (sub, quot, mixing, chain)
+    return Scenario(name=name, n=n, r=r, zeros=zeros, expected=expected,
+                    expected_poly=expected_poly,
+                    provenance=data.get("provenance", ""), chart=chart,
+                    curve=curve, whitney=whitney)
 
 
 def sset_from_json(data: dict) -> FiniteSimplicialSet:

@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
 )
 from .exactalg import (
-    LENGTH_CAP,
     ONE,
     ZERO,
     LinearSpan,
@@ -162,7 +161,7 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
 def _residue_and_length(gf: GeneralizedFraction, precision: int | None,
                         stability: bool) -> tuple[Fraction, Fraction, int]:
     """(residue, Jacobian residue, colength) off the span certifying l."""
-    l, T, span = _colength_and_span(gf.denominators, cap=LENGTH_CAP)
+    l, T, span = _colength_and_span(gf.denominators)
     if (precision or 0) > T:
         T, span = precision, macaulay_span(gf.denominators, precision)
     value, degree = _local_residue(gf, l, T, span)
@@ -224,7 +223,6 @@ def _ring_one(zd: LocalZeroData):
 
 
 def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
-                    precision: int | None = None,
                     stability: bool = False) -> Fraction:
     """Signed residue of P applied to the lift, against the components.
 
@@ -238,7 +236,7 @@ def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
             f"invariant of degree {P.degree} against dimension {n}")
     numerator = invariant_eval(P, zd.lift, _ring_one(zd))
     gf = GeneralizedFraction(zd.vars, numerator, zd.a)
-    value = residue_general(gf, precision=precision, stability=stability)
+    value = residue_general(gf, stability=stability)
     return Fraction(-1) ** n * value
 
 
@@ -275,7 +273,7 @@ def _const_term(x) -> Fraction:
     return Fraction(x)
 
 
-def gauss_bonnet_local(a, stability: bool = False):
+def gauss_bonnet_local(a):
     """Residue of the Jacobian fraction next to the colength.
 
     Returns (residue, length) over the variables of a[0]; the two agree
@@ -286,18 +284,27 @@ def gauss_bonnet_local(a, stability: bool = False):
     if not a:
         raise DimensionMismatch("empty generator list")
     gf = GeneralizedFraction(a[0].vars, 0, a)
-    _, degree, l = _residue_and_length(gf, None, stability)
+    _, degree, l = _residue_and_length(gf, None, False)
     return degree, l
 
 
+# series precision of the transformed components and lift in
+# coordinate_change_check: the residue engine reads a series denominator
+# below twice the Loewy length s of its local algebra, so 8 serves every
+# zero with s <= 4 (the zeros the law is checked on have s <= 2), and a
+# longer one raises PrecisionExhausted
+CHANGE_PRECISION = 8
+
+
 def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
-                            change: dict, precision: int = 8) -> bool:
+                            change: dict) -> bool:
     """Recompute the local invariant after a coordinate substitution.
 
     `change` maps each coordinate name to its expression in the new
     coordinates (same names); the linear part must be invertible and
     the origin must be fixed.  Components transform by solving
-    a_i o phi = sum_j (d phi_i / d g_j) b_j for b.
+    a_i o phi = sum_j (d phi_i / d g_j) b_j for b, as series known below
+    total degree CHANGE_PRECISION.
     """
     n = zd.n
     vars = zd.vars
@@ -317,7 +324,8 @@ def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
         raise NotInvertibleChange("linear part of the substitution drops rank")
 
     def series(x) -> TruncatedSeries:
-        return TruncatedSeries.from_poly(_window(x, precision), precision)
+        return TruncatedSeries.from_poly(_window(x, CHANGE_PRECISION),
+                                         CHANGE_PRECISION)
 
     composed = {v: series(images[v]) for v in vars}
     a_new_rhs = [series(ai).compose(composed) for ai in zd.a]
@@ -325,7 +333,7 @@ def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
                        for j in range(n)] for i in range(n)])
     jac_inv = jac.inv()
     b = [sum((jac_inv.rows[j][i] * a_new_rhs[i] for i in range(n)),
-             TruncatedSeries.const(vars, 0, precision))
+             TruncatedSeries.const(vars, 0, CHANGE_PRECISION))
          for j in range(n)]
     lift_new = RingMatrix([[series(x).compose(composed) for x in row]
                            for row in zd.lift.rows])

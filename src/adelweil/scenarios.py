@@ -17,7 +17,6 @@ from .errors import (
     DegreeMismatch,
     DimensionMismatch,
     ParseError,
-    PoleAtInfinityUnhandled,
     RepeatedWeights,
 )
 from .exactalg import (
@@ -128,16 +127,17 @@ def projective_space_scenario(n: int, weights, bundle,
         name += "-degenerate"
         provenance += ", computed at a single doubled zero"
 
-    scn = Scenario(name=name, n=n, r=r, zeros=zeros, expected=expected,
-                   provenance=provenance)
-    scn.expected_poly = canonical_invariant(scn).render()
+    chart = curve = None
     if n == 1:
-        scn.chart = _curve_chart(weights, bundle, degenerate_variant)
+        chart = _curve_chart(weights, bundle, degenerate_variant)
         if not tangent and not degenerate_variant and d >= 0:
             f = MultiPoly.var(("f",), "f")
-            scn.curve = {"degree": d, "section": f ** d if d else
-                         MultiPoly.const(("f",), 1)}
-    return scn
+            curve = {"degree": d, "section": f ** d if d else
+                     MultiPoly.const(("f",), 1)}
+    poly = InvariantPolynomial.top_degree(r, n).render()
+    return Scenario(name=name, n=n, r=r, zeros=zeros, expected=expected,
+                    expected_poly=poly, provenance=provenance, chart=chart,
+                    curve=curve)
 
 
 def _curve_chart(weights, bundle, degenerate_variant) -> ChartModel:
@@ -320,10 +320,6 @@ def curve_chain_rows(scn: Scenario) -> list[dict]:
             "residue": residue_at(coeff, z),
         })
     if deg < d:
-        if not scn.curve.get("infinity_chart", True):
-            raise PoleAtInfinityUnhandled(
-                "section vanishes at infinity but the scenario ships no "
-                "chart there")
         dense = _to_dense(section, 0)
         flipped = MultiPoly(("u",), {
             (d - k,): c for k, c in enumerate(dense) if c})
@@ -390,11 +386,8 @@ def scenario_to_json(scn: Scenario) -> dict:
     if scn.chart is not None:
         out["chart"] = _chart_json(scn.chart)
     if scn.curve is not None:
-        cv = {"degree": scn.curve["degree"],
-              "section": scn.curve["section"].render()}
-        if "infinity_chart" in scn.curve:
-            cv["infinity_chart"] = scn.curve["infinity_chart"]
-        out["curve"] = cv
+        out["curve"] = {"degree": scn.curve["degree"],
+                        "section": scn.curve["section"].render()}
     if scn.whitney is not None:
         sub, quot, mixing, chain = scn.whitney
         out["whitney"] = {

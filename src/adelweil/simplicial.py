@@ -9,7 +9,6 @@ dicts; the coboundary is `sullivan.cochain_complex`, in coordinates.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -88,16 +87,16 @@ def pullback_along(sigma: DeltaMorphism, form: DiffForm) -> DiffForm:
     return form.substitute(tgt, even_images, odd_images)
 
 
-def dirichlet_integral(l: int, exponents, a0: int = 0) -> Fraction:
+def dirichlet_integral(l: int, exponents) -> Fraction:
     """Exact integral of a monomial over the l-simplex.
 
-    Integrates t_1^a_1 .. t_l^a_l * t_0^a_0 against dt_1..dt_l, where
-    t_0 = 1 - sum t_i; the value is prod(a_i!) * a0! / (l + sum a + a0)!.
+    Integrates t_1^a_1 .. t_l^a_l against dt_1..dt_l; the value is
+    prod(a_i!) / (l + sum a)!.
     """
-    num = math.factorial(a0)
+    num = 1
     for a in exponents:
         num *= math.factorial(a)
-    return Fraction(num, math.factorial(l + sum(exponents) + a0))
+    return Fraction(num, math.factorial(l + sum(exponents)))
 
 
 def integrate_over_simplex(form: DiffForm) -> Fraction:
@@ -299,11 +298,6 @@ class FiniteSimplicialSet:
 
     @classmethod
     def from_json(cls, data) -> "FiniteSimplicialSet":
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ParseError("simplicial set description must be an object")
         try:

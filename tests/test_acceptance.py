@@ -260,13 +260,13 @@ def test_acceptance_7_property_battery():
     f = MultiPoly.var(("f",), "f")
     zd = LocalZeroData(("f",), 1, (f * f,), RingMatrix([[-f]]))
     for change in (f + f * f, f * 2, f - f * f * f):
-        assert coordinate_change_check(P1, zd, {"f": change}, precision=8)
+        assert coordinate_change_check(P1, zd, {"f": change})
     vars2 = ("f1", "f2")
     f1, f2 = (MultiPoly.var(vars2, v) for v in vars2)
     zd2 = LocalZeroData(vars2, 1, (f1, f2 * f2),
                         RingMatrix([[MultiPoly.const(vars2, 3)]]))
     P2t = InvariantPolynomial.power_of_trace(1, 2)
     change2 = {"f1": f1 + f2 * f2, "f2": f2 + f1 * f1}
-    assert coordinate_change_check(P2t, zd2, change2, precision=8)
+    assert coordinate_change_check(P2t, zd2, change2)
 
     stamp("7 property battery", started, 120.0)

@@ -360,6 +360,33 @@ def test_malformed_variable_lists_exit_3(capsys, tmp_path, command, data,
     assert run(capsys, [command, str(path)]) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("p1-o1.json", lambda d: d.update(r=0),
+     "scenario: 'r' must be at least 1, not 0"),
+    ("p1-o1.json", lambda d: d["zeros"][0]["a"].append("f"),
+     "zero p0: 2 components, not n = 1"),
+    ("p1-o1.json", lambda d: d["zeros"][0].update(a=[]),
+     "zero p0: 0 components, not n = 1"),
+    ("p1-o1.json", lambda d: d["zeros"][0]["lambda"][0].append("1"),
+     "zero p0: 'lambda' must be 1 x 1"),
+    ("p2-tangent.json", lambda d: d["zeros"][0]["lambda"][1].pop(),
+     "zero p0: 'lambda' must be 2 x 2"),
+    ("p1-o1.json", lambda d: d["zeros"][1].update(label="p0"),
+     "scenario: zeros repeat the label 'p0'"),
+    ("p1-o1.json", lambda d: d.update(name=5),
+     "scenario: 'name' must be a string"),
+    ("p1-o1.json", lambda d: d.update(expected_poly=5),
+     "scenario: 'expected_poly' must be a string"),
+], ids=["r-0", "a-longer", "a-empty", "lambda-shape", "lambda-ragged",
+        "repeated-label", "numeric-name", "numeric-expected-poly"])
+def test_malformed_scenarios_exit_3(capsys, tmp_path, name, edit, message):
+    # refused as input, before any engine runs: exit 3, never 2; a
+    # repeated label would drop a zero, a numeric expected_poly the check
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(_edited(name, edit)))
+    assert run(capsys, ["bott", str(path)]) == (3, "", f"error: {message}\n")
+
+
 def _fraction(numerator):
     return {"vars": ["f1", "f2"], "numerator": numerator,
             "denominators": ["f1", "f2"]}

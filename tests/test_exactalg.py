@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelweil import exactalg
 from adelweil.dgforms import FormMatrix, polynomial_context
 from adelweil.errors import (
     CapExceeded, DimensionMismatch, NotAUnit, NotFinite, ParseError,
@@ -588,9 +589,10 @@ def test_macaulay_span_refuses_past_the_monomial_cap():
     assert MACAULAY_MONOMIAL_CAP < 5050
 
 
-def test_artinian_length_rejects_positive_dimension():
-    with pytest.raises(NotFinite):
-        artinian_length((f1,), cap=8)
+def test_artinian_length_rejects_positive_dimension(monkeypatch):
+    monkeypatch.setattr(exactalg, "LENGTH_CAP", 8)
+    with pytest.raises(NotFinite, match="below truncation 8 "):
+        artinian_length((f1,))
 
 
 @st.composite
@@ -620,7 +622,7 @@ def regular_sequences(draw):
 @given(regular_sequences())
 def test_nakayama_colength_agrees_with_the_three_equal_rule(drawn):
     gens, length = drawn
-    assert artinian_length(gens, cap=24) == length
+    assert artinian_length(gens) == length
     assert three_equal_colength(gens, cap=24) == length
 
 
@@ -634,7 +636,7 @@ def test_nakayama_colength_agrees_on_the_acceptance_battery():
         if any(p.is_zero() for p in a):
             continue
         try:
-            length = artinian_length(a, cap=24)
+            length = artinian_length(a)
         except NotFinite:
             # no repeat up to 24: the old rule needs two more truncations
             with pytest.raises(NotFinite):
@@ -645,11 +647,14 @@ def test_nakayama_colength_agrees_on_the_acceptance_battery():
         accepted += 1
 
 
-def test_a_repeat_at_the_cap_is_certified():
-    # (f1^23, f2) repeats at T = 24; the old rule needed T = 25
+def test_a_repeat_at_the_cap_is_certified(monkeypatch):
+    # (f1^23, f2) repeats at T = 24 = LENGTH_CAP; the old rule needed
+    # T = 25
     gens = (f1 ** 23, f2)
-    assert artinian_length(gens, cap=24) == 23
+    assert exactalg.LENGTH_CAP == 24
+    assert artinian_length(gens) == 23
     with pytest.raises(NotFinite):
         three_equal_colength(gens, cap=24)
+    monkeypatch.setattr(exactalg, "LENGTH_CAP", 23)
     with pytest.raises(NotFinite):
-        artinian_length(gens, cap=23)
+        artinian_length(gens)

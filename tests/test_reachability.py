@@ -32,6 +32,17 @@ An ALLOWED entry is listed only if it carries one of the paper's
 applications, a failure-only branch, or a read of the benchmark that
 the rules cannot see (a method called on an object it built), and it
 must excuse a function the battery does not enter.
+
+Options are checked statically, with no child run.  An option is a
+defaulted parameter of a def in src/adelweil/*.py.  It passes when some
+call in src/adelweil, scripts/ or perfbench/ passes it, by keyword, by
+position or through a `*`/`**` splat, or when OPTIONS_ALLOWED names it
+with a reason; tests/ does not count, since an option only tests set
+is a configuration no traffic runs.  The callee is matched by name
+alone: a call of `name` or `x.name` counts for every def called
+`name`, and a class name calls its `__init__`.  A method's self or cls
+takes no positional argument; a staticmethod's first parameter does.
+A stale OPTIONS_ALLOWED entry fails too.
 """
 
 import ast
@@ -48,6 +59,11 @@ from test_tracer_targets import _targets
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "adelweil"
 CHILD = ROOT / "perfbench" / "child.py"
+CALLERS = (PKG, ROOT / "scripts", ROOT / "perfbench")
+
+# {(module, dotted def name, parameter): reason} for options no caller
+# outside tests/ sets
+OPTIONS_ALLOWED: dict = {}
 
 ALLOWED = {
     ("exactalg", "series_invert"):
@@ -192,6 +208,132 @@ def _covering(allowed, module: str, name: str):
 def _dunder(name: str) -> bool:
     last = name.rpartition(".")[2]
     return last.startswith("__") and last.endswith("__")
+
+
+def _signatures(modules: dict) -> dict:
+    """{called name: [(module, dotted name, positional parameters,
+    defaulted parameters)]} of every def in `modules`, {module: source}.
+    """
+    out = {}
+
+    def walk(node, module, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, default in
+                              zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                static = any(isinstance(d, ast.Name) and
+                             d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls and not static:
+                    positional = positional[1:]
+                entry = (module, prefix + child.name, tuple(positional),
+                         tuple(defaulted))
+                out.setdefault(child.name, []).append(entry)
+                if cls and child.name == "__init__":
+                    out.setdefault(cls, []).append(entry)
+                walk(child, module, prefix + child.name + ".", None)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, prefix + child.name + ".", child.name)
+            else:
+                walk(child, module, prefix, cls)
+
+    for module, source in modules.items():
+        walk(ast.parse(source), module, "", None)
+    return out
+
+
+def _options(package: dict, callers) -> tuple:
+    """(every option, the options no call sets), each as (module,
+    dotted def name, parameter).  `package` is {module: source}; only
+    the calls in the `callers` sources count.
+    """
+    signatures = _signatures(package)
+    every = {(module, name, param)
+             for entries in signatures.values()
+             for module, name, _, defaulted in entries for param in defaulted}
+    passed = set()
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            called = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            for module, name, positional, defaulted in \
+                    signatures.get(called, ()):
+                got = set()
+                for k, arg in enumerate(call.args):
+                    if isinstance(arg, ast.Starred):
+                        got.update(positional[k:])
+                        break
+                    got.update(positional[k:k + 1])
+                for keyword in call.keywords:
+                    got.update(defaulted if keyword.arg is None
+                               else (keyword.arg,))
+                passed.update((module, name, param) for param in got)
+    return every, every - passed
+
+
+RULES_PACKAGE = """
+def f(a, b=1, *, c=2): ...
+def h(a=0, *, k=0): ...
+def m(p=0, q=0): ...
+class K:
+    def __init__(self, x, y=0): ...
+    def m(self, p, q=0): ...
+    @classmethod
+    def make(cls, u=0, v=0): ...
+    @staticmethod
+    def s(w=0, z=0): ...
+"""
+
+RULES_CALLS = """
+f(1, c=3)
+h(**kw)
+K(1, 2)
+K.make(*args)
+K.s(1)
+obj.m(0, 1)
+g(b=1, y=1)
+"""
+
+
+def test_option_rules_read_calls():
+    # no files: keyword, position and both splats; self and cls take no
+    # argument, a staticmethod's first parameter does, a class name calls
+    # its __init__, and `m` sets q of both defs of that name
+    every, unset = _options({"mod": RULES_PACKAGE}, [RULES_CALLS])
+    assert every == {
+        ("mod", "f", "b"), ("mod", "f", "c"), ("mod", "h", "a"),
+        ("mod", "h", "k"), ("mod", "m", "p"), ("mod", "m", "q"),
+        ("mod", "K.__init__", "y"), ("mod", "K.m", "q"),
+        ("mod", "K.make", "u"), ("mod", "K.make", "v"),
+        ("mod", "K.s", "w"), ("mod", "K.s", "z")}
+    assert unset == {("mod", "f", "b"), ("mod", "K.s", "z")}
+    # only calls in the caller sources count, and a def is no call; a
+    # keyword sets nothing on a name no def has (`g`)
+    assert _options({"mod": RULES_PACKAGE + RULES_CALLS}, [])[1] == every
+    assert _options({"mod": RULES_PACKAGE},
+                    [RULES_PACKAGE + RULES_CALLS])[1] == unset
+
+
+def test_every_option_is_set_by_a_caller_or_allowed():
+    package = {path.stem: path.read_text()
+               for path in sorted(PKG.glob("*.py"))}
+    callers = [path.read_text() for folder in CALLERS
+               for path in sorted(folder.glob("*.py"))]
+    every, unset = _options(package, callers)
+    assert every, "no options found in the package"
+    unexcused = [f"{module}.py {name}({param}=)" for module, name, param
+                 in sorted(unset - set(OPTIONS_ALLOWED))]
+    assert not unexcused, \
+        f"{len(unexcused)} of {len(every)} options set by no caller " \
+        "outside tests/ and allowed by nothing:\n" + "\n".join(unexcused)
+    assert set(OPTIONS_ALLOWED) - unset == set(), "stale allowlist entries"
 
 
 def test_rules_read_dotted_names():

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from adelweil.adelic import Chain, localization_check, whitney_check
 from adelweil.dgforms import InvariantPolynomial
-from adelweil.errors import (
-    DegreeMismatch, ParseError, PoleAtInfinityUnhandled, RepeatedWeights,
-)
+from adelweil.errors import DegreeMismatch, ParseError, RepeatedWeights
 from adelweil.exactalg import MultiPoly, RatFunc, RingMatrix
 from adelweil.residues import LocalZeroData, local_invariant
 from adelweil.scenarios import (
@@ -269,13 +267,13 @@ def test_curve_total_is_section_independent():
     assert curve_adelic_integral(scn) == 3
 
 
-def test_pole_at_infinity_needs_a_chart():
+def test_a_pole_at_infinity_is_read_in_the_flipped_chart():
+    # the section f of O(3) vanishes to order 2 at infinity
     scn = projective_space_scenario(1, W1, 3)
     scn.curve["section"] = f
-    scn.curve["infinity_chart"] = False
-    with pytest.raises(PoleAtInfinityUnhandled):
-        curve_adelic_integral(scn)
-    scn.curve["infinity_chart"] = True
+    rows = curve_chain_rows(scn)
+    assert [(r["chain"], r["residue"]) for r in rows] == \
+        [(("x0", "z0"), 1), (("x0", "inf"), 2)]
     assert curve_adelic_integral(scn) == 3
 
 
