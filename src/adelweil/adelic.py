@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DimensionMismatch,
-    IdentityFailed,
-    MissingPoint,
-    NonInvertibleFrame,
-    NoNonvanishing,
-    NotAUnit,
-)
+from .errors import CheckFailed, NotAUnit, ParseError
 from .exactalg import MultiPoly, RatFunc, RingMatrix
 from .dgforms import (
     DGContext,
@@ -44,9 +37,9 @@ class Chain:
     def __init__(self, labels):
         self.labels = tuple(labels)
         if not self.labels:
-            raise DimensionMismatch("a chain needs at least one point")
+            raise ParseError("a chain needs at least one point")
         if len(set(self.labels)) != len(self.labels):
-            raise DimensionMismatch(f"repeated labels in chain {self.labels}")
+            raise ParseError(f"repeated labels in chain {self.labels}")
 
     def __eq__(self, other):
         if not isinstance(other, Chain):
@@ -59,9 +52,6 @@ class Chain:
     @property
     def length(self) -> int:
         return len(self.labels) - 1
-
-    def render(self) -> str:
-        return "(" + ", ".join(self.labels) + ")"
 
 
 class ChartModel:
@@ -91,7 +81,7 @@ class ChartModel:
     def frame(self, label: str) -> RingMatrix:
         g = self.frames.get(label)
         if g is None:
-            raise MissingPoint(f"no frame for point {label!r}")
+            raise ParseError(f"no frame for point {label!r}")
         return g
 
 
@@ -120,7 +110,7 @@ def covertex_lift(values: dict, chain: Chain, ctx: DGContext) -> DiffForm:
     acc = ctx.zero_form()
     for i, label in enumerate(chain.labels):
         if label not in values:
-            raise MissingPoint(f"no value at chain point {label!r}")
+            raise ParseError(f"no value at chain point {label!r}")
         v = values[label]
         if isinstance(v, DiffForm):
             v = v.substitute(ctx)
@@ -151,7 +141,7 @@ class ChainConnection:
         direct = self.theta.d_simplex()
         from_full = curvature.bidegree_component(1, 1)
         if direct != from_full:
-            raise IdentityFailed(
+            raise CheckFailed(
                 "curvature (1,1) components disagree between routes")
         return direct
 
@@ -161,7 +151,7 @@ def _as_ratfunc(x) -> RatFunc:
         return x
     if isinstance(x, MultiPoly):
         return RatFunc(x)
-    raise DimensionMismatch(f"bad frame entry {x!r}")
+    raise ParseError(f"bad frame entry {x!r}")
 
 
 def mixed_connection(model: ChartModel, chain: Chain,
@@ -173,12 +163,12 @@ def mixed_connection(model: ChartModel, chain: Chain,
     for i, label in enumerate(chain.labels):
         g = model.frame(label).map(_as_ratfunc)
         if g.shape != (r, r):
-            raise DimensionMismatch(
+            raise ParseError(
                 f"frame at {label!r} has shape {g.shape}, rank is {r}")
         try:
             ginv = g.inv()
         except (NotAUnit, ZeroDivisionError):
-            raise NonInvertibleFrame(
+            raise ParseError(
                 f"frame at {label!r} is not invertible") from None
         gf = FormMatrix.from_ring(ctx, [[_to_ctx(x, ctx) for x in row]
                                         for row in g.rows])
@@ -208,13 +198,13 @@ def block_frames(sub: ChartModel, quot: ChartModel, mixing: dict) -> ChartModel:
     `mixing` gives the upper-right block per point (zero if omitted).
     """
     if sub.base_vars != quot.base_vars:
-        raise DimensionMismatch("factor models live on different charts")
+        raise ParseError("factor models live on different charts")
     rp, rq = sub.rank, quot.rank
     zero_ring = polynomial_context(sub.base_vars)
     frames = {}
     for label in sub.frames:
         if label not in quot.frames:
-            raise MissingPoint(f"no quotient frame at {label!r}")
+            raise ParseError(f"no quotient frame at {label!r}")
         gp, gq = sub.frame(label), quot.frame(label)
         s = mixing.get(label)
         rows = []
@@ -281,9 +271,9 @@ def projector(model: ChartModel, label: str) -> DiffForm:
     differential, so that contraction with the vector field gives 1.
     """
     if model.a is None:
-        raise DimensionMismatch("model carries no vector field")
+        raise ParseError("model carries no vector field")
     if label not in model.points:
-        raise MissingPoint(f"unknown point {label!r}")
+        raise ParseError(f"unknown point {label!r}")
     point = model.points[label]
     ring = model.ring()
     if point is not None:
@@ -295,7 +285,7 @@ def projector(model: ChartModel, label: str) -> DiffForm:
         nonzero = [i for i, ai in enumerate(model.a)
                    if not _to_ctx(ai, ring).is_zero()]
         if not nonzero:
-            raise NoNonvanishing("every vector-field component vanishes")
+            raise ParseError("every vector-field component vanishes")
         j = nonzero[0]
     aj = _to_ctx(model.a[j], ring)
     return ring.form_scalar(aj.invert()) * ring.df(model.base_vars[j])
@@ -316,7 +306,7 @@ def action_deficiency(model: ChartModel, conn: ChainConnection) -> FormMatrix:
     curvature, which is the first localization identity.
     """
     if model.lift is None:
-        raise DimensionMismatch("model carries no endomorphism lift")
+        raise ParseError("model carries no endomorphism lift")
     ctx = conn.ctx
     lam = FormMatrix.from_ring(ctx, [[_to_ctx(x, ctx) for x in row]
                                      for row in model.lift.rows])
@@ -333,7 +323,7 @@ def localization_check(model: ChartModel, chain: Chain) -> bool:
     differential of L; (b) with eta built from P(L + tau R) for P the
     top-degree invariant `top_degree(rank, n)`, the projector, and the
     geometric series in tau D''(pi), the tau^(n-1) coefficient satisfies
-    D'' eta + P(R^(1,1)) = 0.  Raises IdentityFailed with the offending
+    D'' eta + P(R^(1,1)) = 0.  Raises CheckFailed with the offending
     residual; a projector that does not contract to 1 against the vector
     field trips (b).
     """
@@ -346,7 +336,7 @@ def localization_check(model: ChartModel, chain: Chain) -> bool:
 
     residual_a = contraction_with_field(R11, model) - L.d_simplex()
     if not residual_a.is_zero():
-        raise IdentityFailed(
+        raise CheckFailed(
             "contraction of curvature differs from d''L: "
             + residual_a.render())
 
@@ -366,6 +356,6 @@ def localization_check(model: ChartModel, chain: Chain) -> bool:
     residual_b = eta_top.d_simplex() + invariant_eval(P, R11)
     residual_b = residual_b.inert_coefficient(TAU, 0)
     if not residual_b.is_zero():
-        raise IdentityFailed(
+        raise CheckFailed(
             "d'' eta + P(R^(1,1)) is not zero: " + residual_b.render())
     return True

@@ -3,7 +3,10 @@
 Subcommands: residue, bott, derham, chern, verify-all.  Inputs are JSON
 files, either paths or bare names of files shipped in the data
 directory.  Exit codes: 0 all checks passed, 2 a check failed, 3 input
-could not be parsed, 4 precision exhausted, 5 a search cap was hit.
+could not be parsed or does not apply, 4 precision exhausted, 5 a
+search or size cap was hit.  `main` returns the `exit_code` of the
+error it catches (see errors.py); argparse's own usage errors exit 2
+before any check runs.
 """
 
 import argparse
@@ -13,9 +16,7 @@ from pathlib import Path
 from .adelic import (
     Chain, localization_check, mixed_connection, whitney_check,
 )
-from .errors import (
-    CapError, EngineError, ParseError, PrecisionError, UnknownChain,
-)
+from .errors import EngineError, ParseError
 from .exactalg import parse_rational
 from .parsing import (
     chain_from_labels, fraction_from_json, load_json, parse_invariant_text,
@@ -122,7 +123,7 @@ def _chern_chart(rep: Report, scn, labels) -> None:
         raise ParseError(f"scenario {scn.name} carries no chart data")
     for lab in labels:
         if lab not in scn.chart.frames:
-            raise UnknownChain(f"no frame at {lab!r} in {scn.name}")
+            raise ParseError(f"no frame at {lab!r} in {scn.name}")
     conn = mixed_connection(scn.chart, chain_from_labels(labels, "--chain"))
     R = conn.curvature()
     rep.add("theta", value=_matrix_text(conn.theta))
@@ -259,18 +260,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv, argparse.Namespace(json=False))
     try:
         rep = args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     sys.stdout.write(rep.to_json() if args.json else rep.to_text())
     return 0 if rep.passed else 2
 

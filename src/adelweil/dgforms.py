@@ -31,12 +31,7 @@ followed by the fibre integral over s.
 
 from __future__ import annotations
 
-from .errors import (
-    ContextMismatch,
-    DegreeError,
-    DimensionMismatch,
-    OddEntries,
-)
+from .errors import ParseError
 from .exactalg import (
     MultiPoly,
     RatFunc,
@@ -57,7 +52,7 @@ class DGContext:
                    | set(simplex_vars) & set(inert_vars)
                    | set(base_vars) & set(inert_vars))
         if overlap:
-            raise DimensionMismatch(f"variables used twice: {sorted(overlap)}")
+            raise ParseError(f"variables used twice: {sorted(overlap)}")
         self.simplex_vars = simplex_vars
         self.base_vars = base_vars
         self.inert_vars = inert_vars
@@ -82,7 +77,7 @@ class DGContext:
         """Odd generator index for a simplex or base variable name."""
         diffables = self.simplex_vars + self.base_vars
         if name not in diffables:
-            raise DimensionMismatch(f"no differential for variable {name!r}")
+            raise ParseError(f"no differential for variable {name!r}")
         return diffables.index(name)
 
     def diff_var(self, index: int) -> str:
@@ -105,7 +100,7 @@ class DGContext:
         """Affine coordinate t_i of the simplex, with t_0 eliminated."""
         l = len(self.simplex_vars)
         if not 0 <= i <= l:
-            raise DimensionMismatch(f"t_{i} outside simplex of dimension {l}")
+            raise ParseError(f"t_{i} outside simplex of dimension {l}")
         if i == 0:
             acc = self.ring_const(1)
             for name in self.simplex_vars:
@@ -139,7 +134,7 @@ class DGContext:
         """Differential dt_i; dt_0 expands to -sum of the others."""
         l = len(self.simplex_vars)
         if not 0 <= i <= l:
-            raise DimensionMismatch(f"dt_{i} outside simplex of dimension {l}")
+            raise ParseError(f"dt_{i} outside simplex of dimension {l}")
         if i == 0:
             acc = self.zero_form()
             for j in range(1, l + 1):
@@ -149,7 +144,7 @@ class DGContext:
 
     def df(self, name: str) -> "DiffForm":
         if name not in self.base_vars:
-            raise DimensionMismatch(f"{name!r} is not a base variable")
+            raise ParseError(f"{name!r} is not a base variable")
         idx = self.simplex_odd_count + self.base_vars.index(name)
         return DiffForm(self, {(idx,): self.ring_const(1)})
 
@@ -230,7 +225,7 @@ class DiffForm:
         if not degs:
             return 0
         if len(degs) > 1:
-            raise DegreeError(f"form of mixed degrees {sorted(degs)}")
+            raise ParseError(f"form of mixed degrees {sorted(degs)}")
         return degs.pop()
 
     def is_even(self) -> bool:
@@ -253,7 +248,7 @@ class DiffForm:
 
     def _check(self, other: "DiffForm"):
         if self.ctx != other.ctx:
-            raise ContextMismatch("forms from different contexts")
+            raise ParseError("forms from different contexts")
 
     def _coerce(self, other) -> "DiffForm":
         if isinstance(other, DiffForm):
@@ -365,7 +360,7 @@ class DiffForm:
         for name, v in components.items():
             idx = self.ctx.odd_index(name)
             if idx < self.ctx.simplex_odd_count:
-                raise DimensionMismatch(
+                raise ParseError(
                     "vector fields live in the base directions only")
             if isinstance(v, MultiPoly):
                 v = self.ctx.ring_poly(v)
@@ -403,7 +398,7 @@ class DiffForm:
             img = (even_images or {}).get(name)
             if img is None:
                 if name not in target.even_vars:
-                    raise ContextMismatch(
+                    raise ParseError(
                         f"no image given for variable {name!r}")
                 full_even[name] = target.ring_var(name)
             elif isinstance(img, MultiPoly):
@@ -425,7 +420,7 @@ class DiffForm:
                 if oi is None:
                     name = self.ctx.diff_var(idx)
                     if name not in target.simplex_vars + target.base_vars:
-                        raise ContextMismatch(
+                        raise ParseError(
                             f"no image given for the differential of {name!r}")
                     oi = target.d_by_name(name)
                 img = img * oi
@@ -438,7 +433,7 @@ class DiffForm:
         out: dict = {}
         for mono, c in self.terms.items():
             if not c.den.degree_in(name) <= 0:
-                raise DimensionMismatch(
+                raise ParseError(
                     f"denominator depends on inert variable {name}")
             num = {}
             for exp, v in c.num.coeffs.items():
@@ -495,7 +490,7 @@ class FormMatrix(RingMatrix):
         self.ctx = ctx
         rows = [[ctx.form_scalar(x) for x in row] for row in rows]
         if any(x.ctx != ctx for row in rows for x in row):
-            raise ContextMismatch("matrix entry from another context")
+            raise ParseError("matrix entry from another context")
         super().__init__(rows)
 
     def _new(self, rows) -> "FormMatrix":
@@ -544,7 +539,7 @@ class FormMatrix(RingMatrix):
     def charpoly(self, upto: int | None = None) -> list:
         """`RingMatrix.charpoly`, for even-degree entries only."""
         if not all(x.is_even() for row in self.rows for x in row):
-            raise OddEntries(
+            raise ParseError(
                 "the characteristic polynomial needs even-degree entries")
         return super().charpoly(upto)
 
@@ -556,8 +551,8 @@ class FormMatrix(RingMatrix):
         if k == 0:
             return self.ctx.one_form()
         if not 1 <= k <= len(self.rows):
-            raise DimensionMismatch(f"invariant {k} of a rank-"
-                                    f"{len(self.rows)} matrix")
+            raise ParseError(f"invariant {k} of a rank-"
+                             f"{len(self.rows)} matrix")
         return self.invariants(k)[k - 1]
 
 
@@ -579,13 +574,13 @@ class InvariantPolynomial:
         for exp, c in terms.items():
             exp = tuple(exp)
             if len(exp) != r:
-                raise DimensionMismatch(f"monomial {exp} for rank {r}")
+                raise ParseError(f"monomial {exp} for rank {r}")
             c = rat(c)
             if c:
                 clean[exp] = c
                 degrees.add(sum((i + 1) * e for i, e in enumerate(exp)))
         if len(degrees) > 1:
-            raise DegreeError(
+            raise ParseError(
                 f"mixed weighted degrees {sorted(degrees)} in one invariant")
         self.terms = clean
         self.degree = degrees.pop() if degrees else 0
@@ -594,7 +589,7 @@ class InvariantPolynomial:
     def elementary(cls, r: int, i: int) -> "InvariantPolynomial":
         """P_i for rank r (P_1 = trace, P_r = determinant)."""
         if not 1 <= i <= r:
-            raise DimensionMismatch(f"P_{i} undefined for rank {r}")
+            raise ParseError(f"P_{i} undefined for rank {r}")
         exp = [0] * r
         exp[i - 1] = 1
         return cls(r, {tuple(exp): ONE})
@@ -650,7 +645,7 @@ def invariant_eval(P: InvariantPolynomial, M: RingMatrix, one=None):
     Example: P_1^2 on M is (trace M)^2; P_2 on a 2x2 matrix is det M.
     """
     if M.shape[0] != P.r:
-        raise DimensionMismatch(
+        raise ParseError(
             f"rank-{P.r} invariant on a {M.shape[0]}x{M.shape[1]} matrix")
     if one is None:
         one = M.ctx.one_form()
@@ -671,7 +666,7 @@ def matrix_curvature(theta: FormMatrix) -> FormMatrix:
     """Curvature of a connection matrix: d(theta) - theta * theta."""
     m, n = theta.shape
     if m != n:
-        raise DimensionMismatch("connection matrix must be square")
+        raise ParseError("connection matrix must be square")
     return theta.d() - (theta @ theta)
 
 
@@ -691,11 +686,11 @@ def transgression(P: InvariantPolynomial, theta: FormMatrix) -> DiffForm:
     from .simplicial import fiber_integrate
 
     if P.degree < 1:
-        raise DegreeError("transgression needs a positive degree")
+        raise ParseError("transgression needs a positive degree")
     for row in theta.rows:
         for x in row:
             if not x.is_zero() and x.degree() != 1:
-                raise DegreeError("connection matrix entries must be 1-forms")
+                raise ParseError("connection matrix entries must be 1-forms")
     ctx = theta.ctx
     s = "s"
     while s in ctx.even_vars:

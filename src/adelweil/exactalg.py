@@ -49,14 +49,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    NotAUnit,
-    NotFinite,
-    ParseError,
-    PrecisionExhausted,
-)
+from .errors import CapError, NotAUnit, ParseError, PrecisionError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -168,7 +161,7 @@ class MultiPoly:
     def var(cls, vars, name) -> "MultiPoly":
         vars = tuple(vars)
         if name not in vars:
-            raise DimensionMismatch(f"unknown variable {name!r} in {vars}")
+            raise ParseError(f"unknown variable {name!r} in {vars}")
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
         return cls(vars, {tuple(exp): ONE})
@@ -203,7 +196,7 @@ class MultiPoly:
 
     def _check(self, other: "MultiPoly"):
         if self.vars != other.vars:
-            raise DimensionMismatch(
+            raise ParseError(
                 f"variable mismatch {self.vars} vs {other.vars}")
 
     def __add__(self, other):
@@ -423,7 +416,7 @@ class TruncatedSeries:
 
     def __init__(self, vars, coeffs, prec: int):
         if prec < 0:
-            raise PrecisionExhausted("negative precision")
+            raise PrecisionError("negative precision")
         self.vars = tuple(vars)
         self.prec = prec
         clean = {}
@@ -454,7 +447,7 @@ class TruncatedSeries:
         """Exact coefficient; raises if the degree is beyond precision."""
         exp = tuple(exp)
         if sum(exp) >= self.prec:
-            raise PrecisionExhausted(
+            raise PrecisionError(
                 f"coefficient at degree {sum(exp)} needs precision > {self.prec}")
         return self.coeffs.get(exp, ZERO)
 
@@ -582,7 +575,7 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.vars != den.vars:
-            raise DimensionMismatch("numerator/denominator variable mismatch")
+            raise ParseError("numerator/denominator variable mismatch")
         if normalize:
             num, den = self._normalized(num, den)
         self.num = num
@@ -801,7 +794,7 @@ class RingMatrix:
         self.rows = [list(r) for r in rows]
         width = {len(r) for r in self.rows}
         if len(width) > 1:
-            raise DimensionMismatch("ragged matrix")
+            raise ParseError("ragged matrix")
 
     def _new(self, rows) -> "RingMatrix":
         return RingMatrix(rows)
@@ -819,13 +812,13 @@ class RingMatrix:
 
     def __add__(self, other):
         if self.shape != other.shape:
-            raise DimensionMismatch("matrix addition shape mismatch")
+            raise ParseError("matrix addition shape mismatch")
         return self._new([[a + b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if self.shape != other.shape:
-            raise DimensionMismatch("matrix subtraction shape mismatch")
+            raise ParseError("matrix subtraction shape mismatch")
         return self._new([[a - b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.rows, other.rows)])
 
@@ -837,7 +830,7 @@ class RingMatrix:
 
     def __matmul__(self, other):
         if self.shape[1] != other.shape[0]:
-            raise DimensionMismatch("matrix product shape mismatch")
+            raise ParseError("matrix product shape mismatch")
         cols = list(zip(*other.rows))
         return self._new([[_dot(row, col) for col in cols]
                           for row in self.rows])
@@ -859,7 +852,7 @@ class RingMatrix:
         m, n = self.shape
         top = n if upto is None else upto
         if m != n or not 1 <= top <= n:
-            raise DimensionMismatch(
+            raise ParseError(
                 f"p_{top} of det(t - A) for a {m}x{n} matrix A")
         A = self.rows
         p: list = []
@@ -1188,7 +1181,7 @@ def _window(x, bound: int) -> MultiPoly:
     """Truncation of a series-like entry below total degree `bound`."""
     if isinstance(x, TruncatedSeries):
         if x.prec < bound:
-            raise PrecisionExhausted(
+            raise PrecisionError(
                 f"series precision {x.prec} below required window {bound}")
         return x.to_poly().truncate(bound)
     return x.truncate(bound)
@@ -1201,13 +1194,13 @@ def macaulay_span(generators, T: int) -> "LinearSpan":
     (Lazard, EUROCAL '83), inserted generator by generator and each in
     graded-lex order of mu.  Pivots are least monomials in graded-lex
     order, so the non-pivot monomials below T are a basis of the
-    quotient by the ideal plus m^T.  Raises CapExceeded, before any row
+    quotient by the ideal plus m^T.  Raises CapError, before any row
     is built, when more than MACAULAY_MONOMIAL_CAP monomials lie below T.
     """
     n = len(generators[0].vars)
     count = math.comb(n + T - 1, n)
     if count > MACAULAY_MONOMIAL_CAP:
-        raise CapExceeded(
+        raise CapError(
             f"truncation {T} has {count} monomials below it in {n} "
             f"variables, past the cap of {MACAULAY_MONOMIAL_CAP}")
     monos = _monomials_below(n, T)
@@ -1231,7 +1224,7 @@ def artinian_length(generators) -> int:
     T = 2, 3, ..; at T = 1 it is the field.  At the first T whose
     dimension equals the one at T - 1, m^(T-1) lies in (generators) + m^T,
     so by Nakayama's lemma it lies in the ideal: that dimension is the
-    colength.  Raises NotFinite when no dimension repeats up to
+    colength.  Raises CapError when no dimension repeats up to
     T = LENGTH_CAP, as for a sequence that is not regular (its
     dimensions grow forever).
 
@@ -1257,11 +1250,11 @@ def _colength_and_span(generators) -> tuple:
         if not isinstance(g, (TruncatedSeries, MultiPoly)):
             raise ParseError(f"bad ideal generator {g!r}")
     if not gens:
-        raise DimensionMismatch("empty generator list")
+        raise ParseError("empty generator list")
     vars = gens[0].vars
     n = len(vars)
     if any(g.vars != vars for g in gens):
-        raise DimensionMismatch("generators over different variables")
+        raise ParseError("generators over different variables")
     if any(g.constant_term() for g in gens):
         return 0, None, None
 
@@ -1271,8 +1264,8 @@ def _colength_and_span(generators) -> tuple:
         history.append(math.comb(n + T - 1, n) - span.rank)
         if history[-1] == history[-2]:
             return history[-1], T, span
-    raise NotFinite(f"colength did not stabilise below truncation "
-                    f"{LENGTH_CAP} (history {history[1:]})")
+    raise CapError(f"colength did not stabilise below truncation "
+                   f"{LENGTH_CAP} (history {history[1:]})")
 
 
 def _unit_exp(n: int, i: int) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import CapExceeded, ParseError
+from .errors import CapError, ParseError
 from .exactalg import (
     MACAULAY_MONOMIAL_CAP, MultiPoly, RingMatrix, parse_integer,
     parse_rational,
@@ -89,17 +89,17 @@ class _Parser:
         every expansion of one parsed expression.
         """
         if degree > MAX_EXPRESSION_DEGREE:
-            raise CapExceeded(f"expression of degree {degree} is past the "
-                              f"cap of {MAX_EXPRESSION_DEGREE}")
+            raise CapError(f"expression of degree {degree} is past the "
+                           f"cap of {MAX_EXPRESSION_DEGREE}")
         n = len(self.vars)
         terms = math.comb(n + max(degree, 0), n)
         if terms > MACAULAY_MONOMIAL_CAP:
-            raise CapExceeded(
+            raise CapError(
                 f"expression of degree {degree} has up to {terms} terms in "
                 f"{n} variables, past the cap of {MACAULAY_MONOMIAL_CAP}")
         self.spent += terms
         if self.spent > MACAULAY_MONOMIAL_CAP:
-            raise CapExceeded(
+            raise CapError(
                 f"the expansions of one expression have up to {self.spent} "
                 f"terms in {n} variables, past the cap of "
                 f"{MACAULAY_MONOMIAL_CAP}")
@@ -203,7 +203,7 @@ def _require(data: dict, key: str, where: str, kind=None):
 
 def _bounded_rank(rank: int, where: str) -> int:
     if rank > MAX_RANK:
-        raise CapExceeded(
+        raise CapError(
             f"{where} has rank {rank}, past the cap of {MAX_RANK}")
     return rank
 
@@ -214,7 +214,7 @@ def chain_from_labels(labels, where: str) -> Chain:
     if len(set(labels)) != len(labels):
         raise ParseError(f"{where} repeats a label: {', '.join(labels)}")
     if len(labels) > MAX_CHAIN:
-        raise CapExceeded(
+        raise CapError(
             f"{where} has {len(labels)} labels, past the cap of {MAX_CHAIN}")
     return Chain(tuple(labels))
 
@@ -239,15 +239,15 @@ def fraction_from_json(data: dict) -> GeneralizedFraction:
     return GeneralizedFraction(vars, num, tuple(dens))
 
 
-def _matrix_from_json(rows, vars, shape=None, where="") -> RingMatrix:
-    """A matrix of expressions; given `shape` (m, n), it must be m x n."""
+def _matrix_from_json(rows, vars, shape, where) -> RingMatrix:
+    """A matrix of expressions, m x n for `shape` (m, n); `where` names
+    it in the error."""
     if not isinstance(rows, list) or \
             not all(isinstance(row, list) for row in rows):
         raise ParseError("a matrix must be a list of rows")
-    if shape is not None:
-        m, n = shape
-        if len(rows) != m or any(len(row) != n for row in rows):
-            raise ParseError(f"{where} must be {m} x {n}")
+    m, n = shape
+    if len(rows) != m or any(len(row) != n for row in rows):
+        raise ParseError(f"{where} must be {m} x {n}")
     return RingMatrix([[parse_polynomial(x, vars) for x in row]
                        for row in rows])
 
@@ -267,9 +267,12 @@ def chart_from_json(data: dict) -> ChartModel:
     if a is not None:
         a = [parse_polynomial(x, vars)
              for x in _require(data, "a", "chart", list)]
+        if len(a) != len(vars):
+            raise ParseError(f"chart: 'a' has {len(a)} components for "
+                             f"{len(vars)} variables")
     lift = data.get("lift")
     if lift is not None:
-        lift = _matrix_from_json(lift, vars)
+        lift = _matrix_from_json(lift, vars, (rank, rank), "chart 'lift'")
     return ChartModel(vars, rank, frames, points, a, lift)
 
 

@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DegreeError,
-    DimensionMismatch,
-    IdentityFailed,
-    NotInvertibleChange,
-    NotSimple,
-    ParseError,
-)
+from .errors import CheckFailed, ParseError
 from .exactalg import (
     ONE,
     ZERO,
@@ -44,7 +37,7 @@ from .dgforms import InvariantPolynomial, invariant_eval
 def _require_series_like(x, vars):
     if isinstance(x, (MultiPoly, TruncatedSeries)):
         if x.vars != vars:
-            raise DimensionMismatch(
+            raise ParseError(
                 f"entry over variables {x.vars}, expected {vars}")
         return x
     return MultiPoly.const(vars, x)
@@ -108,7 +101,7 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
     at the monomial 1.  It is read off one elimination: the sparse rows
     of B^T, the row of the monomial 1 carrying -1 at column dim Q,
     reduce to [I | -lambda].  Certified: B is invertible and
-    Res[J dx / a] = l (the local degree identity), or IdentityFailed.
+    Res[J dx / a] = l (the local degree identity), or CheckFailed.
     """
     vars, n = gf.vars, len(gf.vars)
     basis = [m for m in _monomials_below(n, T) if m not in span.pivots]
@@ -141,7 +134,7 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
     elimination.extend(rows)
     reduced = elimination.reduced_rows()
     if list(reduced) != list(range(dim)):
-        raise IdentityFailed(
+        raise CheckFailed(
             "the Bezoutian of the denominators is singular on their "
             "local algebra")
     functional = [-row.get(dim, ZERO) for row in reduced.values()]
@@ -153,7 +146,7 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
     degree = residue(RingMatrix([[ai.diff(v) for v in vars]
                                  for ai in a]).det())
     if degree != l:
-        raise IdentityFailed(
+        raise CheckFailed(
             f"the Jacobian has residue {degree}, not the colength {l}")
     return residue(gf.numerator), degree
 
@@ -169,7 +162,7 @@ def _residue_and_length(gf: GeneralizedFraction, precision: int | None,
         again, _ = _local_residue(gf, l, T + 1,
                                   macaulay_span(gf.denominators, T + 1))
         if again != value:
-            raise IdentityFailed(
+            raise CheckFailed(
                 f"residue changed between truncations {T} and {T + 1}: "
                 f"{value} vs {again}")
     return value, degree, l
@@ -203,10 +196,10 @@ class LocalZeroData:
         self.a = tuple(_require_series_like(x, self.vars) for x in a)
         self.lift = lift
         if len(self.a) != len(self.vars):
-            raise DimensionMismatch(
+            raise ParseError(
                 f"{len(self.a)} components for {len(self.vars)} coordinates")
         if self.lift.shape != (self.rank, self.rank):
-            raise DimensionMismatch(
+            raise ParseError(
                 f"lift shape {self.lift.shape}, rank {self.rank}")
 
     @property
@@ -232,7 +225,7 @@ def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
     """
     n = zd.n
     if P.degree != n:
-        raise DegreeError(
+        raise ParseError(
             f"invariant of degree {P.degree} against dimension {n}")
     numerator = invariant_eval(P, zd.lift, _ring_one(zd))
     gf = GeneralizedFraction(zd.vars, numerator, zd.a)
@@ -249,18 +242,18 @@ def simple_zero_invariant(P: InvariantPolynomial,
     determinant is nonzero: then the a_i span m/m^2, so by Nakayama
     they generate the maximal ideal m.  The linear terms are read with
     `coefficient`, so a series known only below degree 2 raises
-    PrecisionExhausted.
+    PrecisionError.
     """
     n = zd.n
     if P.degree != n:
-        raise DegreeError(
+        raise ParseError(
             f"invariant of degree {P.degree} against dimension {n}")
     if any(x.coefficient((0,) * n) for x in zd.a):
-        raise NotSimple("the field does not vanish at the point")
+        raise ParseError("the field does not vanish at the point")
     det = RingMatrix([[-zd.a[j].coefficient(_unit_exp(n, i))
                        for j in range(n)] for i in range(n)]).det()
     if not det:
-        raise NotSimple("zero is not reduced")
+        raise ParseError("zero is not reduced")
     lam = RingMatrix([[Fraction(_const_term(x)) for x in row]
                       for row in zd.lift.rows])
     value = invariant_eval(P, lam, Fraction(1))
@@ -282,7 +275,7 @@ def gauss_bonnet_local(a):
     """
     a = list(a)
     if not a:
-        raise DimensionMismatch("empty generator list")
+        raise ParseError("empty generator list")
     gf = GeneralizedFraction(a[0].vars, 0, a)
     _, degree, l = _residue_and_length(gf, None, False)
     return degree, l
@@ -292,7 +285,7 @@ def gauss_bonnet_local(a):
 # coordinate_change_check: the residue engine reads a series denominator
 # below twice the Loewy length s of its local algebra, so 8 serves every
 # zero with s <= 4 (the zeros the law is checked on have s <= 2), and a
-# longer one raises PrecisionExhausted
+# longer one raises PrecisionError
 CHANGE_PRECISION = 8
 
 
@@ -316,12 +309,12 @@ def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
         if isinstance(img, TruncatedSeries):
             img = img.to_poly()
         if img.constant_term():
-            raise NotInvertibleChange(f"substitution moves the origin ({v})")
+            raise ParseError(f"substitution moves the origin ({v})")
         images[v] = img
     linear = RingMatrix([[images[vars[i]].coefficient(_unit_exp(n, j))
                           for j in range(n)] for i in range(n)])
     if not linear.det():
-        raise NotInvertibleChange("linear part of the substitution drops rank")
+        raise ParseError("linear part of the substitution drops rank")
 
     def series(x) -> TruncatedSeries:
         return TruncatedSeries.from_poly(_window(x, CHANGE_PRECISION),

@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (
-    DegreeMismatch,
-    DimensionMismatch,
-    ParseError,
-    RepeatedWeights,
-)
+from .errors import ParseError
 from .exactalg import (
     MultiPoly,
     RatFunc,
@@ -77,10 +72,10 @@ def projective_space_scenario(n: int, weights, bundle,
     """
     weights = tuple(rat(w) for w in weights)
     if len(weights) != n + 1:
-        raise DimensionMismatch(
+        raise ParseError(
             f"{len(weights)} weights for dimension {n}")
     if len(set(weights)) != n + 1:
-        raise RepeatedWeights(f"weights {weights} are not pairwise distinct")
+        raise ParseError(f"weights {weights} are not pairwise distinct")
     tangent = bundle == "tangent"
     if not tangent:
         if not isinstance(bundle, int):
@@ -96,7 +91,7 @@ def projective_space_scenario(n: int, weights, bundle,
     zeros: dict[str, LocalZeroData] = {}
     if degenerate_variant:
         if n != 1:
-            raise DimensionMismatch("degenerate variant exists on curves only")
+            raise ParseError("degenerate variant exists on curves only")
         f = MultiPoly.var(vars, "f")
         slope = Fraction(2) if tangent else Fraction(d)
         zeros["p0"] = LocalZeroData(vars, r, (f * f,),
@@ -206,7 +201,7 @@ def bott_sum(scn: Scenario, P: InvariantPolynomial | None = None,
     if P is None:
         P = canonical_invariant(scn)
     if P.degree != scn.n:
-        raise DegreeMismatch(
+        raise ParseError(
             f"invariant degree {P.degree} against dimension {scn.n}")
     rows = []
     total = Fraction(0)
@@ -269,7 +264,7 @@ def residue_at(g: RatFunc, z: Fraction) -> Fraction:
     """Classical residue of the 1-form g df at the point f = z."""
     vars = g.num.vars
     if len(vars) != 1:
-        raise DimensionMismatch("pointwise residues live on curves")
+        raise ParseError("pointwise residues live on curves")
     shift = MultiPoly.var(vars, vars[0]) + MultiPoly.const(vars, z)
     moved = g.subs({vars[0]: shift})
     if moved.den.constant_term():

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import CapExceeded, DimensionMismatch, ParseError
+from .errors import CapError, ParseError
 from .dgforms import DGContext, DiffForm
 from .exactalg import MultiPoly, RatFunc, parse_integer
 
@@ -30,13 +30,13 @@ class DeltaMorphism:
         self.target = target
         self.values = tuple(values)
         if len(self.values) != self.source + 1:
-            raise DimensionMismatch(
+            raise ParseError(
                 f"map on [{self.source}] needs {self.source + 1} values")
         if any(not 0 <= v <= self.target for v in self.values):
-            raise DimensionMismatch(
+            raise ParseError(
                 f"values {self.values} escape [{self.target}]")
         if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise DimensionMismatch(f"values {self.values} not monotone")
+            raise ParseError(f"values {self.values} not monotone")
 
     def __eq__(self, other):
         if not isinstance(other, DeltaMorphism):
@@ -68,7 +68,7 @@ def pullback_along(sigma: DeltaMorphism, form: DiffForm) -> DiffForm:
     src = form.ctx
     n = len(src.simplex_vars)
     if n != sigma.target:
-        raise DimensionMismatch(
+        raise ParseError(
             f"form lives on a {n}-simplex, morphism lands in [{sigma.target}]")
     m = sigma.source
     tgt = DGContext(tuple(f"t{i}" for i in range(1, m + 1)),
@@ -110,12 +110,12 @@ def integrate_over_simplex(form: DiffForm) -> Fraction:
     """
     l = len(form.ctx.simplex_vars)
     if any(i >= l for mono in form.terms for i in mono):
-        raise DimensionMismatch(
+        raise ParseError(
             "base differentials present; use fiber_integrate")
     top = form.terms.get(tuple(range(l)))
     if top is not None and (not top.den.is_constant()
                             or any(any(exp[l:]) for exp in top.num.coeffs)):
-        raise DimensionMismatch(
+        raise ParseError(
             "coefficient involves base variables or a denominator; "
             "use fiber_integrate")
     value = fiber_integrate(form).terms.get(())
@@ -156,7 +156,7 @@ def _drop_simplex_vars(src: DGContext, base: DGContext, poly):
     coeffs = {}
     for exp, v in poly.coeffs.items():
         if any(exp[:l]):
-            raise DimensionMismatch("simplex variable in a denominator")
+            raise ParseError("simplex variable in a denominator")
         coeffs[exp[l:]] = v
     return MultiPoly(base.even_vars, coeffs)
 
@@ -199,8 +199,8 @@ class FiniteSimplicialSet:
             if not isinstance(dim, int) or dim < 0:
                 raise ParseError(f"bad dimension for simplex {sid!r}")
             if dim > MAX_DIMENSION:
-                raise CapExceeded(f"simplex {sid!r} has dimension {dim}, "
-                                  f"past the cap of {MAX_DIMENSION}")
+                raise CapError(f"simplex {sid!r} has dimension {dim}, "
+                               f"past the cap of {MAX_DIMENSION}")
             if dim == 0:
                 if sid in self.faces:
                     raise ParseError(f"vertex {sid!r} lists faces")
@@ -342,7 +342,7 @@ def _subsets_sset(name: str, n: int, top: bool) -> FiniteSimplicialSet:
 def standard_simplex_sset(n: int) -> FiniteSimplicialSet:
     """The standard n-simplex: nonempty vertex subsets of {0..n}."""
     if n > 9:
-        raise DimensionMismatch("vertex-digit simplex ids stop at dimension 9")
+        raise ParseError("vertex-digit simplex ids stop at dimension 9")
     return _subsets_sset(f"simplex-{n}", n, top=True)
 
 
@@ -350,9 +350,9 @@ def standard_simplex_sset(n: int) -> FiniteSimplicialSet:
 def boundary_simplex_sset(n: int) -> FiniteSimplicialSet:
     """The boundary of the n-simplex (all proper faces)."""
     if n > 9:
-        raise DimensionMismatch("vertex-digit simplex ids stop at dimension 9")
+        raise ParseError("vertex-digit simplex ids stop at dimension 9")
     if n < 1:
-        raise DimensionMismatch("the 0-simplex has empty boundary")
+        raise ParseError("the 0-simplex has empty boundary")
     return _subsets_sset(f"boundary-{n}", n, top=False)
 
 

@@ -63,7 +63,7 @@ d E = E delta and integral z.  (On a cocycle the weight is q: the
 weight q + 1 part of E(z) is q! times the Euler contraction of
 sum_I z(I) dt_I = d E(z) / (q + 1)! = 0.)  So a cochain class that no
 family of the cap hits either has a Whitney form of weight above the
-cap (CapInsufficient), or E(z) is a family cocycle of the cap that hits
+cap (CapError), or E(z) is a family cocycle of the cap that hits
 it, and the comparison has failed.
 
 Coefficients stay Python ints from the label caches to the d∘d check:
@@ -103,13 +103,7 @@ import itertools
 import math
 from functools import cached_property, lru_cache
 
-from .errors import (
-    CapExceeded,
-    CapInsufficient,
-    CheckFailed,
-    DimensionMismatch,
-    NotAComplex,
-)
+from .errors import CapError, CheckFailed, ParseError
 from .exactalg import LinearSpan
 from .simplicial import FiniteSimplicialSet, aw_product, dirichlet_integral
 
@@ -389,7 +383,7 @@ def _check_label_budget(sset: FiniteSimplicialSet, cap: int) -> None:
                 for m in map(sset.dim_of, sset.simplices)
                 for q in range(min(m, cap) + 1))
     if count > MAX_FAMILY_LABELS:
-        raise CapExceeded(
+        raise CapError(
             f"the family complex at weight {cap} has "
             f"{count} labels, past the cap of {MAX_FAMILY_LABELS}")
 
@@ -404,7 +398,7 @@ class SullivanComplex:
 
     def __init__(self, sset: FiniteSimplicialSet, weight_cap: int):
         if weight_cap > HARD_WEIGHT_CAP:
-            raise CapExceeded(
+            raise CapError(
                 f"weight cap {weight_cap} above hard cap {HARD_WEIGHT_CAP}")
         _check_label_budget(sset, weight_cap)
         self.sset = sset
@@ -567,7 +561,7 @@ class CochainComplexView:
             if q + 1 >= len(self.labels) or \
                     len(mat) != len(self.labels[q + 1]) or \
                     any(j >= len(self.labels[q]) for row in mat for j in row):
-                raise DimensionMismatch("coboundary shapes do not chain")
+                raise ParseError("coboundary shapes do not chain")
         for q in range(len(self.mats) - 1):
             a = self.mats[q]
             # every row of b a, summed over the nonzero entries only
@@ -577,7 +571,7 @@ class CochainComplexView:
                     for j, x in a[i].items():
                         out[j] = out.get(j, 0) + v * x
                 if any(out.values()):
-                    raise NotAComplex(
+                    raise CheckFailed(
                         f"coboundary squared nonzero in degree {q}")
 
     @cached_property
@@ -686,7 +680,7 @@ def _weight_ranks(cx: SullivanComplex, view: CochainComplexView) -> list:
         col_w, row_w = cx._weights[q], cx._weights[q + 1]
         for i, row in enumerate(mat):
             if any(col_w[j] < row_w[i] for j in row):
-                raise NotAComplex(f"coboundary raises weight in degree {q}")
+                raise CheckFailed(f"coboundary raises weight in degree {q}")
     return [view.ranks(cx.leading_dims(w)) for w in range(cx.cap + 1)]
 
 
@@ -696,7 +690,7 @@ def _whitney_verdict(S: FiniteSimplicialSet, cap: int,
 
     z = {index: c} is a degree-q cocycle of `cview` whose class no
     family of the cap hits.  Its Whitney form E(z) hits it.  When E(z)
-    has weight above the cap, CapInsufficient names the degree and that
+    has weight above the cap, CapError names the degree and that
     weight.  Within the cap, E(z) is checked to be a family cocycle
     integrating to z, which leaves the comparison failed; a Whitney
     form that fails that check raises CheckFailed.
@@ -705,7 +699,7 @@ def _whitney_verdict(S: FiniteSimplicialSet, cap: int,
     family = _whitney_family(S, q, values)
     weight = max(_weight(lab) for on in family.values() for lab in on)
     if weight > cap:
-        raise CapInsufficient(
+        raise CapError(
             f"a degree-{q} cochain class is hit by no family of "
             f"weight at most {cap}; its Whitney form, which hits "
             f"it, has weight {weight}")
@@ -721,9 +715,9 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     Computes per-weight and total family cohomology ranks, cochain
     cohomology ranks, checks the integration map induces an isomorphism
     on the computed range, and checks that each sampled multiplicativity
-    defect lies in the span of the coboundaries.  Raises CapExceeded up
+    defect lies in the span of the coboundaries.  Raises CapError up
     front for a cap outside 0..HARD_WEIGHT_CAP or a family complex past
-    MAX_FAMILY_LABELS, and CapInsufficient when a cochain class is hit
+    MAX_FAMILY_LABELS, and CapError when a cochain class is hit
     by no family of the cap and its Whitney form lies above it
     (`_whitney_verdict`).  A class of degree above the cap is refused so
     before the family complex is built: a degree-q family has weight at
@@ -740,7 +734,7 @@ def verify_de_rham(S: FiniteSimplicialSet, weight_cap: int | None = None) -> dic
     L = S.dimension
     cap = (L + 4) if weight_cap is None else weight_cap
     if not 0 <= cap <= HARD_WEIGHT_CAP:
-        raise CapExceeded(f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP}")
+        raise CapError(f"weight cap {cap} outside 0..{HARD_WEIGHT_CAP}")
 
     _check_label_budget(S, cap)
     cview = cochain_complex(S)

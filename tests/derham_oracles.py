@@ -18,9 +18,7 @@ coboundary matrices of `sullivan.cochain_complex`.
 """
 
 from adelweil.dgforms import DiffForm, chain_context
-from adelweil.errors import (
-    CapExceeded, ContextMismatch, DegreeError, DimensionMismatch,
-)
+from adelweil.errors import CapError, ParseError
 from adelweil.exactalg import MultiPoly
 from adelweil.simplicial import (
     DeltaMorphism, FiniteSimplicialSet, integrate_over_simplex,
@@ -41,7 +39,7 @@ def identity_morphism(n: int) -> DeltaMorphism:
 def face(n: int, i: int) -> DeltaMorphism:
     """Coface [n-1] -> [n] skipping vertex i."""
     if not 0 <= i <= n:
-        raise DimensionMismatch(f"face index {i} outside [0, {n}]")
+        raise ParseError(f"face index {i} outside [0, {n}]")
     return DeltaMorphism(n - 1, n,
                          tuple(v for v in range(n + 1) if v != i))
 
@@ -49,7 +47,7 @@ def face(n: int, i: int) -> DeltaMorphism:
 def degeneracy(n: int, i: int) -> DeltaMorphism:
     """Codegeneracy [n+1] -> [n] repeating vertex i."""
     if not 0 <= i <= n:
-        raise DimensionMismatch(f"degeneracy index {i} outside [0, {n}]")
+        raise ParseError(f"degeneracy index {i} outside [0, {n}]")
     return DeltaMorphism(n + 1, n,
                          tuple(min(v, n) if v <= i else v - 1
                                for v in range(n + 2)))
@@ -127,10 +125,10 @@ class SullivanElement:
         self.forms = {}
         for sid, form in forms.items():
             if sid not in sset.simplices:
-                raise DimensionMismatch(f"unknown simplex {sid!r}")
+                raise ParseError(f"unknown simplex {sid!r}")
             if not form.is_zero():
                 if form.degree() != degree:
-                    raise DegreeError(
+                    raise ParseError(
                         f"form on {sid!r} has degree {form.degree()}, "
                         f"family has degree {degree}")
                 self.forms[sid] = form
@@ -156,13 +154,13 @@ class SullivanElement:
 
     def __add__(self, other: "SullivanElement") -> "SullivanElement":
         if self.sset != other.sset:
-            raise ContextMismatch("families on different simplicial sets")
+            raise ParseError("families on different simplicial sets")
         if self.is_zero():
             return other
         if other.is_zero():
             return self
         if self.degree != other.degree:
-            raise DegreeError("family degrees differ")
+            raise ParseError("family degrees differ")
         forms = dict(self.forms)
         for sid, form in other.forms.items():
             forms[sid] = forms[sid] + form if sid in forms else form
@@ -181,7 +179,7 @@ class SullivanElement:
 
     def __mul__(self, other: "SullivanElement") -> "SullivanElement":
         if self.sset != other.sset:
-            raise ContextMismatch("families on different simplicial sets")
+            raise ParseError("families on different simplicial sets")
         forms = {}
         for sid in self.forms:
             if sid in other.forms:
@@ -217,7 +215,7 @@ def element(cx: SullivanComplex, q: int, vec_or_index) -> SullivanElement:
 def sullivan_basis(S: FiniteSimplicialSet, q: int, w: int) -> list:
     """Basis of the compatible families of degree q and weight <= w."""
     if q > S.dimension + HARD_DEGREE_CAP:
-        raise CapExceeded(f"degree {q} is past the hard cap")
+        raise CapError(f"degree {q} is past the hard cap")
     if q > S.dimension:
         return []
     cx = SullivanComplex(S, w)

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from adelweil.dgforms import DGContext, DiffForm, _merge_odd, invariant_eval
-from adelweil.errors import DegreeError
+from adelweil.errors import ParseError
 from adelweil.exactalg import RingMatrix
 from adelweil.simplicial import _drop_simplex_vars, dirichlet_integral
 
@@ -64,7 +64,7 @@ def polarize(P, Ms: list, one=None):
     """
     m = P.degree
     if len(Ms) != m:
-        raise DegreeError(f"polarization of degree {m} needs {m} arguments")
+        raise ParseError(f"polarization of degree {m} needs {m} arguments")
     acc = None
     for picks in itertools.product((0, 1), repeat=m):
         size = sum(picks)

@@ -12,7 +12,7 @@ series of the denominator's unit part.
 import math
 from fractions import Fraction
 
-from adelweil.errors import NotFinite
+from adelweil.errors import CapError
 from adelweil.exactalg import ONE, MultiPoly, TruncatedSeries, macaulay_span
 
 
@@ -35,7 +35,7 @@ def three_equal_colength(generators, cap: int = 16) -> int:
         if (len(history) >= 3 and history[-1] == history[-2] == history[-3]
                 and powers_in):
             return dim
-    raise NotFinite(f"no three equal dimensions below truncation {cap}")
+    raise CapError(f"no three equal dimensions below truncation {cap}")
 
 
 def laurent_residue_at(g, z: Fraction) -> Fraction:

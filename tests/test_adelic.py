@@ -11,9 +11,7 @@ from adelweil.adelic import (
     mixed_connection, projector, whitney_check,
 )
 from adelweil.dgforms import InvariantPolynomial, polynomial_context
-from adelweil.errors import (
-    DimensionMismatch, IdentityFailed, MissingPoint, NonInvertibleFrame,
-)
+from adelweil.errors import CheckFailed, ParseError
 from adelweil.exactalg import MultiPoly, RatFunc, RingMatrix
 
 F = ("f",)
@@ -33,7 +31,7 @@ def chart(frames, points=None, a=None, lift=None, rank=1):
 
 
 def test_chain_requires_distinct_labels():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match="repeated labels in chain"):
         Chain(("x", "x"))
     assert Chain(("x", "y")).length == 1
 
@@ -45,12 +43,12 @@ def test_single_point_connection_is_flat():
 
 
 def test_missing_frame_is_reported():
-    with pytest.raises(MissingPoint):
+    with pytest.raises(ParseError, match="no frame for point 'y'"):
         mixed_connection(chart({"x": rm([[one]])}), Chain(("x", "y")))
 
 
 def test_zero_frame_is_rejected():
-    with pytest.raises(NonInvertibleFrame):
+    with pytest.raises(ParseError, match="frame at 'x' is not invertible"):
         mixed_connection(chart({"x": rm([[zero]])}), Chain(("x",)))
 
 
@@ -153,7 +151,7 @@ def test_corrupted_projector_is_detected(monkeypatch):
     two = polynomial_context(F).form_scalar(Q(2))
     monkeypatch.setattr(adelic, "projector",
                         lambda model, lab: two * projector(model, lab))
-    with pytest.raises(IdentityFailed):
+    with pytest.raises(CheckFailed, match="is not zero: "):
         localization_check(_weighted_model(), Chain(("x0", "inf")))
 
 
@@ -204,5 +202,5 @@ def test_zero_projector_in_two_variables_is_detected(monkeypatch):
     monkeypatch.setattr(
         adelic, "projector",
         lambda model, lab: zero if lab == "q" else projector(model, lab))
-    with pytest.raises(IdentityFailed):
+    with pytest.raises(CheckFailed, match="is not zero: "):
         localization_check(_plane_model(), Chain(("p", "q", "r")))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adelweil.dgforms import FormMatrix, chain_context
-from adelweil.errors import DimensionMismatch, NotAUnit
+from adelweil.errors import NotAUnit, ParseError
 from adelweil.exactalg import MultiPoly, RatFunc, RingMatrix, TruncatedSeries
 
 from matrix_oracles import cofactor_adjugate, minor_sums, perm_det
@@ -173,11 +173,11 @@ def test_form_matrix_invariants_match_ring_matrix_ones(n, data):
 
 @pytest.mark.parametrize("rows", [[], [[Q(1), Q(2)]]], ids=["empty", "wide"])
 def test_charpoly_needs_a_nonempty_square(rows):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match=r"p_\d of det\(t - A\) for a"):
         RingMatrix(rows).charpoly()
 
 
 @pytest.mark.parametrize("upto", [0, 3])
 def test_charpoly_upto_lies_between_1_and_n(upto):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match=rf"p_{upto} of det\(t - A\)"):
         RingMatrix([[Q(1), Q(2)], [Q(3), Q(4)]]).charpoly(upto)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from adelweil import errors
 from adelweil.cli import main, resolve_input
 from adelweil.parsing import MAX_CHAIN, MAX_RANK
 from adelweil.simplicial import (
@@ -193,6 +195,22 @@ def test_standard_simplex_report_ignores_the_vertices(capsys, tmp_path,
     assert out != shipped
 
 
+def test_one_error_class_per_exit_code():
+    # main returns the exit_code of what it catches: every class but the
+    # base carries one, and nothing in the package raises the base
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert {name: getattr(cls, "exit_code", None)
+            for name, cls in classes.items()} == {
+        "EngineError": None, "ParseError": 3, "PrecisionError": 4,
+        "CapError": 5, "CheckFailed": 2, "NotAUnit": 3}
+    bare = [f"{path.name}:{k}"
+            for path in sorted(Path(errors.__file__).parent.glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"raise\s+EngineError\b", line)]
+    assert bare == []
+
+
 def test_missing_input_exits_3(capsys):
     code, _, err = run(capsys, ["residue", "no-such-file.json"])
     assert code == 3 and "no such input" in err
@@ -223,9 +241,10 @@ def test_bad_polynomial_text_exits_3(capsys):
     assert code == 3
 
 
-def test_degree_mismatch_exits_2(capsys):
-    code, _, err = run(capsys, ["bott", "p1-o2.json", "--poly", "c1^2"])
-    assert code == 2 and "degree" in err
+def test_degree_mismatch_exits_3(capsys):
+    # the invariant does not apply to the scenario: no check runs
+    assert run(capsys, ["bott", "p1-o2.json", "--poly", "c1^2"]) == \
+        (3, "", "error: invariant degree 2 against dimension 1\n")
 
 
 @pytest.mark.parametrize("argv, message, whitney_chain", [
@@ -260,9 +279,9 @@ def test_options_that_cannot_apply_exit_3(capsys, tmp_path, monkeypatch,
     assert message in err
 
 
-def test_unknown_chain_label_exits_2(capsys):
-    code, _, err = run(capsys, ["chern", "p1-o1.json", "--chain", "x0,zz"])
-    assert code == 2 and "zz" in err
+def test_unknown_chain_label_exits_3(capsys):
+    assert run(capsys, ["chern", "p1-o1.json", "--chain", "x0,zz"]) == \
+        (3, "", "error: no frame at 'zz' in p1-o1\n")
 
 
 def test_positive_dimensional_ideal_exits_5(capsys, tmp_path):
@@ -377,14 +396,27 @@ def test_malformed_variable_lists_exit_3(capsys, tmp_path, command, data,
      "scenario: 'name' must be a string"),
     ("p1-o1.json", lambda d: d.update(expected_poly=5),
      "scenario: 'expected_poly' must be a string"),
+    ("p1-o1.json", lambda d: d["chart"]["lift"][0].append("0"),
+     "chart 'lift' must be 1 x 1"),
+    ("p1-o1.json", lambda d: d["chart"]["a"].append("f"),
+     "chart: 'a' has 2 components for 1 variables"),
 ], ids=["r-0", "a-longer", "a-empty", "lambda-shape", "lambda-ragged",
-        "repeated-label", "numeric-name", "numeric-expected-poly"])
+        "repeated-label", "numeric-name", "numeric-expected-poly",
+        "chart-lift-shape", "chart-a-longer"])
 def test_malformed_scenarios_exit_3(capsys, tmp_path, name, edit, message):
     # refused as input, before any engine runs: exit 3, never 2; a
     # repeated label would drop a zero, a numeric expected_poly the check
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_edited(name, edit)))
     assert run(capsys, ["bott", str(path)]) == (3, "", f"error: {message}\n")
+
+
+def test_singular_frame_exits_3(capsys, tmp_path):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(_edited(
+        "p1-o1.json", lambda d: d["chart"]["frames"].update(p0=[["0"]]))))
+    assert run(capsys, ["chern", str(path), "--chain", "x0,p0"]) == \
+        (3, "", "error: frame at 'p0' is not invertible\n")
 
 
 def _fraction(numerator):

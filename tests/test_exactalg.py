@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from adelweil import exactalg
 from adelweil.dgforms import FormMatrix, polynomial_context
-from adelweil.errors import (
-    CapExceeded, DimensionMismatch, NotAUnit, NotFinite, ParseError,
-    PrecisionExhausted,
-)
+from adelweil.errors import CapError, NotAUnit, ParseError, PrecisionError
 from adelweil.exactalg import (
     MACAULAY_MONOMIAL_CAP, LinearSpan, MultiPoly, QMatrix, RatFunc,
     RingMatrix, TruncatedSeries, _integral, artinian_length, format_rational,
@@ -125,7 +122,7 @@ def test_series_inverse_needs_a_unit():
 
 def test_series_precision_is_tracked():
     s = TruncatedSeries.from_poly(f, 3)
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionError, match="degree 3 needs precision > 3"):
         s.coefficient((3,))
     assert s.coefficient((1,)) == 1
 
@@ -161,7 +158,7 @@ def test_series_arithmetic_matches_the_truncated_loops(p, q, m, n, k):
                 a.coeffs, {(0, 0): Q(3, 2)}, m), m)):
         assert type(got) is TruncatedSeries
         assert (got.prec, got.coeffs) == (want_prec, want)
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionError, match="needs precision > "):
         (a * b).coefficient((prec, 0))
 
 
@@ -213,7 +210,7 @@ def test_series_stays_apart_from_polynomials():
         assert type(total) is TruncatedSeries and total.prec == 2
         assert total == 2 * f1
     assert s == f1 + f2 ** 2
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match="variable mismatch"):
         s + MultiPoly.var(V3, "f3")
 
 
@@ -368,7 +365,7 @@ def test_ring_matrix_inverse_over_rational_functions():
 def test_ring_matrix_det_on_triangular_blocks():
     m = RingMatrix([[f1, f2], [MultiPoly.zero(V2), f1]])
     assert m.det() == f1 * f1
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParseError, match="for a 1x2 matrix A"):
         RingMatrix([[f1, f2]]).det()
 
 
@@ -584,14 +581,14 @@ def test_macaulay_span_contains_memberships(a, b, p, q, T):
 def test_macaulay_span_refuses_past_the_monomial_cap():
     # 99 is the largest truncation admitted in two variables
     assert macaulay_span((f1, f2), 99).rank == 99 * 100 // 2 - 1
-    with pytest.raises(CapExceeded, match="truncation 100 has 5050 "):
+    with pytest.raises(CapError, match="truncation 100 has 5050 "):
         macaulay_span((f1, f2), 100)
     assert MACAULAY_MONOMIAL_CAP < 5050
 
 
 def test_artinian_length_rejects_positive_dimension(monkeypatch):
     monkeypatch.setattr(exactalg, "LENGTH_CAP", 8)
-    with pytest.raises(NotFinite, match="below truncation 8 "):
+    with pytest.raises(CapError, match="below truncation 8 "):
         artinian_length((f1,))
 
 
@@ -637,9 +634,10 @@ def test_nakayama_colength_agrees_on_the_acceptance_battery():
             continue
         try:
             length = artinian_length(a)
-        except NotFinite:
+        except CapError as exc:
             # no repeat up to 24: the old rule needs two more truncations
-            with pytest.raises(NotFinite):
+            assert "did not stabilise below truncation 24 " in str(exc)
+            with pytest.raises(CapError, match="below truncation 26$"):
                 three_equal_colength(a, cap=26)
             continue
         assert three_equal_colength(a, cap=26) == length, \
@@ -653,8 +651,8 @@ def test_a_repeat_at_the_cap_is_certified(monkeypatch):
     gens = (f1 ** 23, f2)
     assert exactalg.LENGTH_CAP == 24
     assert artinian_length(gens) == 23
-    with pytest.raises(NotFinite):
+    with pytest.raises(CapError, match="below truncation 24$"):
         three_equal_colength(gens, cap=24)
     monkeypatch.setattr(exactalg, "LENGTH_CAP", 23)
-    with pytest.raises(NotFinite):
+    with pytest.raises(CapError, match="stabilise below truncation 23 "):
         artinian_length(gens)

@@ -16,6 +16,12 @@ hides a call.  The battery:
 - `scripts/regen_data.py --check`, through its `main`, and the two table
   scripts at small sizes.
 
+What the battery prints is a golden: tests/golden/battery.txt holds, for
+each run, a header line `==> <run>: exit <code>`, its stdout, and its
+stderr with each line marked `2> `.  The test compares the file byte for
+byte with the same child run and names the first run that differs.
+Regenerate it with `python tests/test_reachability.py --write`.
+
 A function of src/adelweil/*.py is keyed by the line of its first
 decorator, the line `co_firstlineno` reports (`ast` gives the `def`
 line).  It passes when the battery enters it, when a rule allows it, or
@@ -25,9 +31,9 @@ The rules allow:
   exported class;
 - dunder methods themselves: a function nested in a dunder method must
   be reached or listed, as a method of an exported class must;
-- every name the benchmark reads (the tracer's TARGETS, and what
-  perfbench/child.py reads off the package), and whatever is defined
-  inside one.
+- every name the benchmark reads: the tracer's TARGETS and whatever is
+  defined inside one, and what perfbench/child.py reads off the package,
+  not the methods of a class it imports.
 An ALLOWED entry is listed only if it carries one of the paper's
 applications, a failure-only branch, or a read of the benchmark that
 the rules cannot see (a method called on an object it built), and it
@@ -47,18 +53,22 @@ A stale OPTIONS_ALLOWED entry fails too.
 
 import ast
 import contextlib
+import difflib
 import io
 import json
+import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
+import pytest
 from test_tracer_targets import _targets
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "adelweil"
 CHILD = ROOT / "perfbench" / "child.py"
+GOLDEN = ROOT / "tests" / "golden" / "battery.txt"
+HEADER = "==> "
 CALLERS = (PKG, ROOT / "scripts", ROOT / "perfbench")
 
 # {(module, dotted def name, parameter): reason} for options no caller
@@ -96,9 +106,9 @@ ALLOWED = {
 CHAINS = ("x0", "x0,p0", "x0,p0,q1", "q1,inf")
 
 
-def battery() -> dict:
-    """Run the traffic; return the exit codes of the CLI argvs and of
-    the scripts."""
+def battery() -> list:
+    """Run the traffic; return (header, stdout, stderr) of each CLI argv
+    and of each script, the header naming the run and its exit code."""
     from adelweil import cli
 
     argvs = [["verify-all"], ["verify-all", "--json"]]
@@ -120,24 +130,59 @@ def battery() -> dict:
     import derham_table
     import regen_data
 
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        codes = {"cli": [cli.main(argv) for argv in argvs],
-                 "scripts": [regen_data.main(["--check"])]}
-        sys.argv = ["bott_table.py", "--max-degree", "2"]
-        codes["scripts"].append(bott_table.main())
-        sys.argv = ["derham_table.py", "--max-dim", "2", "--weight-cap", "3"]
-        codes["scripts"].append(derham_table.main())
-    return codes
+    def captured(name, fn):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = fn()
+        return f"{name}: exit {code}", out.getvalue(), err.getvalue()
+
+    def script(module, *args):
+        sys.argv = [f"{module.__name__}.py", *args]
+        return module.main()
+
+    runs = [captured("adelweil " + " ".join(argv), lambda a=argv: cli.main(a))
+            for argv in argvs]
+    runs.append(captured("scripts/regen_data.py --check",
+                         lambda: regen_data.main(["--check"])))
+    runs.append(captured("scripts/bott_table.py --max-degree 2",
+                         lambda: script(bott_table, "--max-degree", "2")))
+    runs.append(captured(
+        "scripts/derham_table.py --max-dim 2 --weight-cap 3",
+        lambda: script(derham_table, "--max-dim", "2", "--weight-cap", "3")))
+    return runs
 
 
-def _entered() -> tuple:
-    """(exit codes, {(module, first line)} entered) from a child run."""
+def _sections(runs) -> list:
+    """The golden's text of each run: its header line, its stdout, and its
+    stderr with each line marked `2> `."""
+    return [f"{HEADER}{header}\n{out}" + "".join(
+        f"2> {line}" for line in err.splitlines(keepends=True))
+        for header, out, err in runs]
+
+
+@pytest.fixture(scope="module")
+def child() -> tuple:
+    """(runs, {(module, first line)} entered) from one child run."""
     proc = subprocess.run([sys.executable, __file__], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    return out["codes"], {tuple(key) for key in out["entered"]}
+    return out["runs"], {tuple(key) for key in out["entered"]}
+
+
+def test_battery_output_matches_the_golden(child):
+    got, expect = "".join(_sections(child[0])), GOLDEN.read_bytes().decode()
+    if got == expect:
+        return
+    split = re.compile(f"(?m)^(?={re.escape(HEADER)})").split
+    first = next((e or g for g, e in zip(split(got) + [""],
+                                         split(expect) + [""]) if g != e), "")
+    named = first.partition("\n")[0]
+    diff = "".join(difflib.unified_diff(
+        expect.splitlines(keepends=True), got.splitlines(keepends=True),
+        str(GOLDEN.relative_to(ROOT)), "this run"))
+    pytest.fail(f"first run that differs: {named}\n(regenerate with python "
+                f"tests/test_reachability.py --write)\n{diff}")
 
 
 def _functions() -> dict:
@@ -188,11 +233,6 @@ def _exported() -> set:
 
     return {(getattr(adelweil, name).__module__.rpartition(".")[2], name)
             for name in adelweil.__all__}
-
-
-def _benchmark_reads() -> set:
-    return {(module, path) for module, path, *_ in _targets()} \
-        | _child_reads()
 
 
 def _covering(allowed, module: str, name: str):
@@ -355,15 +395,14 @@ def test_rules_read_dotted_names():
         assert _covering(allowed, module, name) is None
 
 
-def test_every_function_is_reached_or_allowed():
-    codes, entered = _entered()
-    assert Counter(codes["cli"]) == {0: 83, 3: 12, 5: 1}
-    assert codes["scripts"] == [0, 0, 0]
-    exported, read = _exported(), _benchmark_reads()
+def test_every_function_is_reached_or_allowed(child):
+    entered = child[1]
+    named = _exported() | _child_reads()
+    traced = {(module, path) for module, path, *_ in _targets()}
     unreached, excused = [], set()
     for (module, line), name in sorted(_functions().items()):
         if (module, line) in entered or _dunder(name) or \
-                (module, name) in exported or _covering(read, module, name):
+                (module, name) in named or _covering(traced, module, name):
             continue
         entry = _covering(ALLOWED, module, name)
         if entry:
@@ -375,8 +414,12 @@ def test_every_function_is_reached_or_allowed():
 
 
 if __name__ == "__main__":
-    # the child: profile the battery from before adelweil is imported
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
+    if sys.argv[1:] == ["--write"]:
+        # regenerate the battery golden
+        GOLDEN.write_text("".join(_sections(battery())))
+        sys.exit(0)
+    # the child: profile the battery from before adelweil is imported
     entered = set()
 
     def record(frame, event, arg):
@@ -384,8 +427,8 @@ if __name__ == "__main__":
             entered.add(frame.f_code)
 
     sys.setprofile(record)
-    codes = battery()
+    runs = battery()
     sys.setprofile(None)
-    print(json.dumps({"codes": codes, "entered": sorted(
+    print(json.dumps({"runs": runs, "entered": sorted(
         (Path(code.co_filename).stem, code.co_firstlineno)
         for code in entered if Path(code.co_filename).parent == PKG)}))

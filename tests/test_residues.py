@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from adelweil import exactalg, residues, scenarios
 from adelweil.cli import FRACTION_FILES, SCENARIO_FILES, main, resolve_input
 from adelweil.dgforms import InvariantPolynomial
-from adelweil.errors import (
-    DegreeError, DimensionMismatch, IdentityFailed, NotFinite,
-    NotInvertibleChange, NotSimple, ParseError, PrecisionExhausted,
-)
+from adelweil.errors import CapError, CheckFailed, ParseError, PrecisionError
 from adelweil.exactalg import MultiPoly, RingMatrix, TruncatedSeries
 from adelweil.parsing import fraction_from_json, scenario_from_json
 from adelweil.residues import (
@@ -95,7 +92,7 @@ def test_gauss_bonnet_reads_the_certificates_jacobian(monkeypatch):
 
 def test_gauss_bonnet_needs_a_component():
     for count in (gauss_bonnet_local, exactalg.artinian_length):
-        with pytest.raises(DimensionMismatch, match="empty generator list"):
+        with pytest.raises(ParseError, match="empty generator list"):
             count([])
 
 
@@ -140,7 +137,7 @@ def test_certificate_rejects_a_wrong_colength(monkeypatch):
     monkeypatch.setattr(residues, "_colength_and_span",
                         lambda gens: (5,) + real(gens)[1:])
     gf = GeneralizedFraction(V2, one2, (f1 ** 2 - f2 ** 3, f2 ** 2))
-    with pytest.raises(IdentityFailed, match="residue 4, not the colength 5"):
+    with pytest.raises(CheckFailed, match="residue 4, not the colength 5"):
         residue_general(gf)
 
 
@@ -199,7 +196,7 @@ def test_a_colength_that_repeats_at_the_cap_has_a_residue():
     assert exactalg.LENGTH_CAP == 24
     gf = GeneralizedFraction(V2, f1 ** 22, (f1 ** 23, f2))
     assert residue_general(gf) == 1
-    with pytest.raises(NotFinite, match="below truncation 24"):
+    with pytest.raises(CapError, match="below truncation 24"):
         gauss_bonnet_local((f1 ** 24, f2))
 
 
@@ -209,14 +206,14 @@ def test_a_series_denominator_is_read_below_twice_the_loewy_length():
     a = tuple(TruncatedSeries.from_poly(x ** 4, 15) for x in (f1, f2))
     assert residue_general(GeneralizedFraction(V2, f1 ** 3 * f2 ** 3, a)) == 1
     short = tuple(TruncatedSeries.from_poly(x ** 4, 13) for x in (f1, f2))
-    with pytest.raises(PrecisionExhausted, match="window 14"):
+    with pytest.raises(PrecisionError, match="window 14"):
         residue_general(GeneralizedFraction(V2, f1 ** 3 * f2 ** 3, short))
 
 
 def test_series_numerator_precision_is_honest():
     num = TruncatedSeries.from_poly(f, 2)
     gf = GeneralizedFraction(V1, num, (f ** 3,))
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionError, match="below required window 3$"):
         residue_general(gf)
     wide = GeneralizedFraction(V1, TruncatedSeries.from_poly(f, 9), (f ** 3,))
     assert residue_general(wide) == 0
@@ -228,7 +225,7 @@ def test_series_denominator_precision_is_honest(c):
     # cut at degree 4 does not know
     short = GeneralizedFraction(
         V1, f, (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 4),))
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionError, match="below required window"):
         residue_general(short)
     known = GeneralizedFraction(
         V1, f, (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 8),))
@@ -279,7 +276,9 @@ def test_transformation_law(p1, p2, k1, k2, m, g):
     try:
         lhs = residue_general(GeneralizedFraction(V2, g, a))
         rhs = residue_general(GeneralizedFraction(V2, g * M.det(), b))
-    except NotFinite:
+    except CapError as exc:
+        # a positive-dimensional ideal has no residue
+        assert str(exc).startswith("colength did not stabilise"), exc
         assume(False)
     assert lhs == rhs
 
@@ -350,13 +349,13 @@ def test_closed_form_matches_residue_in_two_variables():
 
 def test_closed_form_refuses_degenerate_zeros():
     zd = LocalZeroData(V1, 1, (f ** 2,), RingMatrix([[-f]]))
-    with pytest.raises(NotSimple):
+    with pytest.raises(ParseError, match="zero is not reduced"):
         simple_zero_invariant(P1, zd)
 
 
 def test_closed_form_refuses_a_point_where_the_field_is_nonzero():
     zd = LocalZeroData(V1, 1, (f + 1,), RingMatrix([[-f]]))
-    with pytest.raises(NotSimple, match="does not vanish"):
+    with pytest.raises(ParseError, match="does not vanish"):
         simple_zero_invariant(P1, zd)
 
 
@@ -364,17 +363,18 @@ def test_closed_form_refuses_a_zero_of_colength_two():
     # (f1, f2^2) has colength 2: its linearization drops rank
     lift = RingMatrix([[one2, 0 * one2], [0 * one2, one2]])
     zd = LocalZeroData(V2, 2, (f1, f2 ** 2), lift)
-    with pytest.raises(NotSimple, match="not reduced"):
+    with pytest.raises(ParseError, match="not reduced"):
         simple_zero_invariant(P2, zd)
     assert gauss_bonnet_local(list(zd.a)) == (2, 2)
 
 
 def test_closed_form_reads_linear_terms_within_precision():
     lift = RingMatrix([[MultiPoly.const(V1, -1)]])
-    for prec, outcome in ((1, PrecisionExhausted), (0, PrecisionExhausted)):
+    for prec in (1, 0):
         zd = LocalZeroData(V1, 1, (TruncatedSeries.from_poly(f, prec),),
                            lift)
-        with pytest.raises(outcome):
+        with pytest.raises(PrecisionError,
+                           match=f"degree {prec} needs precision > {prec}$"):
             simple_zero_invariant(P1, zd)
     zd = LocalZeroData(V1, 1, (TruncatedSeries.from_poly(f, 2),), lift)
     assert simple_zero_invariant(P1, zd) == 1
@@ -382,7 +382,7 @@ def test_closed_form_reads_linear_terms_within_precision():
 
 def test_invariant_degree_must_match_dimension():
     zd = LocalZeroData(V1, 1, (f,), RingMatrix([[MultiPoly.const(V1, 1)]]))
-    with pytest.raises(DegreeError):
+    with pytest.raises(ParseError, match="degree 2 against dimension 1"):
         local_invariant(InvariantPolynomial.power_of_trace(1, 2), zd)
 
 
@@ -413,7 +413,7 @@ def test_coordinate_change_on_the_weighted_model():
 ], ids=["proportional-rows", "no-linear-term"])
 def test_coordinate_change_refuses_a_singular_linear_part(change):
     zd = LocalZeroData(V2, 2, (f1, f2), RingMatrix([[f1, f2], [f2, f1]]))
-    with pytest.raises(NotInvertibleChange, match="drops rank"):
+    with pytest.raises(ParseError, match="drops rank"):
         coordinate_change_check(P2, zd, change)
 
 
