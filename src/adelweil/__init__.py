@@ -12,10 +12,10 @@ from .adelic import (
 )
 from .dgforms import DGContext, DiffForm, FormMatrix, InvariantPolynomial
 from .errors import EngineError
-from .exactalg import MultiPoly, RatFunc, RingMatrix, TruncatedSeries
+from .exactalg import MultiPoly, RatFunc, RingMatrix
 from .residues import (
     GeneralizedFraction, LocalZeroData, gauss_bonnet_local, local_invariant,
-    residue_general, simple_zero_invariant,
+    residue_general,
 )
 from .scenarios import (
     bott_sum, curve_adelic_integral, projective_space_scenario,
@@ -30,10 +30,10 @@ __all__ = [
     "Chain", "ChartModel", "DGContext", "DiffForm", "EngineError",
     "FiniteSimplicialSet", "FormMatrix", "GeneralizedFraction",
     "InvariantPolynomial", "LocalZeroData", "MultiPoly", "RatFunc",
-    "RingMatrix", "SullivanComplex", "TruncatedSeries",
+    "RingMatrix", "SullivanComplex",
     "bott_sum", "chern_form_component", "chern_series",
     "curve_adelic_integral", "fiber_integrate", "gauss_bonnet_local",
     "local_invariant", "localization_check", "mixed_connection",
-    "projective_space_scenario", "residue_general", "simple_zero_invariant",
+    "projective_space_scenario", "residue_general",
     "verify_de_rham", "whitney_check", "whitney_scenario",
 ]

@@ -3,10 +3,9 @@
 Subcommands: residue, bott, derham, chern, verify-all.  Inputs are JSON
 files, either paths or bare names of files shipped in the data
 directory.  Exit codes: 0 all checks passed, 2 a check failed, 3 input
-could not be parsed or does not apply, 4 precision exhausted, 5 a
-search or size cap was hit.  `main` returns the `exit_code` of the
-error it catches (see errors.py); argparse's own usage errors exit 2
-before any check runs.
+could not be parsed or does not apply, 5 a search or size cap was hit.
+`main` returns the `exit_code` of the error it catches (see
+errors.py); argparse's own usage errors exit 2 before any check runs.
 """
 
 import argparse
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="residue of a generalized fraction file")
     p.add_argument("file")
     p.add_argument("--precision", type=int,
-                   help="series truncation order override")
+                   help="working truncation override")
     p.add_argument("--stability", action="store_true", help=stability_help)
     p.set_defaults(func=cmd_residue)
 

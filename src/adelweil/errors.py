@@ -6,8 +6,6 @@ exception from this module.  There is one class per exit code, and
 class by what the failure means, not by where it is raised:
 - malformed or inapplicable input (a shape, a variable set, a degree, a
   label, a singular frame) is a ParseError;
-- a computation that would need more series precision than it was given
-  is a PrecisionError;
 - a search, size or weight cap that was hit is a CapError;
 - an exact identity that should hold and did not is a CheckFailed.
 The message says which failure it was.  Raise no bare EngineError.
@@ -22,12 +20,6 @@ class ParseError(EngineError):
     """Malformed or inapplicable input."""
 
     exit_code = 3
-
-
-class PrecisionError(EngineError):
-    """A computation would need more series precision than is available."""
-
-    exit_code = 4
 
 
 class CapError(EngineError):

@@ -6,10 +6,12 @@ with exact `fractions.Fraction` coefficients:
 
 * `MultiPoly` -- multivariate polynomials, dict-of-monomials storage,
   graded-lexicographic canonical order;
-* `TruncatedSeries` -- power series cut at a total degree, the working
-  model of a complete local ring at a rational point.  It has no
-  arithmetic of its own: each operation is `MultiPoly`'s, truncated
-  once, and a product forms no term pair at or past the precision;
+* `TruncatedSeries` -- power series cut at a total degree.  No engine
+  reads it: the residue engine takes polynomials and certifies its own
+  truncation.  It remains for the series oracles of the tests and for
+  the benchmark tracer, which wraps its product.  It has no arithmetic
+  of its own: each operation is `MultiPoly`'s, truncated once, and a
+  product forms no term pair at or past the precision;
 * `RatFunc` -- quotients of polynomials, used as functions regular
   along a chain; equality is decided by cross multiplication, so no
   multivariate gcd is ever required.
@@ -49,7 +51,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import CapError, NotAUnit, ParseError, PrecisionError
+from .errors import CapError, NotAUnit, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -176,10 +178,6 @@ class MultiPoly:
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * len(self.vars), ZERO)
-
-    def coefficient(self, exp: tuple[int, ...]) -> Fraction:
-        """Exact coefficient of one monomial (the series' signature)."""
-        return self.coeffs.get(tuple(exp), ZERO)
 
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -416,7 +414,7 @@ class TruncatedSeries:
 
     def __init__(self, vars, coeffs, prec: int):
         if prec < 0:
-            raise PrecisionError("negative precision")
+            raise ValueError("negative precision")
         self.vars = tuple(vars)
         self.prec = prec
         clean = {}
@@ -447,7 +445,7 @@ class TruncatedSeries:
         """Exact coefficient; raises if the degree is beyond precision."""
         exp = tuple(exp)
         if sum(exp) >= self.prec:
-            raise PrecisionError(
+            raise ValueError(
                 f"coefficient at degree {sum(exp)} needs precision > {self.prec}")
         return self.coeffs.get(exp, ZERO)
 
@@ -504,7 +502,24 @@ class TruncatedSeries:
                                          max(self.prec - 1, 0))
 
     def invert(self) -> "TruncatedSeries":
-        return series_invert(self)
+        """Multiplicative inverse of a unit series, exact to self.prec.
+
+        Example
+        -------
+        >>> f = MultiPoly.var(("f",), "f")
+        >>> TruncatedSeries.from_poly(1 - f, 4).invert().to_poly().render()
+        '1 + f + f^2 + f^3'
+        """
+        c0 = self.constant_term()
+        if not c0:
+            raise NotAUnit("series with zero constant term has no inverse")
+        # Newton-free iteration: inv_{k+1} = inv_k * (2 - u * inv_k).
+        inv = TruncatedSeries.const(self.vars, 1 / c0, self.prec)
+        known = 1
+        while known < self.prec:
+            inv = inv * (2 - self * inv)
+            known *= 2
+        return inv
 
     def compose(self, images: dict) -> "TruncatedSeries":
         """Substitute each variable by a series with zero constant term."""
@@ -532,29 +547,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.render()!r})"
-
-
-def series_invert(u: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a unit series, exact to u.prec.
-
-    Example
-    -------
-    >>> f = MultiPoly.var(("f",), "f")
-    >>> one_minus = TruncatedSeries.from_poly(1 - f, 4)
-    >>> series_invert(one_minus).to_poly().render()
-    '1 + f + f^2 + f^3'
-    """
-    c0 = u.constant_term()
-    if not c0:
-        raise NotAUnit("series with zero constant term has no inverse")
-    inv0 = 1 / c0
-    # Newton-free iteration: inv_{k+1} = inv_k * (2 - u * inv_k).
-    inv = TruncatedSeries.const(u.vars, inv0, u.prec)
-    known = 1
-    while known < u.prec:
-        inv = inv * (2 - u * inv)
-        known *= 2
-    return inv
 
 
 class RatFunc:
@@ -1177,16 +1169,6 @@ MACAULAY_MONOMIAL_CAP = 5000
 LENGTH_CAP = 24
 
 
-def _window(x, bound: int) -> MultiPoly:
-    """Truncation of a series-like entry below total degree `bound`."""
-    if isinstance(x, TruncatedSeries):
-        if x.prec < bound:
-            raise PrecisionError(
-                f"series precision {x.prec} below required window {bound}")
-        return x.to_poly().truncate(bound)
-    return x.truncate(bound)
-
-
 def macaulay_span(generators, T: int) -> "LinearSpan":
     """Span of the shifted generators x^mu * g_j truncated below degree T.
 
@@ -1206,7 +1188,7 @@ def macaulay_span(generators, T: int) -> "LinearSpan":
     monos = _monomials_below(n, T)
     span = LinearSpan(key=grlex_key)
     for g in generators:
-        terms = [(exp, sum(exp), c) for exp, c in _window(g, T).coeffs.items()]
+        terms = [(exp, sum(exp), c) for exp, c in g.truncate(T).coeffs.items()]
         order = min((d for _, d, _ in terms), default=T)
         for mu in monos:
             shift = sum(mu)
@@ -1247,7 +1229,7 @@ def _colength_and_span(generators) -> tuple:
     """
     gens = list(generators)
     for g in gens:
-        if not isinstance(g, (TruncatedSeries, MultiPoly)):
+        if not isinstance(g, MultiPoly):
             raise ParseError(f"bad ideal generator {g!r}")
     if not gens:
         raise ParseError("empty generator list")

@@ -1,4 +1,4 @@
-"""Input formats: the series grammar and the JSON file schemas.
+"""Input formats: the polynomial grammar and the JSON file schemas.
 
 The expression grammar covers rational constants (7, 3/2), variable
 names, +, -, *, ^ and parentheses; multiplication is always explicit.

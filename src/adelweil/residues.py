@@ -1,16 +1,18 @@
 """Local residues of generalized fractions and zero-locus invariants.
 
 The residue symbol [g df_1^..^df_n / a_1, .., a_n] at the origin is
-computed exactly over the rationals, on one path for every denominator
-sequence of finite colength, curves included.  The colength search
-stops at the first truncation whose quotient dimension repeats, which
-Nakayama's lemma certifies; its last Macaulay span gives a monomial
-basis of the local algebra Q = k[[f]]/(a) and normal forms in it.  The
-Bezoutian of a, read in Q (x) Q, is dual to the residue pairing
-(Scheja-Storch 1975; Becker-Cardinal-Roy-Szafraniec 1996), so one
-sparse elimination gives the residue functional.  Each answer carries
-its certificate: the Bezoutian matrix is invertible and the Jacobian
-determinant has residue l = the colength, the local degree identity.
+computed exactly from polynomial entries over the rationals, on one
+path for every denominator sequence of finite colength, curves
+included.  The engine certifies the truncation it reads, so it needs
+no series, and it refuses one.  The colength search stops at the
+first truncation whose quotient dimension repeats, which Nakayama's
+lemma certifies; its last Macaulay span gives a monomial basis of the
+local algebra Q = k[[f]]/(a) and normal forms in it.  The Bezoutian of
+a, read in Q (x) Q, is dual to the residue pairing (Scheja-Storch 1975;
+Becker-Cardinal-Roy-Szafraniec 1996), so one sparse elimination gives
+the residue functional.  Each answer carries its certificate: the
+Bezoutian matrix is invertible and the Jacobian determinant has
+residue l = the colength, the local degree identity.
 """
 
 from __future__ import annotations
@@ -24,18 +26,16 @@ from .exactalg import (
     LinearSpan,
     MultiPoly,
     RingMatrix,
-    TruncatedSeries,
     macaulay_span,
     _colength_and_span,
     _monomials_below,
-    _unit_exp,
-    _window,
 )
 from .dgforms import InvariantPolynomial, invariant_eval
 
 
-def _require_series_like(x, vars):
-    if isinstance(x, (MultiPoly, TruncatedSeries)):
+def _require_poly(x, vars) -> MultiPoly:
+    """x over `vars`; anything but a MultiPoly must be a rational constant."""
+    if isinstance(x, MultiPoly):
         if x.vars != vars:
             raise ParseError(
                 f"entry over variables {x.vars}, expected {vars}")
@@ -54,9 +54,9 @@ class GeneralizedFraction:
     def __init__(self, vars, numerator, denominators):
         self.vars = tuple(vars)
         n = len(self.vars)
-        self.numerator = _require_series_like(numerator, self.vars)
+        self.numerator = _require_poly(numerator, self.vars)
         self.denominators = tuple(
-            _require_series_like(d, self.vars) for d in denominators)
+            _require_poly(d, self.vars) for d in denominators)
         if len(self.denominators) != n:
             raise ParseError(
                 f"{len(self.denominators)} denominators for {n} variables")
@@ -114,7 +114,7 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
                                 if sum(e) < s})
         return {index[m]: c for m, c in residual.items()}
 
-    a = [_window(ai, 2 * s) for ai in gf.denominators]
+    a = [ai.truncate(2 * s) for ai in gf.denominators]
     xy = vars + tuple(f"{v}'" for v in vars)
     delta = RingMatrix([[_divided_difference(ai, j, xy) for j in range(n)]
                         for ai in a]).det()
@@ -141,7 +141,7 @@ def _local_residue(gf: GeneralizedFraction, l: int, T: int,
 
     def residue(g) -> Fraction:
         return sum((functional[k] * c
-                    for k, c in coords(_window(g, s).coeffs).items()), ZERO)
+                    for k, c in coords(g.truncate(s).coeffs).items()), ZERO)
 
     degree = residue(RingMatrix([[ai.diff(v) for v in vars]
                                  for ai in a]).det())
@@ -193,7 +193,7 @@ class LocalZeroData:
     def __init__(self, vars, rank: int, a, lift: RingMatrix):
         self.vars = tuple(vars)
         self.rank = rank
-        self.a = tuple(_require_series_like(x, self.vars) for x in a)
+        self.a = tuple(_require_poly(x, self.vars) for x in a)
         self.lift = lift
         if len(self.a) != len(self.vars):
             raise ParseError(
@@ -205,14 +205,6 @@ class LocalZeroData:
     @property
     def n(self) -> int:
         return len(self.vars)
-
-
-def _ring_one(zd: LocalZeroData):
-    precs = [x.prec for row in zd.lift.rows for x in row
-             if isinstance(x, TruncatedSeries)]
-    if precs:
-        return TruncatedSeries.const(zd.vars, 1, min(precs))
-    return MultiPoly.const(zd.vars, 1)
 
 
 def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
@@ -227,43 +219,10 @@ def local_invariant(P: InvariantPolynomial, zd: LocalZeroData,
     if P.degree != n:
         raise ParseError(
             f"invariant of degree {P.degree} against dimension {n}")
-    numerator = invariant_eval(P, zd.lift, _ring_one(zd))
+    numerator = invariant_eval(P, zd.lift, MultiPoly.const(zd.vars, 1))
     gf = GeneralizedFraction(zd.vars, numerator, zd.a)
     value = residue_general(gf, stability=stability)
     return Fraction(-1) ** n * value
-
-
-def simple_zero_invariant(P: InvariantPolynomial,
-                          zd: LocalZeroData) -> Fraction:
-    """Closed form at a reduced zero: P of the restricted lift over the
-    determinant of the linearization -(da_i/df_j)^T at the point.
-
-    The zero is reduced (colength 1) exactly when a(0) = 0 and that
-    determinant is nonzero: then the a_i span m/m^2, so by Nakayama
-    they generate the maximal ideal m.  The linear terms are read with
-    `coefficient`, so a series known only below degree 2 raises
-    PrecisionError.
-    """
-    n = zd.n
-    if P.degree != n:
-        raise ParseError(
-            f"invariant of degree {P.degree} against dimension {n}")
-    if any(x.coefficient((0,) * n) for x in zd.a):
-        raise ParseError("the field does not vanish at the point")
-    det = RingMatrix([[-zd.a[j].coefficient(_unit_exp(n, i))
-                       for j in range(n)] for i in range(n)]).det()
-    if not det:
-        raise ParseError("zero is not reduced")
-    lam = RingMatrix([[Fraction(_const_term(x)) for x in row]
-                      for row in zd.lift.rows])
-    value = invariant_eval(P, lam, Fraction(1))
-    return value / det
-
-
-def _const_term(x) -> Fraction:
-    if isinstance(x, (MultiPoly, TruncatedSeries)):
-        return x.constant_term()
-    return Fraction(x)
 
 
 def gauss_bonnet_local(a):
@@ -279,56 +238,3 @@ def gauss_bonnet_local(a):
     gf = GeneralizedFraction(a[0].vars, 0, a)
     _, degree, l = _residue_and_length(gf, None, False)
     return degree, l
-
-
-# series precision of the transformed components and lift in
-# coordinate_change_check: the residue engine reads a series denominator
-# below twice the Loewy length s of its local algebra, so 8 serves every
-# zero with s <= 4 (the zeros the law is checked on have s <= 2), and a
-# longer one raises PrecisionError
-CHANGE_PRECISION = 8
-
-
-def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
-                            change: dict) -> bool:
-    """Recompute the local invariant after a coordinate substitution.
-
-    `change` maps each coordinate name to its expression in the new
-    coordinates (same names); the linear part must be invertible and
-    the origin must be fixed.  Components transform by solving
-    a_i o phi = sum_j (d phi_i / d g_j) b_j for b, as series known below
-    total degree CHANGE_PRECISION.
-    """
-    n = zd.n
-    vars = zd.vars
-    images = {}
-    for v in vars:
-        img = change.get(v)
-        if img is None:
-            img = MultiPoly.var(vars, v)
-        if isinstance(img, TruncatedSeries):
-            img = img.to_poly()
-        if img.constant_term():
-            raise ParseError(f"substitution moves the origin ({v})")
-        images[v] = img
-    linear = RingMatrix([[images[vars[i]].coefficient(_unit_exp(n, j))
-                          for j in range(n)] for i in range(n)])
-    if not linear.det():
-        raise ParseError("linear part of the substitution drops rank")
-
-    def series(x) -> TruncatedSeries:
-        return TruncatedSeries.from_poly(_window(x, CHANGE_PRECISION),
-                                         CHANGE_PRECISION)
-
-    composed = {v: series(images[v]) for v in vars}
-    a_new_rhs = [series(ai).compose(composed) for ai in zd.a]
-    jac = RingMatrix([[series(images[vars[i]].diff(vars[j]))
-                       for j in range(n)] for i in range(n)])
-    jac_inv = jac.inv()
-    b = [sum((jac_inv.rows[j][i] * a_new_rhs[i] for i in range(n)),
-             TruncatedSeries.const(vars, 0, CHANGE_PRECISION))
-         for j in range(n)]
-    lift_new = RingMatrix([[series(x).compose(composed) for x in row]
-                           for row in zd.lift.rows])
-    zd_new = LocalZeroData(vars, zd.rank, tuple(b), lift_new)
-    return (local_invariant(P, zd) == local_invariant(P, zd_new))

@@ -20,8 +20,7 @@ from adelweil.dgforms import (
 from adelweil.errors import CapError
 from adelweil.exactalg import MultiPoly, RatFunc, RingMatrix
 from adelweil.residues import (
-    LocalZeroData, coordinate_change_check, gauss_bonnet_local,
-    local_invariant, simple_zero_invariant,
+    LocalZeroData, gauss_bonnet_local, local_invariant,
 )
 from adelweil.scenarios import bott_sum, projective_space_scenario
 from adelweil.simplicial import (
@@ -31,6 +30,7 @@ from adelweil.simplicial import (
 from adelweil.sullivan import verify_de_rham
 
 from form_oracles import polarize
+from series_oracles import coordinate_change_check, simple_zero_invariant
 
 P1 = InvariantPolynomial.elementary(1, 1)
 SEED = 20260823

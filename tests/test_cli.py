@@ -202,8 +202,8 @@ def test_one_error_class_per_exit_code():
                if isinstance(cls, type) and issubclass(cls, Exception)}
     assert {name: getattr(cls, "exit_code", None)
             for name, cls in classes.items()} == {
-        "EngineError": None, "ParseError": 3, "PrecisionError": 4,
-        "CapError": 5, "CheckFailed": 2, "NotAUnit": 3}
+        "EngineError": None, "ParseError": 3, "CapError": 5,
+        "CheckFailed": 2, "NotAUnit": 3}
     bare = [f"{path.name}:{k}"
             for path in sorted(Path(errors.__file__).parent.glob("*.py"))
             for k, line in enumerate(path.read_text().splitlines(), 1)

@@ -76,12 +76,6 @@ CALLERS = (PKG, ROOT / "scripts", ROOT / "perfbench")
 OPTIONS_ALLOWED: dict = {}
 
 ALLOWED = {
-    ("exactalg", "series_invert"):
-        "Gauss-Bonnet and the transformation law invert series",
-    ("residues", "coordinate_change_check"):
-        "the transformation law of the local invariants",
-    ("residues", "_const_term"):
-        "simple_zero_invariant, the closed form at a simple zero",
     ("scenarios", "_divisors"):
         "the curve adelic integral on a section with a nonzero rational "
         "root; the shipped sections vanish only at 0",
@@ -90,9 +84,8 @@ ALLOWED = {
     ("simplicial", "DeltaMorphism"):
         "pullback_along's argument type; the tracer reads pullback_along",
     ("exactalg", "TruncatedSeries"):
-        "Gauss-Bonnet and the transformation law expand in series",
-    ("exactalg", "MultiPoly.coefficient"):
-        "simple_zero_invariant reads the linear terms of the field",
+        "perfbench/tracer.py wraps __mul__/__rmul__; tests/series_oracles.py "
+        "builds on it (ROADMAP 9)",
     ("dgforms", "DGContext.dt"):
         "the forms workload of perfbench/child.py builds connections "
         "with it",

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from adelweil import exactalg, residues, scenarios
 from adelweil.cli import FRACTION_FILES, SCENARIO_FILES, main, resolve_input
 from adelweil.dgforms import InvariantPolynomial
-from adelweil.errors import CapError, CheckFailed, ParseError, PrecisionError
+from adelweil.errors import CapError, CheckFailed, ParseError
 from adelweil.exactalg import MultiPoly, RingMatrix, TruncatedSeries
 from adelweil.parsing import fraction_from_json, scenario_from_json
 from adelweil.residues import (
-    GeneralizedFraction, LocalZeroData, coordinate_change_check,
-    gauss_bonnet_local, local_invariant, residue_general,
-    simple_zero_invariant,
+    GeneralizedFraction, LocalZeroData, gauss_bonnet_local, local_invariant,
+    residue_general,
 )
 from adelweil.scenarios import bott_sum, curve_adelic_integral
 
+from series_oracles import (
+    coordinate_change_check, series_residue, simple_zero_invariant,
+)
 from strategies import fractions, polys
 
 V1 = ("f",)
@@ -204,32 +206,29 @@ def test_a_series_denominator_is_read_below_twice_the_loewy_length():
     # (f1^4, f2^4) has Loewy length s = 7: the engine reads the
     # denominators below 2s = 14, and the colength search stops at 8
     a = tuple(TruncatedSeries.from_poly(x ** 4, 15) for x in (f1, f2))
-    assert residue_general(GeneralizedFraction(V2, f1 ** 3 * f2 ** 3, a)) == 1
+    assert series_residue(V2, f1 ** 3 * f2 ** 3, a) == 1
     short = tuple(TruncatedSeries.from_poly(x ** 4, 13) for x in (f1, f2))
-    with pytest.raises(PrecisionError, match="window 14"):
-        residue_general(GeneralizedFraction(V2, f1 ** 3 * f2 ** 3, short))
+    with pytest.raises(ValueError, match="window 14"):
+        series_residue(V2, f1 ** 3 * f2 ** 3, short)
 
 
 def test_series_numerator_precision_is_honest():
     num = TruncatedSeries.from_poly(f, 2)
-    gf = GeneralizedFraction(V1, num, (f ** 3,))
-    with pytest.raises(PrecisionError, match="below required window 3$"):
-        residue_general(gf)
-    wide = GeneralizedFraction(V1, TruncatedSeries.from_poly(f, 9), (f ** 3,))
-    assert residue_general(wide) == 0
+    with pytest.raises(ValueError, match="below required window 3$"):
+        series_residue(V1, num, (f ** 3,))
+    wide = TruncatedSeries.from_poly(f, 9)
+    assert series_residue(V1, wide, (f ** 3,)) == 0
 
 
 @pytest.mark.parametrize("c", [Q(1), Q(-2), Q(5, 3)])
 def test_series_denominator_precision_is_honest(c):
     # Res[f df / (f^3 + c f^4)] = -c reads the f^4 term, which a series
     # cut at degree 4 does not know
-    short = GeneralizedFraction(
-        V1, f, (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 4),))
-    with pytest.raises(PrecisionError, match="below required window"):
-        residue_general(short)
-    known = GeneralizedFraction(
-        V1, f, (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 8),))
-    assert residue_general(known) == -c
+    short = (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 4),)
+    with pytest.raises(ValueError, match="below required window"):
+        series_residue(V1, f, short)
+    known = (TruncatedSeries.from_poly(f ** 3 + f ** 4 * c, 8),)
+    assert series_residue(V1, f, known) == -c
     assert residue_general(GeneralizedFraction(
         V1, f, (f ** 3 + f ** 4 * c,))) == -c
 
@@ -368,16 +367,17 @@ def test_closed_form_refuses_a_zero_of_colength_two():
     assert gauss_bonnet_local(list(zd.a)) == (2, 2)
 
 
-def test_closed_form_reads_linear_terms_within_precision():
+def test_the_engine_refuses_a_series_entry():
+    # the engine certifies the truncation it reads: a series reaches it
+    # only through series_oracles, cut to a polynomial
+    s = TruncatedSeries.from_poly(f, 2)
     lift = RingMatrix([[MultiPoly.const(V1, -1)]])
-    for prec in (1, 0):
-        zd = LocalZeroData(V1, 1, (TruncatedSeries.from_poly(f, prec),),
-                           lift)
-        with pytest.raises(PrecisionError,
-                           match=f"degree {prec} needs precision > {prec}$"):
-            simple_zero_invariant(P1, zd)
-    zd = LocalZeroData(V1, 1, (TruncatedSeries.from_poly(f, 2),), lift)
-    assert simple_zero_invariant(P1, zd) == 1
+    for build in (lambda: GeneralizedFraction(V1, s, (f ** 3,)),
+                  lambda: GeneralizedFraction(V1, f, (s,)),
+                  lambda: LocalZeroData(V1, 1, (s,), lift)):
+        with pytest.raises(ParseError, match="cannot interpret "
+                           r"TruncatedSeries\('f \+ O\(deg 2\)'\)"):
+            build()
 
 
 def test_invariant_degree_must_match_dimension():
