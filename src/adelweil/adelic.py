@@ -1,10 +1,11 @@
 """Per-chain connection calculus for adelically framed bundles.
 
 A chain is a list of point labels; each point carries an invertible
-frame matrix over the chart ring, and the simplex-weighted combination
-of the per-point flat connections gives the mixed connection
+polynomial frame matrix on the chart, and the simplex-weighted
+combination of the per-point flat connections gives the mixed
+connection
 
-    theta = -sum_i t_i g_i^(-1) dg_i,
+    theta = -sum_i t_i g_i^(-1) dg_i = -sum_i t_i adj(g_i) dg_i / det g_i,
 
 a matrix of (1,0)-forms on the product of the chain simplex with the
 chart.  Everything downstream (curvature, Chern components, the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CheckFailed, NotAUnit, ParseError
+from .errors import CheckFailed, ParseError
 from .exactalg import MultiPoly, RatFunc, RingMatrix
 from .dgforms import (
     DGContext,
@@ -57,12 +58,12 @@ class Chain:
 class ChartModel:
     """One affine chart: coordinates, frames, and vector-field data.
 
-    `frames` maps point labels to invertible matrices over the chart
-    ring (the frame of the bundle at that point, written in a fixed
-    reference frame).  `points` maps labels to coordinate dictionaries
-    for closed points, or None for points treated generically.  The
-    optional vector field `a` and endomorphism lift `lift` feed the
-    localization identities.
+    `frames` maps point labels to invertible `MultiPoly` matrices (the
+    frame of the bundle at that point, written in a fixed reference
+    frame).  `points` maps labels to coordinate dictionaries for closed
+    points, or None for points treated generically.  The optional
+    vector field `a` and endomorphism lift `lift` feed the localization
+    identities.
     """
 
     def __init__(self, base_vars: tuple[str, ...], rank: int,
@@ -86,9 +87,6 @@ class ChartModel:
 
 
 def _to_ctx(value, ctx: DGContext) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return RatFunc(value.num.extend_vars(ctx.even_vars),
-                       value.den.extend_vars(ctx.even_vars))
     if isinstance(value, MultiPoly):
         return ctx.ring_poly(value)
     return ctx.ring_const(value)
@@ -146,35 +144,33 @@ class ChainConnection:
         return direct
 
 
-def _as_ratfunc(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, MultiPoly):
-        return RatFunc(x)
-    raise ParseError(f"bad frame entry {x!r}")
-
-
 def mixed_connection(model: ChartModel, chain: Chain,
                      inert: tuple[str, ...] = ()) -> ChainConnection:
-    """Glue the per-point flat connections over the chain simplex."""
+    """Glue the per-point flat connections over the chain simplex:
+    g^(-1) dg = sum_x (adj g d_x g) / det g dx, one quotient per entry."""
     ctx = chain_algebra(model, chain, inert)
     r = model.rank
     theta = FormMatrix.zero(ctx, r)
     for i, label in enumerate(chain.labels):
-        g = model.frame(label).map(_as_ratfunc)
+        g = model.frame(label)
+        bad = [x for row in g.rows for x in row
+               if not isinstance(x, MultiPoly)]
+        if bad:
+            raise ParseError(
+                f"frame at {label!r} has a non-polynomial entry {bad[0]!r}")
         if g.shape != (r, r):
             raise ParseError(
                 f"frame at {label!r} has shape {g.shape}, rank is {r}")
-        try:
-            ginv = g.inv()
-        except (NotAUnit, ZeroDivisionError):
-            raise ParseError(
-                f"frame at {label!r} is not invertible") from None
-        gf = FormMatrix.from_ring(ctx, [[_to_ctx(x, ctx) for x in row]
-                                        for row in g.rows])
-        ginvf = FormMatrix.from_ring(ctx, [[_to_ctx(x, ctx) for x in row]
-                                           for row in ginv.rows])
-        omega = ginvf @ gf.d_base()
+        adj, det = g.adjugate()
+        if det.is_zero():
+            raise ParseError(f"frame at {label!r} is not invertible")
+        det = det.extend_vars(ctx.even_vars)
+        nums = {(ctx.odd_index(x),): adj @ g.map(lambda e: e.diff(x))
+                for x in model.base_vars}
+        omega = FormMatrix(ctx, [[DiffForm(ctx, {
+            dx: RatFunc(num[j, k].extend_vars(ctx.even_vars), det)
+            for dx, num in nums.items() if not num[j, k].is_zero()})
+            for k in range(r)] for j in range(r)])
         theta = theta - omega.scale(ctx.t(i))
     return ChainConnection(ctx, chain, theta, r)
 
@@ -200,7 +196,7 @@ def block_frames(sub: ChartModel, quot: ChartModel, mixing: dict) -> ChartModel:
     if sub.base_vars != quot.base_vars:
         raise ParseError("factor models live on different charts")
     rp, rq = sub.rank, quot.rank
-    zero_ring = polynomial_context(sub.base_vars)
+    zero = MultiPoly.zero(sub.base_vars)
     frames = {}
     for label in sub.frames:
         if label not in quot.frames:
@@ -212,10 +208,10 @@ def block_frames(sub: ChartModel, quot: ChartModel, mixing: dict) -> ChartModel:
             row = list(gp.rows[i])
             for j in range(rq):
                 row.append(s.rows[i][j] if s is not None
-                           else zero_ring.ring_const(0))
+                           else zero)
             rows.append(row)
         for i in range(rq):
-            row = [zero_ring.ring_const(0)] * rp + list(gq.rows[i])
+            row = [zero] * rp + list(gq.rows[i])
             rows.append(row)
         frames[label] = RingMatrix(rows)
     points = dict(sub.points)

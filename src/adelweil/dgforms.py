@@ -8,16 +8,16 @@ parameters).  Each simplex or base variable x contributes one odd
 generator "d x"; simplex odds order before base odds, which is exactly
 what makes the total differential split as
 
-    d = d_simplex + d_base,
+    d = d_simplex + d',
 
-with d_base acting as (-1)^q d on a term of simplex odd-degree q.  The
-Koszul sign rule is implemented once, in `_merge_odd`, which the wedge
-product and d use; curvature and every characteristic form are built
-from those two.
+where the base piece d' = d - d_simplex acts as (-1)^q d_chart on a
+term of simplex odd-degree q.  The Koszul sign rule is implemented
+once, in `_merge_odd`, which the wedge product and d use; curvature
+and every characteristic form are built from those two.
 
 `FormMatrix` is the ring-matrix algebra of `exactalg.RingMatrix` over
 even-commuting forms plus the form operations: d, bidegree parts,
-contraction and trace.  Its determinant, invariants and inverse all
+contraction and trace.  Its determinant, invariants and adjugate all
 read one characteristic polynomial, and the even-entry guard sits on
 that one primitive.
 
@@ -346,10 +346,6 @@ class DiffForm:
         """The simplex-direction piece of d."""
         return self._derive(self.ctx.simplex_vars)
 
-    def d_base(self) -> "DiffForm":
-        """The base-direction piece: acts as (-1)^q d_chart on (p,q) terms."""
-        return self._derive(self.ctx.base_vars)
-
     def contract(self, components: dict) -> "DiffForm":
         """Interior product against sum v_i d/df_i (odd derivation).
 
@@ -479,7 +475,7 @@ class FormMatrix(RingMatrix):
     """Matrix with DiffForm entries over one context.
 
     The matrix algebra (+, -, @, the characteristic polynomial and all
-    that reads it: det, invariants, inverse) is `RingMatrix`'s: even
+    that reads it: det, invariants, adjugate) is `RingMatrix`'s: even
     forms commute, so the commutative-ring code holds for them.
     `charpoly` adds the even-entry guard.
     """
@@ -518,9 +514,6 @@ class FormMatrix(RingMatrix):
 
     def d_simplex(self) -> "FormMatrix":
         return self.map(lambda x: x.d_simplex())
-
-    def d_base(self) -> "FormMatrix":
-        return self.map(lambda x: x.d_base())
 
     def bidegree_component(self, p: int, q: int) -> "FormMatrix":
         return self.map(lambda x: x.bidegree_component(p, q))

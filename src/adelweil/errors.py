@@ -1,8 +1,9 @@
 """Exception taxonomy shared by all modules.
 
 Every failure mode is loud: callers either get an exact answer or an
-exception from this module.  There is one class per exit code, and
-`cli.main` returns the `exit_code` of whatever it catches.  Pick the
+exception from this module.  It defines four classes: the base
+`EngineError` and, under it, one class per exit code.  `cli.main`
+returns the `exit_code` of whatever it catches.  Pick the
 class by what the failure means, not by where it is raised:
 - malformed or inapplicable input (a shape, a variable set, a degree, a
   label, a singular frame) is a ParseError;
@@ -32,7 +33,3 @@ class CheckFailed(EngineError):
     """An exact identity that should hold did not."""
 
     exit_code = 2
-
-
-class NotAUnit(ParseError):
-    """Inversion of a ring element with no inverse; callers catch it."""

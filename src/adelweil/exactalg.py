@@ -32,7 +32,7 @@ echelon form read out at the end, unique for the span and the label
 order, is the same exact one.
 `QMatrix` stays only because the benchmark tracer wraps its `rref` and `solve`.
 `RingMatrix` is a matrix over any of these rings; its determinant,
-invariants and inverse all read one division-free characteristic
+invariants and adjugate all read one division-free characteristic
 polynomial.
 `macaulay_span` builds every truncated ideal span: the shifted
 generators below a degree T.  `artinian_length` reads the colength of
@@ -51,7 +51,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import CapError, NotAUnit, ParseError
+from .errors import CapError, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -512,7 +512,7 @@ class TruncatedSeries:
         """
         c0 = self.constant_term()
         if not c0:
-            raise NotAUnit("series with zero constant term has no inverse")
+            raise ValueError("series with zero constant term has no inverse")
         # Newton-free iteration: inv_{k+1} = inv_k * (2 - u * inv_k).
         inv = TruncatedSeries.const(self.vars, 1 / c0, self.prec)
         known = 1
@@ -529,7 +529,7 @@ class TruncatedSeries:
             if isinstance(img, MultiPoly):
                 img = TruncatedSeries.from_poly(img, self.prec)
             if img.constant_term():
-                raise NotAUnit(
+                raise ValueError(
                     f"composition image for {name!r} has a constant term")
             imgs[name] = img
             tvars = img.vars
@@ -666,7 +666,7 @@ class RatFunc:
 
     def invert(self) -> "RatFunc":
         if self.num.is_zero():
-            raise NotAUnit("zero rational function has no inverse")
+            raise ParseError("zero rational function has no inverse")
         return RatFunc(self.den, self.num)
 
     def __eq__(self, other):
@@ -773,11 +773,11 @@ def _cancel_univariate(num: MultiPoly, den: MultiPoly, idx: int):
 class RingMatrix:
     """Square or rectangular matrix over any commutative ring object.
 
-    Entries only need +, -, * among themselves; `inv` additionally
-    needs `invert` on the determinant (Fraction, RatFunc and
-    TruncatedSeries have it).  `charpoly` is the one primitive: `det`,
-    `invariants` and `inv` all read it.  Every result matrix is built
-    by `_new`, so a subclass (`dgforms.FormMatrix`) keeps its own type.
+    Entries only need +, -, * among themselves and ** 0 for the one:
+    nothing divides, so `adjugate` needs no `invert`.  `charpoly` is the
+    one primitive: `det`, `invariants` and `adjugate` all read it.
+    Every result matrix is built by `_new`, so a subclass
+    (`dgforms.FormMatrix`) keeps its own type.
     """
 
     __slots__ = ("rows",)
@@ -816,9 +816,6 @@ class RingMatrix:
 
     def __neg__(self):
         return self.map(lambda x: -x)
-
-    def scale(self, c) -> "RingMatrix":
-        return self.map(lambda x: x * c)
 
     def __matmul__(self, other):
         if self.shape[1] != other.shape[0]:
@@ -876,23 +873,19 @@ class RingMatrix:
         return [-x if k % 2 else x
                 for k, x in enumerate(self.charpoly(upto), 1)]
 
-    def inv(self) -> "RingMatrix":
-        """adj(A) / det(A), the adjugate by Cayley-Hamilton: A B = -p_n
-        for B = A^(n-1) + p_1 A^(n-2) + .. + p_(n-1), built by Horner,
-        adding each p_k on the diagonal.  Inverting -p_n raises when A
-        is singular."""
+    def adjugate(self) -> tuple:
+        """(adj A, det A) by Cayley-Hamilton: A B = -p_n for Horner's
+        B = A^(n-1) + p_1 A^(n-2) + .. + p_(n-1) from the identity, so
+        adj A = (-1)^(n+1) B and det A = (-1)^n p_n, singular A too."""
         p = self.charpoly()
-        d = -p[-1]
-        dinv = d.invert() if hasattr(d, "invert") else 1 / d
-        if len(p) == 1:
-            return self._new([[dinv]])
-        B = self
-        for k, c in enumerate(p[:-1], 1):
-            if k > 1:
-                B = self @ B
-            B = B._new([[x + c if i == j else x for j, x in enumerate(row)]
-                        for i, row in enumerate(B.rows)])
-        return B.scale(dinv)
+        n = len(p)
+        one = self.rows[0][0] ** 0
+        eye = self._new([[one if i == j else one - one for j in range(n)]
+                         for i in range(n)])
+        B = eye
+        for c in p[:-1]:
+            B = self @ B + eye.map(lambda x: x * c)
+        return (B, -p[-1]) if n % 2 else (-B, p[-1])
 
     def __eq__(self, other):
         return isinstance(other, RingMatrix) and self.rows == other.rows

@@ -300,8 +300,10 @@ class FiniteSimplicialSet:
     def from_json(cls, data) -> "FiniteSimplicialSet":
         if not isinstance(data, dict):
             raise ParseError("simplicial set description must be an object")
+        name = data.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise ParseError("simplicial set: 'name' must be a string")
         try:
-            name = data.get("name", "unnamed")
             simplices = {str(k): parse_integer(v, f"dimension of {k!r}")
                          for k, v in data["simplices"].items()}
             faces = {str(k): [str(x) for x in v]

@@ -7,12 +7,18 @@ and the cofactor adjugate.  They use only +, - and * of the entries,
 so they hold over any commutative ring, even forms included, but they
 cost n! products: the tests run them at ranks up to 6.
 
+`inverse` is the inverse the package no longer builds: the adjugate of
+`RingMatrix.adjugate` times the inverse of the determinant.
+
+
 `gauss_jordan` is the textbook reduced row echelon form over Fractions,
 the oracle of the fraction-free `LinearSpan` kernel.
 """
 
 import itertools
 from fractions import Fraction
+
+from adelweil.exactalg import TruncatedSeries
 
 
 def perm_sign(perm) -> int:
@@ -73,6 +79,15 @@ def cofactor_adjugate(rows, one) -> list:
             row.append(-c if (i + j) % 2 else c)
         adj.append(row)
     return adj
+
+
+def inverse(M):
+    """adj M (det M)^-1 for a `RingMatrix` M; a series determinant is
+    inverted by `invert`, any other by 1 / det, so a singular M raises
+    as its ring does."""
+    adj, det = M.adjugate()
+    dinv = det.invert() if isinstance(det, TruncatedSeries) else 1 / det
+    return adj.map(lambda x: x * dinv)
 
 
 def gauss_jordan(rows, n):

@@ -28,6 +28,8 @@ from adelweil.residues import (
     GeneralizedFraction, LocalZeroData, local_invariant, residue_general,
 )
 
+from matrix_oracles import inverse
+
 # series precision of the transformed components and lift in
 # coordinate_change_check: the residue engine reads a denominator below
 # twice the Loewy length s of its local algebra, so 8 serves every zero
@@ -127,7 +129,7 @@ def coordinate_change_check(P: InvariantPolynomial, zd: LocalZeroData,
     a_new_rhs = [series(ai).compose(composed) for ai in zd.a]
     jac = RingMatrix([[series(images[vars[i]].diff(vars[j]))
                        for j in range(n)] for i in range(n)])
-    jac_inv = jac.inv()
+    jac_inv = inverse(jac)
     b = [sum((jac_inv.rows[j][i] * a_new_rhs[i] for i in range(n)),
              TruncatedSeries.const(vars, 0, CHANGE_PRECISION))
          for j in range(n)]

@@ -18,7 +18,7 @@ from adelweil.dgforms import (
     matrix_curvature, transgression,
 )
 from adelweil.errors import CapError
-from adelweil.exactalg import MultiPoly, RatFunc, RingMatrix
+from adelweil.exactalg import MultiPoly, RingMatrix
 from adelweil.residues import (
     LocalZeroData, gauss_bonnet_local, local_invariant,
 )
@@ -215,10 +215,10 @@ def test_acceptance_7_property_battery():
 
     # total Chern series of an extension is the product of the pieces
     F = ("f",)
-    fr = RatFunc(MultiPoly.var(F, "f"))
-    unit = RatFunc.from_const(F, 1)
+    fr = MultiPoly.var(F, "f")
+    unit = MultiPoly.const(F, 1)
     pool = (unit, fr, fr + unit, fr * fr + unit)
-    mix_pool = (RatFunc.from_const(F, 0), unit, fr)
+    mix_pool = (MultiPoly.zero(F), unit, fr)
     labels = ("a", "b", "c")
     for _ in range(5):
         sub = ChartModel(F, 1, frames={lab: RingMatrix([[rng.choice(pool)]])

@@ -15,10 +15,9 @@ from adelweil.errors import CheckFailed, ParseError
 from adelweil.exactalg import MultiPoly, RatFunc, RingMatrix
 
 F = ("f",)
-fpoly = MultiPoly.var(F, "f")
-f = RatFunc(fpoly)
-one = RatFunc.from_const(F, 1)
-zero = RatFunc.from_const(F, 0)
+f = MultiPoly.var(F, "f")
+one = MultiPoly.const(F, 1)
+zero = MultiPoly.zero(F)
 
 
 def rm(rows):
@@ -50,6 +49,14 @@ def test_missing_frame_is_reported():
 def test_zero_frame_is_rejected():
     with pytest.raises(ParseError, match="frame at 'x' is not invertible"):
         mixed_connection(chart({"x": rm([[zero]])}), Chain(("x",)))
+
+
+def test_rational_frame_entry_is_refused():
+    # frames are polynomial matrices: inverting one needs no quotient
+    bad = rm([[RatFunc(one, f)]])
+    with pytest.raises(ParseError, match="frame at 'x' has a non-polynomial"
+                       r" entry RatFunc\('1/f'\)"):
+        mixed_connection(chart({"x": bad}), Chain(("x",)))
 
 
 def test_covertex_lift_interpolates_along_the_simplex():
@@ -131,7 +138,7 @@ def test_chern_series_starts_with_one():
 def test_projector_pairs_to_one_with_the_field():
     model = chart({"x0": rm([[one]]), "q": rm([[one]])},
                   points={"x0": None, "q": {"f": Q(1)}},
-                  a=[fpoly * fpoly], lift=rm([[-fpoly]]))
+                  a=[f * f], lift=rm([[-f]]))
     for lab in ("x0", "q"):
         pi = projector(model, lab)
         paired = contraction_with_field(pi, model)
@@ -139,8 +146,9 @@ def test_projector_pairs_to_one_with_the_field():
 
 
 def _weighted_model():
-    return chart({"x0": rm([[one]]), "inf": rm([[f.invert()]])},
-                 a=[fpoly * fpoly], lift=rm([[-fpoly]]))
+    # the frame at inf is the shipped p1-o1's
+    return chart({"x0": rm([[one]]), "inf": rm([[f]])},
+                 a=[f * f], lift=rm([[-f]]))
 
 
 def test_localization_identities_on_the_weighted_chart():
@@ -161,7 +169,7 @@ def test_corrupted_projector_is_detected(monkeypatch):
        st.sampled_from((Q(0), Q(-1), Q(2))))
 def test_localization_holds_on_random_curve_chains(g0, g1, slope, lam):
     model = chart({"x0": rm([[g0]]), "x1": rm([[g1]])},
-                  a=[fpoly * slope],
+                  a=[f * slope],
                   lift=rm([[MultiPoly.const(F, lam)]]))
     assert localization_check(model, Chain(("x0", "x1")))
 
@@ -171,15 +179,15 @@ def test_localization_holds_on_random_curve_chains(g0, g1, slope, lam):
        st.sampled_from(FRAME_POOL))
 def test_localization_holds_on_longer_chains(g0, g1, g2):
     model = chart({"x0": rm([[g0]]), "x1": rm([[g1]]), "x2": rm([[g2]])},
-                  a=[fpoly * fpoly], lift=rm([[-fpoly]]))
+                  a=[f * f], lift=rm([[-f]]))
     assert localization_check(model, Chain(("x0", "x1", "x2")))
 
 
 def _plane_model():
     V = ("y1", "y2")
-    y1, y2 = (RatFunc.var(V, n) for n in V)
-    vone = RatFunc.from_const(V, 1)
-    vzero = RatFunc.from_const(V, 0)
+    y1, y2 = (MultiPoly.var(V, n) for n in V)
+    vone = MultiPoly.const(V, 1)
+    vzero = MultiPoly.zero(V)
     return ChartModel(
         V, 2,
         frames={
@@ -189,8 +197,18 @@ def _plane_model():
         },
         points={"p": None, "q": {"y1": Q(0), "y2": Q(1)}, "r": None},
         a=[y1, y2 * 2],
-        lift=rm([[-vone, vzero], [vzero, RatFunc.from_const(V, -2)]]),
+        lift=rm([[-vone, vzero], [vzero, MultiPoly.const(V, -2)]]),
     )
+
+
+def test_two_variable_frames_give_their_logarithmic_derivatives():
+    # g^-1 dg of [[1, y1], [0, 1]] is d y1 above the diagonal, of
+    # [[1, 0], [y2, 1]] d y2 below it: each base variable is read
+    conn = mixed_connection(_plane_model(), Chain(("q", "r")))
+    ctx = conn.ctx
+    z = ctx.zero_form()
+    want = [[z, -(ctx.t(0) * ctx.df("y1"))], [-(ctx.t(1) * ctx.df("y2")), z]]
+    assert conn.theta.rows == want
 
 
 def test_localization_in_two_variables_with_varying_projector():

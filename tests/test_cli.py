@@ -203,7 +203,7 @@ def test_one_error_class_per_exit_code():
     assert {name: getattr(cls, "exit_code", None)
             for name, cls in classes.items()} == {
         "EngineError": None, "ParseError": 3, "CapError": 5,
-        "CheckFailed": 2, "NotAUnit": 3}
+        "CheckFailed": 2}
     bare = [f"{path.name}:{k}"
             for path in sorted(Path(errors.__file__).parent.glob("*.py"))
             for k, line in enumerate(path.read_text().splitlines(), 1)
@@ -409,6 +409,15 @@ def test_malformed_scenarios_exit_3(capsys, tmp_path, name, edit, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_edited(name, edit)))
     assert run(capsys, ["bott", str(path)]) == (3, "", f"error: {message}\n")
+
+
+def test_non_string_space_name_exits_3(capsys, tmp_path):
+    # a boolean name would print as pass/FAIL above the checks
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(_edited(
+        "delta0.json", lambda d: d.update(name=False))))
+    assert run(capsys, ["derham", str(path)]) == \
+        (3, "", "error: simplicial set: 'name' must be a string\n")
 
 
 def test_singular_frame_exits_3(capsys, tmp_path):

@@ -102,10 +102,19 @@ def test_d_squared_is_zero(w):
 
 @given(forms())
 def test_d_splits_into_simplex_and_base(w):
-    assert w.d() == w.d_simplex() + w.d_base()
+    def d_base(x):
+        return x.d() - x.d_simplex()
+
+    # each piece raises its own degree only
+    for p in range(2):
+        for q in range(2):
+            part = w.bidegree_component(p, q)
+            assert part.d_simplex() == \
+                w.d_simplex().bidegree_component(p, q + 1)
+            assert d_base(part) == d_base(w).bidegree_component(p + 1, q)
     assert w.d_simplex().d_simplex().is_zero()
-    assert w.d_base().d_base().is_zero()
-    mixed = w.d_simplex().d_base() + w.d_base().d_simplex()
+    assert d_base(d_base(w)).is_zero()
+    mixed = d_base(w.d_simplex()) + d_base(w).d_simplex()
     assert mixed.is_zero()
 
 

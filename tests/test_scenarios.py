@@ -18,6 +18,7 @@ from adelweil.scenarios import (
     whitney_scenario,
 )
 
+from matrix_oracles import inverse
 from residue_oracles import laurent_residue_at
 from strategies import fractions, polys
 
@@ -112,7 +113,7 @@ def _jordan_zeros(blocks, change):
                 J[i][i + 1] = Q(1)
         s += k
     S = RingMatrix(change).map(Q)
-    A = (S @ RingMatrix(J) @ S.inv()).rows
+    A = (S @ RingMatrix(J) @ inverse(S)).rows
     vars = tuple(f"y{i}" for i in range(1, n + 1))
     ys = [MultiPoly.var(vars, v) for v in vars]
     zeros = []
